@@ -22,8 +22,6 @@ from .dynamics import (
     make_nonlinearity,
     make_reference_rhs,
     max_stable_step,
-    rhs_finite,
-    rhs_reference,
 )
 from .estimates import (
     AbsorbingBall,
@@ -87,8 +85,6 @@ __all__ = [
     "make_reference_rhs",
     "max_stable_step",
     "project_forcing",
-    "rhs_finite",
-    "rhs_reference",
     "sample_attractor",
     "tail_certificate",
     "tail_mass",

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,10 @@ from .dynamics import (
 )
 from .errors import (
     CapacityError,
-    DivergenceError,
     EmptyCloudError,
     ParameterError,
     StrictModeRequiredError,
+    UnsettledCloudError,
 )
 from .estimates import (
     asymptotic_radius_sq,
@@ -118,17 +117,24 @@ def sample_attractor(
     step: float | None = None,
     ic_radius: float | None = None,
     boundary_floor: float = 1e-8,
-    threads: int = 1,
 ) -> AttractorCloud:
     """Pullback sample of the fiber attractor at ``shift(fiber_shift, f)``.
 
     Each of ``sample_count`` start offsets launches the full set of
     ``ic_count`` initial conditions from the absorbing ball at time
     ``-(burn_in + offset)`` and integrates them to time 0, so every collected
-    state sits on the requested fiber.  ``kind`` selects the wrapped finite
-    system of order ``params.n`` (forcing via ``boundary``: ``wrap`` or
-    ``project``) or the padded ``reference`` system of half-width ``n_work``.
+    state sits on the requested fiber.  All ``sample_count * ic_count`` rows
+    (offset-major) are integrated in one batch: with ``N = ceil(max span /
+    step)`` each row takes ``N`` steps of ``span_j / N <= step`` and lands
+    exactly on 0.  ``kind`` selects the wrapped finite system of order
+    ``params.n`` (forcing via ``boundary``: ``wrap`` or ``project``) or the
+    padded ``reference`` system of half-width ``n_work``.
+
+    Raises :class:`UnsettledCloudError` when a point ends outside the
+    Gronwall bound.
     """
+    if ic_count < 1 or sample_count < 1:
+        raise ParameterError("ic_count and sample_count must be >= 1")
     if ic_count * sample_count > POINT_CAP:
         raise ParameterError(
             f"requested {ic_count * sample_count} points exceeds cap {POINT_CAP}"
@@ -164,7 +170,7 @@ def sample_attractor(
             raise ParameterError("reference sampling needs n_work")
         if n_work < params.n:
             raise CapacityError(f"n_work={n_work} below truncation order {params.n}")
-        rhs = make_reference_rhs(params, nonlin, fiber, n_work, boundary_floor)
+        rhs = make_reference_rhs(params, nonlin, fiber, n_work)
         half_width = n_work
         # keep initial mass away from the monitored edges
         ic_half = max(1, n_work // 2)
@@ -175,31 +181,30 @@ def sample_attractor(
     rho = 1.5 * max(ic_radius, radius) + 0.5
     if step is None:
         step = max_stable_step(params, nonlin, rho)
+    if not step > 0.0:
+        raise ParameterError(f"step must be > 0, got {step}")
 
     ics = _low_discrepancy_ball(ic_count, 2 * ic_half + 1, ic_radius, seed)
     ics = pad_to_width(ics, ic_half, half_width)
     offsets = window * np.arange(sample_count) / sample_count
-
-    def _run(offset: float) -> np.ndarray:
-        t0 = -(burn_in + offset)
-        try:
-            return integrate_final(rhs, ics, t0, 0.0, step)
-        except DivergenceError as exc:
-            raise DivergenceError(f"{exc} [start offset {offset:.6g}]") from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(_run, offsets))
-    else:
-        batches = [_run(off) for off in offsets]
-    states = np.vstack(batches)
+    spans = burn_in + offsets
+    n_steps = max(1, math.ceil(spans.max() / step))
+    # minimum() only trims the rounding of span / N past step
+    states = integrate_final(
+        rhs,
+        np.tile(ics, (sample_count, 1)),
+        np.repeat(-spans, ic_count),
+        0.0,
+        np.repeat(np.minimum(spans / n_steps, step), ic_count),
+        boundary_floor if kind == "reference" else None,
+    )
 
     bound = RADIUS_SLACK * gronwall_bound(
         params.lam, nonlin.alpha, forcing_bound, ic_radius, burn_in
     )
     worst = float(np.linalg.norm(states, axis=1).max())
     if worst > bound and worst > 1e-12:
-        raise ValueError(
+        raise UnsettledCloudError(
             f"cloud point norm {worst:.6g} exceeds absorbing bound {bound:.6g}; "
             "the run has not settled (step too large or burn-in too short)"
         )
@@ -311,7 +316,6 @@ def convergence_study(
     window: float | None = None,
     step: float | None = None,
     boundary_floor: float = 1e-8,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Sample each finite-order attractor and the padded reference proxy,
     then measure the one-sided distances between them.
@@ -332,7 +336,6 @@ def convergence_study(
         burn_in=burn_in,
         window=window,
         step=step,
-        threads=threads,
     )
     ref_params = LatticeParams(nu=nu, lam=lam, n=n_ref)
     ref_cloud = sample_attractor(

@@ -18,7 +18,6 @@ from .errors import (
 )
 from .forcing import QuasiPeriodicForcing
 from .operators import apply_laplacian
-from .state import PaddedState
 
 STABILITY_SAFETY = 0.5
 _SIGN_SLACK = 1e-12  # absorbs 1-ulp rounding in the sampled sign checks
@@ -137,7 +136,7 @@ def make_nonlinearity(
     elif name == "cubic":
         nl = Nonlinearity(
             name="cubic",
-            func=lambda s, a=alpha: -a * s - s ** 3,
+            func=lambda s, a=alpha: -a * s - s * s * s,
             alpha=alpha,
             mode="strict" if alpha > 0 else "weak",
             lipschitz=lambda rho, a=alpha: a + 3.0 * rho * rho,
@@ -158,9 +157,13 @@ def make_nonlinearity(
         cs = tuple(float(c) for c in coeffs)
 
         def _poly(s, cs=cs):
-            out = np.zeros_like(s)
-            for k, c in enumerate(cs):
-                out += c * s ** (2 * k + 1)
+            # odd powers as repeated products: numpy's power is ~50x slower
+            s2 = s * s
+            power = s
+            out = cs[0] * s
+            for c in cs[1:]:
+                power = power * s2
+                out += c * power
             return out
 
         nl = Nonlinearity(
@@ -182,67 +185,54 @@ def make_nonlinearity(
 # right-hand sides
 
 
-def rhs_finite(
-    v,
-    t: float,
+def _compile_rhs(
     params: LatticeParams,
     nonlin: Nonlinearity,
     forcing: QuasiPeriodicForcing,
-):
-    """Wrapped finite system: ``-nu*A v - lam*v + F(v) + f(t)``.
+    half_width: int,
+    periodic: bool,
+) -> Callable:
+    """``-nu*A u - lam*u + F(u) + f(t)`` on sites ``-half_width .. half_width``,
+    with ``A`` the periodic or the zero-ghost second difference.
 
-    The forcing is expected to be already truncated or wrapped to width
-    ``2n + 1``; modes beyond the window are ignored.  Acts on the last axis,
-    so stacked trajectories integrate in one call.
+    The forcing table is read once and kept to the columns between the first
+    and the last nonzero amplitude.  The closure acts on the last axis of a
+    state or a stack of rows; ``t`` is a scalar or a column with one time per
+    row.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != params.dim:
-        raise DimensionError(
-            f"state width {v.shape[-1]} does not match 2n+1 = {params.dim}"
-        )
-    drift = -params.nu * apply_laplacian(v, params.n) - params.lam * v
-    return drift + nonlin.func(v) + forcing.eval_window(t, params.n)
+    nu, lam, func = params.nu, params.lam, nonlin.func
+    amps, freqs, phases = forcing.mode_table(half_width)
+    live = np.flatnonzero(amps)
+    cols = slice(live[0], live[-1] + 1) if live.size else None
+    if cols is not None:
+        amps, freqs, phases = amps[cols], freqs[cols], phases[cols]
+    offset = forcing.time_offset
 
+    def rhs(t, u):
+        out = apply_laplacian(u, half_width, periodic)
+        out *= -nu
+        out -= lam * u
+        out += func(u)
+        if cols is not None:
+            drive = freqs * (t + offset)
+            drive += phases
+            np.sin(drive, out=drive)
+            drive *= amps
+            out[..., cols] += drive
+        return out
 
-def _line_laplacian(u: np.ndarray) -> np.ndarray:
-    """Two-sided stencil ``u_{i-1} - 2 u_i + u_{i+1}`` with zero ghost cells."""
-    out = -2.0 * u
-    out[..., :-1] += u[..., 1:]
-    out[..., 1:] += u[..., :-1]
-    return out
-
-
-def rhs_reference(
-    u: PaddedState,
-    t: float,
-    params: LatticeParams,
-    nonlin: Nonlinearity,
-    forcing: QuasiPeriodicForcing,
-    boundary_floor: float = 1e-8,
-) -> PaddedState:
-    """Padded stand-in for the full two-sided system:
-    ``nu*(u_{i-1} - 2u_i + u_{i+1}) - lam*u + F(u) + f(t)`` on a working
-    array with zero ghost cells.
-
-    Raises :class:`BoundaryContaminationError` when the edge components
-    exceed ``boundary_floor``, signalling that the working width is too
-    small for the run.
-    """
-    rhs = make_reference_rhs(params, nonlin, forcing, u.half_width, boundary_floor)
-    return PaddedState(rhs(t, u.values), u.half_width)
+    return rhs
 
 
 def make_finite_rhs(
     params: LatticeParams,
     nonlin: Nonlinearity,
     forcing: QuasiPeriodicForcing,
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Integrator-ready closure over :func:`rhs_finite`."""
-
-    def rhs(t: float, v: np.ndarray) -> np.ndarray:
-        return rhs_finite(v, t, params, nonlin, forcing)
-
-    return rhs
+) -> Callable:
+    """Wrapped finite system of order ``params.n``: periodic stencil, forcing
+    already truncated or wrapped to width ``2n + 1`` (modes beyond the window
+    are ignored)."""
+    return _compile_rhs(params, nonlin, forcing, params.n, periodic=True)
 
 
 def make_reference_rhs(
@@ -250,30 +240,13 @@ def make_reference_rhs(
     nonlin: Nonlinearity,
     forcing: QuasiPeriodicForcing,
     n_work: int,
-    boundary_floor: float = 1e-8,
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Integrator-ready closure for the padded reference system with a
-    boundary-contamination monitor on every evaluation."""
+) -> Callable:
+    """Padded stand-in for the full two-sided system on half-width ``n_work``
+    with zero ghost cells.  Pair it with ``boundary_floor`` in
+    :func:`integrate_final` to detect mass reaching the edges."""
     if n_work < 1:
         raise ParameterError(f"working half-width must be >= 1, got {n_work}")
-    width = 2 * n_work + 1
-
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape[-1] != width:
-            raise DimensionError(
-                f"state width {u.shape[-1]} does not match working width {width}"
-            )
-        edge = max(np.abs(u[..., 0]).max(), np.abs(u[..., -1]).max())
-        if edge > boundary_floor:
-            raise BoundaryContaminationError(
-                f"edge amplitude {edge:.3e} exceeds floor {boundary_floor:.3e} "
-                f"at t = {t:.6g}; increase the working half-width"
-            )
-        drift = params.nu * _line_laplacian(u) - params.lam * u
-        return drift + nonlin.func(u) + forcing.eval_window(t, n_work)
-
-    return rhs
+    return _compile_rhs(params, nonlin, forcing, n_work, periodic=False)
 
 
 # ----------------------------------------------------------------------
@@ -315,19 +288,96 @@ class Trajectory:
         return np.einsum("ij,ij->i", self.states, self.states)
 
 
-def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
+def rk4_step(rhs, t, y: np.ndarray, h) -> np.ndarray:
     k1 = rhs(t, y)
     k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in place in that order
+    acc = k1 + 2.0 * k2
+    acc += 2.0 * k3
+    acc += k4
+    acc *= h / 6.0
+    acc += y
+    return acc
 
 
-def _step_count(t0: float, t1: float, h: float) -> int:
+def _step_count(span: float, h: float) -> int:
+    # the relative slack absorbs the rounding of span / (span / N)
+    return max(1, math.ceil(span / h * (1.0 - 1e-12))) if span > 0.0 else 0
+
+
+def _row_schedule(y: np.ndarray, t0, t1: float, h):
+    """Per-row start times and steps as ``(rows, 1)`` columns, and the step
+    count every moving row shares.  A row with ``t0 == t1`` gets step 0."""
+    if y.ndim != 2:
+        raise DimensionError("per-row start times or steps need a stack of state rows")
+    try:
+        t0, h = (
+            np.broadcast_to(np.reshape(np.asarray(x, dtype=float), (-1, 1)), (len(y), 1))
+            for x in (t0, h)
+        )
+    except ValueError as exc:
+        raise DimensionError(f"need one start time and one step per row: {exc}") from exc
     span = t1 - t0
-    if span == 0.0:
-        return 0
-    return max(1, math.ceil(span / h - 1e-12))
+    if np.any(span < 0.0):
+        raise ParameterError(f"t1 = {t1} precedes t0 = {t0.min()}")
+    moving = span > 0.0
+    if np.any(h[moving] <= 0.0):
+        raise ParameterError(f"steps must be > 0, got {h.min()}")
+    counts = np.ceil(span[moving] / h[moving] * (1.0 - 1e-12))
+    if np.any(counts != counts[:1]):
+        raise ParameterError(
+            "rows need one shared step count; give row j the step span_j / N"
+        )
+    return t0, np.where(moving, h, 0.0), int(counts[0]) if counts.size else 0
+
+
+def _check_edges(y: np.ndarray, t, floor: float) -> None:
+    edges = np.maximum(np.abs(y[..., 0]), np.abs(y[..., -1]))
+    worst = int(np.argmax(edges))
+    if edges.flat[worst] > floor:
+        at = float(np.ravel(t)[worst if np.ndim(t) else 0])
+        raise BoundaryContaminationError(
+            f"edge amplitude {edges.flat[worst]:.3e} exceeds floor {floor:.3e} "
+            f"at t = {at:.6g}; increase the working half-width"
+        )
+
+
+def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
+    """The one RK4 loop: yields ``(t, y)`` after each accepted step.
+
+    Steps before the last are ``h``; the last one is ``t1 - t``, so every
+    row ends on ``t1`` (exactly so for ``t1 = 0``).  ``t0`` and ``h`` are
+    scalars or hold one entry per row of a stacked ``y``.  With
+    ``boundary_floor`` set, the edge sites are checked at the start and after
+    every step.
+    """
+    if np.ndim(t0) or np.ndim(h):
+        t0, h, n_steps = _row_schedule(y, t0, t1, h)
+    else:
+        if h <= 0.0:
+            raise ParameterError(f"step must be > 0, got {h}")
+        if t1 < t0:
+            raise ParameterError(f"t1 = {t1} precedes t0 = {t0}")
+        n_steps = _step_count(t1 - t0, h)
+    if boundary_floor is not None:
+        _check_edges(y, t0, boundary_floor)
+    for k in range(n_steps):
+        t = t0 + k * h
+        step = h if k < n_steps - 1 else t1 - t
+        y = rk4_step(rhs, t, y, step)
+        if not np.isfinite(y).all():
+            bad = "state"
+            row = 0
+            if y.ndim == 2:
+                row = int(np.nonzero(~np.all(np.isfinite(y), axis=-1))[0][0])
+                bad = f"row {row}"
+            at = float(np.ravel(t + step)[row if np.ndim(t) else 0])
+            raise DivergenceError(f"non-finite {bad} after step {k} (t = {at:.6g})")
+        if boundary_floor is not None:
+            _check_edges(y, t + step, boundary_floor)
+        yield (t1 if k == n_steps - 1 else t + h), y
 
 
 def integrate(
@@ -345,27 +395,20 @@ def integrate(
     Raises :class:`DivergenceError` naming the step index on a non-finite
     state.
     """
-    if h <= 0.0:
-        raise ParameterError(f"step must be > 0, got {h}")
-    if t1 < t0:
-        raise ParameterError(f"t1 = {t1} precedes t0 = {t0}")
     if sample_stride < 1:
         raise ParameterError("sample_stride must be >= 1")
     y = np.array(v0, dtype=float)
     if y.ndim != 1:
         raise DimensionError("integrate expects a single state vector")
     times = [t0]
-    states = [y.copy()]
-    n_steps = _step_count(t0, t1, h)
-    for k in range(n_steps):
-        t = t0 + k * h
-        step = min(h, t1 - t)
-        y = rk4_step(rhs, t, y, step)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(f"non-finite state after step {k} (t = {t + step:.6g})")
-        if (k + 1) % sample_stride == 0 or k == n_steps - 1:
-            times.append(t1 if k == n_steps - 1 else t + step)
-            states.append(y.copy())
+    states = [y]
+    for k, (t, y) in enumerate(_march(rhs, y, t0, t1, h, None), 1):
+        if k % sample_stride == 0:
+            times.append(t)
+            states.append(y)
+    if times[-1] != t1:
+        times.append(t1)
+        states.append(y)
     return Trajectory(
         times=np.asarray(times),
         states=np.asarray(states),
@@ -374,23 +417,20 @@ def integrate(
     )
 
 
-def integrate_final(rhs, v0, t0: float, t1: float, h: float) -> np.ndarray:
-    """Endpoint-only integration; accepts a stack of initial rows and steps
-    them together through the shared right-hand side."""
-    if h <= 0.0:
-        raise ParameterError(f"step must be > 0, got {h}")
-    if t1 < t0:
-        raise ParameterError(f"t1 = {t1} precedes t0 = {t0}")
+def integrate_final(
+    rhs, v0, t0, t1: float, h, boundary_floor: float | None = None
+) -> np.ndarray:
+    """Endpoint-only RK4 for one state or a stack of rows stepped together.
+
+    ``t0`` and ``h`` are scalars or hold one start time and one step per row;
+    rows that move must share one step count ``N`` (row ``j`` stepping
+    ``(t1 - t0_j) / N``).  ``boundary_floor`` turns on the edge monitor of the
+    padded reference system: :class:`BoundaryContaminationError` once an edge
+    site exceeds it.
+    """
     y = np.array(v0, dtype=float)
-    for k in range(_step_count(t0, t1, h)):
-        t = t0 + k * h
-        y = rk4_step(rhs, t, y, min(h, t1 - t))
-        if not np.all(np.isfinite(y)):
-            bad = "state"
-            if y.ndim == 2:
-                rows = np.nonzero(~np.all(np.isfinite(y), axis=-1))[0]
-                bad = f"row {rows[0]}"
-            raise DivergenceError(f"non-finite {bad} after step {k} (t = {t:.6g})")
+    for _, y in _march(rhs, y, t0, t1, h, boundary_floor):
+        pass
     return y
 
 

@@ -37,6 +37,11 @@ class DivergenceError(LatticeError, RuntimeError):
     """The integrator produced a non-finite state."""
 
 
+class UnsettledCloudError(DivergenceError):
+    """A pullback cloud ended outside its absorbing bound: the run has not
+    settled (step too large or burn-in too short)."""
+
+
 class BoundaryContaminationError(LatticeError, RuntimeError):
     """State mass reached the edge of the padded working array."""
 

@@ -40,15 +40,23 @@ def apply_difference(v, n: int):
     return np.roll(v, -1, axis=-1) - v
 
 
-def apply_laplacian(v, n: int):
-    """Periodic second-difference: ``(Av)_i = 2 v_i - v_{i-1} - v_{i+1}``.
+def apply_laplacian(v, n: int, periodic: bool = True):
+    """Second difference ``(Av)_i = 2 v_i - v_{i-1} - v_{i+1}`` on a fresh array.
 
-    Satisfies ``<Av, v> = ||Bv||**2`` to round-off and has operator norm
-    at most 4.
+    ``periodic`` wraps the neighbours of the edge sites; otherwise they are
+    zero ghost cells.  The periodic form satisfies ``<Av, v> = ||Bv||**2`` to
+    round-off; both have operator norm at most 4.  Acts on the last axis.
     """
     _check_order(n)
     v = _check_width(v, n)
-    return 2.0 * v - np.roll(v, 1, axis=-1) - np.roll(v, -1, axis=-1)
+    out = 2.0 * v
+    out[..., 1:] -= v[..., :-1]
+    if periodic:
+        out[..., 0] -= v[..., -1]
+    out[..., :-1] -= v[..., 1:]
+    if periodic:
+        out[..., -1] -= v[..., 0]
+    return out
 
 
 def difference_matrix(n: int) -> np.ndarray:

@@ -15,7 +15,16 @@ from latticedyn import (
     tail_certificate,
     wrap_forcing,
 )
-from latticedyn.errors import EmptyCloudError, ParameterError
+from latticedyn import attractor
+from latticedyn.attractor import _low_discrepancy_ball
+from latticedyn.dynamics import integrate_final, make_finite_rhs, make_reference_rhs
+from latticedyn.errors import (
+    DivergenceError,
+    EmptyCloudError,
+    ParameterError,
+    UnsettledCloudError,
+)
+from latticedyn.state import pad_to_width
 
 
 def _cloud(states, half_width):
@@ -111,15 +120,76 @@ class TestSampleAttractor:
                 eps=1e-2, ic_count=64, sample_count=64, seed=0,
             )
 
-    def test_threads_do_not_change_the_cloud(self):
+    @pytest.mark.parametrize("kind", ["finite", "reference"])
+    def test_batched_cloud_matches_single_row_runs(self, kind):
+        # the one batched call equals integrating each (offset, initial
+        # condition) row alone with the same per-row step span_j / N
         params = LatticeParams(nu=1.0, lam=1.0, n=4)
-        nl = make_nonlinearity("linear", 1.0)
-        kwargs = dict(eps=1e-2, ic_count=3, sample_count=6, seed=2, burn_in=5.0)
-        serial = sample_attractor(LINEAR_BENCH["forcing"], params, nl, **kwargs)
-        threaded = sample_attractor(
-            LINEAR_BENCH["forcing"], params, nl, threads=4, **kwargs
+        nl = make_nonlinearity("cubic", 1.0)
+        f = LINEAR_BENCH["forcing"]
+        step, burn_in, window, seed = 0.03, 2.0, 1.7, 2
+        ic_count, sample_count, n_work = 3, 5, 10
+        cloud = sample_attractor(
+            f, params, nl, eps=1e-2, ic_count=ic_count, sample_count=sample_count,
+            seed=seed, burn_in=burn_in, window=window, step=step, ic_radius=1.0,
+            kind=kind, n_work=n_work, boundary_floor=1.0,
         )
-        assert np.array_equal(serial.states, threaded.states)
+        if kind == "finite":
+            rhs = make_finite_rhs(params, nl, wrap_forcing(f, params.n))
+            ics = _low_discrepancy_ball(ic_count, params.dim, 1.0, seed)
+        else:
+            rhs = make_reference_rhs(params, nl, f, n_work)
+            ics = pad_to_width(
+                _low_discrepancy_ball(ic_count, n_work + 1, 1.0, seed), n_work // 2, n_work
+            )
+        spans = burn_in + window * np.arange(sample_count) / sample_count
+        n_steps = math.ceil(spans.max() / step)
+        singles = [
+            integrate_final(rhs, ic, -span, 0.0, min(span / n_steps, step))
+            for span in spans
+            for ic in ics
+        ]
+        assert np.max(np.abs(cloud.states - np.array(singles))) <= 1e-12
+
+    def test_every_row_steps_at_most_h_and_ends_on_zero(self, monkeypatch):
+        seen = {}
+        real = attractor.integrate_final
+
+        def spy(rhs, v0, t0, t1, h, boundary_floor=None):
+            seen["t0"], seen["h"] = np.asarray(t0), np.asarray(h)
+
+            def recording(t, u):
+                seen["t"] = np.broadcast_to(t, (len(u), 1)).copy()
+                return rhs(t, u)
+
+            return real(recording, v0, t0, t1, h, boundary_floor)
+
+        monkeypatch.setattr(attractor, "integrate_final", spy)
+        step = 0.03
+        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        cloud = sample_attractor(
+            LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
+            eps=1e-2, ic_count=3, sample_count=7, seed=2, burn_in=2.0, step=step,
+        )
+        assert seen["h"].shape == seen["t0"].shape == (21,)
+        assert np.all(seen["h"] <= step)
+        assert len(set(seen["t0"])) == 7
+        # the last stage of the last step is evaluated at t = 0 on every row
+        assert np.array_equal(seen["t"], np.zeros((21, 1)))
+        assert len(cloud) == 21
+
+    def test_unsettled_cloud_is_a_divergence(self):
+        # a step far past the accuracy limit decays too slowly for the
+        # Gronwall bound; the error class maps to exit code 3 in the CLI
+        params = LatticeParams(nu=0.0, lam=1.0, n=2)
+        nl = make_nonlinearity("linear", 1.0)
+        with pytest.raises(UnsettledCloudError, match="has not settled"):
+            sample_attractor(
+                QuasiPeriodicForcing.zero(), params, nl,
+                eps=1e-2, ic_count=3, sample_count=2, seed=0,
+                burn_in=10.0, window=1.0, ic_radius=1.0, step=1.25,
+            )
+        assert issubclass(UnsettledCloudError, DivergenceError)
 
     def test_invariance_of_sampled_fiber(self):
         # the time-tau image of the fiber cloud lands on the shifted fiber cloud

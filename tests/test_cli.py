@@ -176,6 +176,22 @@ class TestAttractor:
         report = json.loads((out / "report.json").read_text())
         assert report["cloud"]["max_norm"] <= math.sqrt(1.0 / 3.0) * 1.05
 
+    def test_weak_mode_skips_the_tail_certificate(self, tmp_path):
+        # s*F(s) = -s^2 (1 - s^2)^2 <= 0: no sign margin, so no tail scale
+        text = BASE.replace(
+            "name = linear\nalpha = 1.0", "name = poly\nalpha = 0.0\ncoeffs = -1 2 -1"
+        ).replace("n = 6", "n = 3") + "\n[integrator]\nh = 0.02\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["attractor", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["skipped"] == [{"name": "tail-certificate", "reason": "needs alpha > 0"}]
+        assert "tail-certificate" not in {c["name"] for c in report["checks"]}
+        assert report["passed"] is True
+        assert not (out / "tail_report.json").exists()
+        _, rows = read_csv(out / "cloud.csv")
+        assert len(rows) == report["cloud"]["points"] == 12
+
     def test_byte_identical_cloud(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -219,21 +235,28 @@ class TestConverge:
         cfg = write_config(tmp_path, text)
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
-    def test_threads_flag_is_deterministic(self, tmp_path):
-        text = CONVERGE.replace("n = 6", "n = 6\nn_list = 4\nn_ref = 16").replace(
-            "burn_in = 9.0", "burn_in = 9.0\nboundary_floor = 1e-6"
-        ).replace("threshold = 1e-3", "threshold = 1e-1")
-        cfg = write_config(tmp_path, text)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["converge", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["converge", "--config", str(cfg), "--out", str(out2),
-                     "--threads", "4"]) == 0
-        _, rows1 = read_csv(out1 / "convergence.csv")
-        _, rows2 = read_csv(out2 / "convergence.csv")
-        assert [r[:3] for r in rows1] == [r[:3] for r in rows2]
-
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "command, old, new",
+        [
+            ("simulate", "[simulate]", "[integrator]\nh = nan\n\n[simulate]"),
+            ("simulate", "t1 = 4.0", "t1 = inf"),
+            ("simulate", "nu = 1.0", "nu = auto"),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\ntail_eps ="),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\ntail_eps = 1e-2 -1e-3"),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = inf"),
+            ("attractor", "sample_count = 4", "sample_count = 0"),
+        ],
+        ids=["h-nan", "t1-inf", "nu-auto", "tail_eps-empty", "tail_eps-negative", "window-inf",
+             "sample_count-zero"],
+    )
+    def test_bad_numbers_exit_2_without_traceback(self, tmp_path, capsys, command, old, new):
+        assert old in BASE
+        cfg = write_config(tmp_path, BASE.replace(old, new))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, BASE + "\n[params]\n", name="dup.ini")
         # duplicate section is a parse error

@@ -13,10 +13,8 @@ from latticedyn import (
     make_reference_rhs,
     max_stable_step,
     project_forcing,
-    rhs_finite,
-    rhs_reference,
 )
-from latticedyn.dynamics import Nonlinearity, _line_laplacian, integrate_final
+from latticedyn.dynamics import Nonlinearity, integrate_final
 from latticedyn.errors import (
     BoundaryContaminationError,
     DimensionError,
@@ -24,7 +22,7 @@ from latticedyn.errors import (
     NonlinearityConditionError,
     ParameterError,
 )
-from latticedyn.state import PaddedState
+from latticedyn.operators import apply_laplacian
 
 
 class TestParams:
@@ -82,6 +80,27 @@ class TestNonlinearityContract:
         with pytest.raises(NonlinearityConditionError, match="Lipschitz"):
             nl.verify()
 
+    @pytest.mark.parametrize(
+        "name, alpha, coeffs, bound",
+        [("cubic", 1.0, None, 2.0), ("cubic", 0.0, None, 2.0),
+         ("poly", 0.0, (-1.0, 2.0, -1.0), 2.0),
+         # s^5 = s * s2 * s2 carries up to 3 ulp of its own; here it dominates
+         ("poly", 0.5, (-0.5, -1.0, -0.25), 3.0)],
+    )
+    def test_product_forms_match_power_within_two_ulp(self, name, alpha, coeffs, bound):
+        # the registration grid of verify(); error measured in ulps of the
+        # sum of the term magnitudes, the scale a sum of terms is rounded at
+        s = np.linspace(-4.0, 4.0, 10_000)
+        if name == "cubic":
+            terms = [-alpha * s, -np.power(s, 3)]
+        else:
+            terms = [c * np.power(s, 2 * k + 1) for k, c in enumerate(coeffs)]
+        exact = np.sum(terms, axis=0)
+        scale = np.sum(np.abs(terms), axis=0)
+        nl = make_nonlinearity(name, alpha, coeffs)
+        ulps = np.abs(nl.func(s) - exact) / np.spacing(np.maximum(scale, 1e-300))
+        assert ulps.max() <= bound
+
     def test_cubic_sampled_lipschitz_within_witness(self):
         make_nonlinearity("cubic", 1.0, rho_max=3.0).verify(rho_max=3.0)
 
@@ -98,25 +117,41 @@ class TestFiniteRhs:
         self.params = LatticeParams(nu=1.0, lam=1.0, n=1)
         self.zero_f = QuasiPeriodicForcing.zero()
 
+    def rhs(self, nl, forcing=None):
+        return make_finite_rhs(self.params, nl, forcing or self.zero_f)
+
     def test_origin_is_fixed_point(self):
         nl = make_nonlinearity("cubic", 1.0)
-        out = rhs_finite(np.zeros(3), 0.3, self.params, nl, self.zero_f)
+        out = self.rhs(nl)(0.3, np.zeros(3))
         assert np.array_equal(out, np.zeros(3))
 
     def test_hand_evaluated_linear_part(self):
         nl = make_nonlinearity("zero")
-        out = rhs_finite(np.array([1.0, 0.0, 0.0]), 0.0, self.params, nl, self.zero_f)
+        out = self.rhs(nl)(0.0, np.array([1.0, 0.0, 0.0]))
         assert np.array_equal(out, [-3.0, 1.0, 1.0])
 
     def test_hand_evaluated_with_linear_feedback(self):
         nl = make_nonlinearity("linear", 1.0)
-        out = rhs_finite(np.array([1.0, 0.0, 0.0]), 0.0, self.params, nl, self.zero_f)
+        out = self.rhs(nl)(0.0, np.array([1.0, 0.0, 0.0]))
         assert np.array_equal(out, [-4.0, 1.0, 1.0])
 
     def test_dimension_mismatch(self):
         nl = make_nonlinearity("zero")
         with pytest.raises(DimensionError):
-            rhs_finite(np.zeros(5), 0.0, self.params, nl, self.zero_f)
+            self.rhs(nl)(0.0, np.zeros(5))
+
+    def test_forcing_matches_eval_window_per_row_time(self, rng, make_random_forcing):
+        # the compiled table adds f(t) exactly as the forcing evaluates it,
+        # for a scalar time and for a column of per-row times
+        nl = make_nonlinearity("zero")
+        params = LatticeParams(nu=0.0, lam=1.0, n=4)
+        f = make_random_forcing(rng, support=2).shift(0.37)
+        rhs = make_finite_rhs(params, nl, project_forcing(f, 4))
+        times = np.array([[-1.5], [0.0], [2.25]])
+        out = rhs(times, np.zeros((3, params.dim)))
+        for row, t in enumerate(times[:, 0]):
+            assert np.array_equal(out[row], f.eval_window(t, 4))
+            assert np.array_equal(rhs(t, np.zeros(params.dim)), f.eval_window(t, 4))
 
     def test_dissipativity_identity(self, rng):
         # <-nu A v, v> = -nu ||B v||^2 <= 0
@@ -132,30 +167,33 @@ class TestFiniteRhs:
 
 class TestReferenceRhs:
     def test_line_stencil_of_delta(self):
+        # zero ghost cells: no wrap, even for mass on an edge site
         u = np.zeros(9)
         u[4] = 1.0
-        out = _line_laplacian(u)
-        assert np.array_equal(out, [0, 0, 0, 1.0, -2.0, 1.0, 0, 0, 0])
+        assert np.array_equal(
+            apply_laplacian(u, 4, periodic=False), [0, 0, 0, -1.0, 2.0, -1.0, 0, 0, 0]
+        )
+        u = np.zeros(9)
+        u[0] = 1.0
+        assert np.array_equal(
+            apply_laplacian(u, 4, periodic=False), [2.0, -1.0, 0, 0, 0, 0, 0, 0, 0]
+        )
 
     def test_zero_state(self):
         params = LatticeParams(nu=1.0, lam=1.0, n=2)
         nl = make_nonlinearity("zero")
-        out = rhs_reference(
-            PaddedState(np.zeros(11), 5), 0.0, params, nl, QuasiPeriodicForcing.zero()
-        )
-        assert np.array_equal(out.values, np.zeros(11))
+        rhs = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero(), 5)
+        assert np.array_equal(rhs(0.0, np.zeros(11)), np.zeros(11))
 
     def test_delta_state_with_decay(self):
         params = LatticeParams(nu=1.0, lam=1.0, n=2)
         nl = make_nonlinearity("zero")
         u = np.zeros(11)
         u[5] = 1.0
-        out = rhs_reference(
-            PaddedState(u, 5), 0.0, params, nl, QuasiPeriodicForcing.zero()
-        )
+        out = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero(), 5)(0.0, u)
         expected = np.zeros(11)
         expected[4], expected[5], expected[6] = 1.0, -3.0, 1.0  # stencil minus lam*u
-        assert np.array_equal(out.values, expected)
+        assert np.array_equal(out, expected)
 
     def test_interior_consistency_with_finite_system(self, rng, make_random_forcing):
         # state supported on |i| <= n-1 cannot see the wrap
@@ -165,21 +203,26 @@ class TestReferenceRhs:
         f = make_random_forcing(rng, support=2)
         v = np.zeros(2 * n + 1)
         v[2:-2] = rng.standard_normal(2 * n - 3)  # zero at |i| in {n-1? no: n, n-1}
-        fin = rhs_finite(v, 0.7, params, nl, project_forcing(f, n))
-        ref = rhs_reference(
-            PaddedState(v.copy(), n), 0.7, params, nl, f
-        )
+        fin = make_finite_rhs(params, nl, project_forcing(f, n))(0.7, v)
+        ref = make_reference_rhs(params, nl, f, n)(0.7, v.copy())
         inner = slice(2, 2 * n - 1)  # |i| <= n-2 rows agree exactly
-        assert np.allclose(fin[inner], ref.values[inner], atol=1e-14)
+        assert np.allclose(fin[inner], ref[inner], atol=1e-14)
 
     def test_boundary_contamination_detected(self):
         params = LatticeParams(nu=1.0, lam=1.0, n=2)
         nl = make_nonlinearity("zero")
-        rhs = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero(), 4, 1e-8)
+        rhs = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero(), 4)
         u = np.zeros(9)
         u[0] = 1e-3
         with pytest.raises(BoundaryContaminationError):
-            rhs(0.0, u)
+            integrate_final(rhs, u, 0.0, 0.1, 0.01, boundary_floor=1e-8)
+        # mass that spreads from the centre reaches the edge within the run
+        u = np.zeros((2, 9))
+        u[1, 4] = 1.0
+        with pytest.raises(BoundaryContaminationError, match="edge amplitude"):
+            integrate_final(rhs, u, 0.0, 0.1, 0.01, boundary_floor=1e-8)
+        # without a floor the same run is not monitored
+        assert np.all(np.isfinite(integrate_final(rhs, u, 0.0, 0.1, 0.01)))
 
 
 class TestStableStep:
@@ -241,6 +284,41 @@ class TestIntegrate:
         traj = integrate(lambda t, y: -y, np.array([1.0]), 0.0, 0.25, 0.1)
         assert traj.times[-1] == 0.25
         assert traj.final_state[0] == pytest.approx(math.exp(-0.25), abs=1e-6)
+
+    def test_per_row_start_times_land_exactly_on_zero(self, rng):
+        # each row steps (0 - t0_j) / N; the last RK4 stage sits on t = 0
+        params = LatticeParams(nu=1.0, lam=1.0, n=3)
+        nl = make_nonlinearity("cubic", 1.0)
+        f = project_forcing(QuasiPeriodicForcing.geometric(0.5, 0.5, 1.3, 0.2), 3)
+        rhs = make_finite_rhs(params, nl, f)
+        seen = []
+
+        def recording(t, u):
+            seen.append(np.broadcast_to(t, (len(u), 1)).copy())
+            return rhs(t, u)
+
+        t0 = np.array([-2.0, -1.3, -0.1 / 3.0, 0.0])
+        steps = -t0 / 7
+        v0 = rng.standard_normal((4, params.dim))
+        batch = integrate_final(recording, v0, t0, 0.0, steps)
+        assert len(seen) == 4 * 7
+        assert np.array_equal(seen[-1], np.zeros((4, 1)))
+        assert np.array_equal(batch[3], v0[3])  # a row with no span stays put
+        for row in range(3):
+            single = integrate_final(rhs, v0[row], t0[row], 0.0, steps[row])
+            assert np.allclose(batch[row], single, rtol=0.0, atol=1e-14)
+
+    def test_per_row_steps_need_one_step_count(self):
+        rhs = lambda t, y: -y  # noqa: E731
+        v0 = np.ones((2, 3))
+        with pytest.raises(ParameterError, match="step count"):
+            integrate_final(rhs, v0, np.array([-1.0, -1.0]), 0.0, np.array([0.1, 0.2]))
+        with pytest.raises(ParameterError):
+            integrate_final(rhs, v0, np.array([-1.0, 0.5]), 0.0, 0.1)
+        with pytest.raises(DimensionError):
+            integrate_final(rhs, v0, np.array([-1.0, -1.0, -1.0]), 0.0, 0.1)
+        with pytest.raises(DimensionError):
+            integrate_final(rhs, np.ones(3), np.array([-1.0]), 0.0, 0.1)
 
     def test_ensemble_rows_match_single_runs(self, rng):
         params = LatticeParams(nu=1.0, lam=1.0, n=3)
