@@ -3,13 +3,12 @@ semi-distance between point clouds, and the truncation convergence study."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import qmc
 
 from .dynamics import (
     LatticeParams,
@@ -76,10 +75,67 @@ class AttractorCloud:
         return np.linalg.norm(self.states, axis=1)
 
     def diameter(self) -> float:
-        return float(cdist(self.states, self.states).max())
+        return float(_distances(self.states, self.states).max())
 
     def as_width(self, half_width: int) -> np.ndarray:
         return pad_to_width(self.states, self.half_width, half_width)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` and ``b``.
+
+    The squared differences are added one coordinate at a time, so every
+    temporary is ``(len(a), len(b))`` (never ``(len(a), len(b), width)``)
+    and each sum runs in plain coordinate order.
+    """
+    total = np.zeros((len(a), len(b)))
+    diff = np.empty_like(total)
+    for x, y in zip(a.T, b.T):
+        np.subtract.outer(x, y, out=diff)
+        diff *= diff
+        total += diff
+    return np.sqrt(total, out=total)
+
+
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        root = math.isqrt(candidate)
+        if all(candidate % p for p in itertools.takewhile(lambda p: p <= root, primes)):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _scrambled_halton(count: int, dim: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of the ``dim``-dimensional Halton sequence
+    with Owen's random digit permutations ("A randomized Halton algorithm in
+    R", arXiv:1706.02808, 2017), in ``[0, 1)^dim``.
+
+    Coordinate ``j`` of point ``i`` is ``sum_k perm_k[digit_k(i)] * b^-(k+1)``
+    with ``b`` the ``j``-th prime, ``digit_k(i)`` the base-``b`` digits of
+    ``i`` (lowest first) and one random permutation of ``0..b-1`` per digit
+    position, ``ceil(54 / log2(b)) - 1`` positions in all.  The permutations
+    are drawn base after base, lowest position first, from
+    ``default_rng(seed)``; the digits are summed in the same order with the
+    scale ``1/b`` divided by ``b`` per position.  That order is part of the
+    output: the tests pin the points bit for bit to a reference
+    implementation of the same sequence.
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(count)
+    cube = np.empty((count, dim))
+    for j, base in enumerate(_primes(dim)):
+        rest, scale, column = index, 1.0 / base, np.zeros(count)
+        for _ in range(math.ceil(54 / math.log2(base)) - 1):
+            perm = rng.permutation(base)
+            rest, digit = np.divmod(rest, base)
+            column += perm[digit] * scale
+            scale /= base
+        cube[:, j] = column
+    return cube
 
 
 def _low_discrepancy_ball(count: int, dim: int, radius: float, seed: int) -> np.ndarray:
@@ -87,7 +143,7 @@ def _low_discrepancy_ball(count: int, dim: int, radius: float, seed: int) -> np.
     (cube inscribed in the ball, so norms never exceed ``radius``)."""
     if count < 1:
         raise ParameterError("need at least one initial condition")
-    cube = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+    cube = _scrambled_halton(count, dim, seed)
     return (2.0 * cube - 1.0) * (radius / math.sqrt(dim))
 
 
@@ -236,7 +292,7 @@ def hausdorff_semidistance(a, b) -> float:
             raise ParameterError("point sets must share one width")
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise EmptyCloudError("semi-distance needs nonempty point sets")
-    return float(cdist(pa, pb).min(axis=1).max())
+    return float(_distances(pa, pb).min(axis=1).max())
 
 
 def invariance_defect(

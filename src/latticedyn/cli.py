@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import logging
 import math
@@ -106,10 +105,6 @@ _SCHEMA: dict[str, set[str]] = {
 }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @dataclass
 class ExperimentConfig:
     """Validated experiment settings plus the raw config echo."""
@@ -180,8 +175,18 @@ class _SectionView:
             return self.values[key]
         return default
 
-    def get_float(self, key: str, default: str | None = None) -> float | None:
-        """A finite number; ``auto`` (as ``None``) only for keys whose default is ``auto``."""
+    def _bounded(self, key: str, value: float, raw: str, gt: float | None,
+                 ge: float | None) -> float:
+        if gt is not None and not value > gt:
+            raise ConfigError(f"[{self.name}] {key}: must be > {gt:g}, got {raw!r}")
+        if ge is not None and not value >= ge:
+            raise ConfigError(f"[{self.name}] {key}: must be >= {ge:g}, got {raw!r}")
+        return value
+
+    def get_float(self, key: str, default: str | None = None, *,
+                  gt: float | None = None, ge: float | None = None) -> float | None:
+        """A finite number above the bound ``gt`` / at least ``ge`` when
+        given; ``auto`` (as ``None``) only for keys whose default is ``auto``."""
         raw = self._raw(key, default)
         if raw is None:
             return None
@@ -193,7 +198,7 @@ class _SectionView:
             raise ConfigError(f"[{self.name}] {key}: expected number, got {raw!r}") from exc
         if not math.isfinite(value):
             raise ConfigError(f"[{self.name}] {key}: expected a finite number, got {raw!r}")
-        return value
+        return self._bounded(key, value, raw, gt, ge)
 
     def get_int(self, key: str, default: str | None = None) -> int | None:
         raw = self._raw(key, default)
@@ -217,7 +222,8 @@ class _SectionView:
         except ValueError as exc:
             raise ConfigError(f"[{self.name}] {key}: expected integer list") from exc
 
-    def get_float_list(self, key: str, default: str) -> tuple[float, ...]:
+    def get_float_list(self, key: str, default: str, *,
+                       gt: float | None = None) -> tuple[float, ...]:
         raw = self._raw(key, default)
         try:
             values = tuple(float(x) for x in raw.split())
@@ -227,7 +233,7 @@ class _SectionView:
             raise ConfigError(
                 f"[{self.name}] {key}: expected a nonempty list of finite numbers, got {raw!r}"
             )
-        return values
+        return tuple(self._bounded(key, x, raw, gt, None) for x in values)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -301,21 +307,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
         coeffs=coeffs,
         forcing=forcing,
         h=integ.get_float("h", "auto"),
-        rho=integ.get_float("rho", "auto"),
+        rho=integ.get_float("rho", "auto", gt=0.0),
         t0=sim.get_float("t0", "0.0"),
         t1=sim.get_float("t1", "1.0"),
         v0_mode=v0_mode,
-        v0_norm=sim.get_float("v0_norm", "1.0"),
+        v0_norm=sim.get_float("v0_norm", "1.0", ge=0.0),
         sample_stride=sim.get_int("sample_stride", "1"),
-        eps=att.get_float("eps", "1e-2"),
+        eps=att.get_float("eps", "1e-2", gt=0.0),
         ic_count=att.get_int("ic_count", "4"),
         sample_count=att.get_int("sample_count", "8"),
         seed=att.get_int("seed", "0"),
-        burn_in=att.get_float("burn_in", "auto"),
-        window=att.get_float("window", "auto"),
-        ic_radius=att.get_float("ic_radius", "auto"),
-        tail_eps=att.get_float_list("tail_eps", "1e-2 1e-3"),
-        boundary_floor=att.get_float("boundary_floor", "1e-8"),
+        burn_in=att.get_float("burn_in", "auto", ge=0.0),
+        window=att.get_float("window", "auto", gt=0.0),
+        ic_radius=att.get_float("ic_radius", "auto", ge=0.0),
+        tail_eps=att.get_float_list("tail_eps", "1e-2 1e-3", gt=0.0),
+        boundary_floor=att.get_float("boundary_floor", "1e-8", gt=0.0),
         threshold=conv.get_float("threshold", "auto"),
         cocycle_tol=ver.get_float("cocycle_tol", "1e-8"),
         energy_margin=ver.get_float("energy_margin", "0.05"),
@@ -328,11 +334,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # artifact writers
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_table(path: Path, header: list[str], rows: np.ndarray,
+                 times: np.ndarray | None = None) -> None:
+    """CSV of float rows, each value as ``%.17g`` (round-trips exactly);
+    ``times``, when given, is a leading column.  One row is converted and
+    formatted at a time, so the table is never held as Python floats."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        if times is None:
+            handle.writelines(line % tuple(row.tolist()) for row in rows)
+        else:
+            handle.writelines(line % (t, *row.tolist()) for t, row in zip(times.tolist(), rows))
 
 
 def _site_header(half_width: int) -> list[str]:
@@ -353,16 +366,19 @@ def _check(name: str, passed: bool, margin: float, detail: str) -> dict[str, Any
     return {"name": name, "passed": bool(passed), "margin": float(margin), "detail": detail}
 
 
-def _base_report(command: str, cfg: ExperimentConfig, seed: int) -> dict[str, Any]:
-    return {
+def _base_report(command: str, cfg: ExperimentConfig | None, seed: int | None) -> dict[str, Any]:
+    """Report skeleton; the config echo is left out when the config did not parse."""
+    report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
         "seed": seed,
-        "config": cfg.echo,
         "checks": [],
         "artifacts": [],
     }
+    if cfg is not None:
+        report["config"] = cfg.echo
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -395,18 +411,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, 
     )
 
     traj_path = out_dir / "trajectory.csv"
-    _write_csv(
-        traj_path,
-        ["t"] + _site_header(params.n),
-        ([_fmt(t)] + [_fmt(x) for x in row] for t, row in zip(traj.times, traj.states)),
-    )
+    _write_table(traj_path, ["t"] + _site_header(params.n), traj.states, traj.times)
     norms_path = out_dir / "norms.csv"
     norms_sq = traj.norms_sq()
-    _write_csv(
-        norms_path,
-        ["t", "norm_sq"],
-        ([_fmt(t), _fmt(y)] for t, y in zip(traj.times, norms_sq)),
-    )
+    _write_table(norms_path, ["t", "norm_sq"], norms_sq[:, None], traj.times)
     report["artifacts"] = [str(traj_path), str(norms_path)]
     report["final_norm"] = float(math.sqrt(norms_sq[-1]))
     report["steps"] = int(len(traj.times) - 1)
@@ -476,7 +484,6 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, di
     except NonlinearityConditionError as exc:
         checks.append(_check("nonlinearity-registration", False, -1.0, str(exc)))
         report["passed"] = False
-        _write_report(out_dir, report)
         return EXIT_CHECK_FAILED, report
 
     # two-path composition defect of the numerical flow
@@ -524,8 +531,6 @@ def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int,
     # the tail calibration divides by the sign margin, so a weak-mode run
     # (alpha = 0) samples its cloud and records the certificate as skipped
     certify = nonlin.alpha > 0.0
-    if min(cfg.tail_eps) <= 0.0:
-        raise ConfigError(f"[attractor] tail_eps must be > 0, got {list(cfg.tail_eps)}")
     log.info("attractor: n=%d eps=%g points=%d", params.n, cfg.eps,
              cfg.ic_count * cfg.sample_count)
     cloud = sample_attractor(
@@ -535,11 +540,7 @@ def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int,
         window=cfg.window, step=cfg.h, ic_radius=cfg.ic_radius,
     )
     cloud_path = out_dir / "cloud.csv"
-    _write_csv(
-        cloud_path,
-        _site_header(cloud.half_width),
-        ([_fmt(x) for x in row] for row in cloud.states),
-    )
+    _write_table(cloud_path, _site_header(cloud.half_width), cloud.states)
     report["artifacts"] = [str(cloud_path)]
     report["cloud"] = {
         "label": cloud.label,
@@ -594,13 +595,10 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, 
         boundary_floor=cfg.boundary_floor,
     )
     csv_path = out_dir / "convergence.csv"
-    _write_csv(
+    _write_table(
         csv_path,
         ["n", "beta_n_to_ref", "beta_ref_to_n", "runtime_s"],
-        (
-            [str(r.order), _fmt(r.beta_to_ref), _fmt(r.beta_from_ref), _fmt(r.runtime_s)]
-            for r in study.rows
-        ),
+        np.array([[r.order, r.beta_to_ref, r.beta_from_ref, r.runtime_s] for r in study.rows]),
     )
     report["artifacts"] = [str(csv_path)]
     report["rows"] = [
@@ -667,22 +665,34 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
 
     started = time.perf_counter()
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # nowhere to write even a failure report
+        log.error("configuration error: cannot create output directory %s: %s", out_dir, exc)
+        return EXIT_CONFIG
+    cfg = seed = error = None
     try:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.seed
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if seed < 0:
+            source = "--seed" if args.seed is not None else "[attractor] seed"
+            raise ConfigError(f"{source} must be >= 0, got {seed}")
         code, report = _COMMANDS[args.command](cfg, out_dir, seed)
-        report["timing_s"] = time.perf_counter() - started
-        path = _write_report(out_dir, report)
-        log.info("%s finished in %.2fs, report at %s", args.command, report["timing_s"], path)
-        return code
     except _CONFIG_ERRORS as exc:
         log.error("configuration error: %s", exc)
-        return EXIT_CONFIG
+        code, error = EXIT_CONFIG, exc
     except (DivergenceError, BoundaryContaminationError) as exc:
         log.error("integration failed: %s", exc)
-        return EXIT_DIVERGED
+        code, error = EXIT_DIVERGED, exc
+    if error is not None:
+        report = _base_report(args.command, cfg, seed)
+        report.update(error={"type": type(error).__name__, "message": str(error)},
+                      exit_code=code, passed=False)
+    report["timing_s"] = time.perf_counter() - started
+    path = _write_report(out_dir, report)
+    log.info("%s finished in %.2fs, report at %s", args.command, report["timing_s"], path)
+    return code
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+from scipy.stats import qmc
 
 from latticedyn import (
     AttractorCloud,
@@ -62,6 +64,28 @@ class TestHausdorff:
         c = _cloud([[1.0, 0.0, 0.0]], 1)
         with pytest.raises(EmptyCloudError):
             hausdorff_semidistance(np.empty((0, 3)), c.states)
+
+    @pytest.mark.parametrize("spread", [1.0, 1e-8])
+    def test_distances_match_cdist(self, rng, spread):
+        # clouds 1e-8 apart are the converge case: a Gram-matrix shortcut
+        # would cancel catastrophically there
+        a = rng.standard_normal((40, 65))
+        b = a[rng.integers(0, 40, 25)] + spread * rng.standard_normal((25, 65))
+        expected = cdist(a, b)
+        assert np.all(np.abs(attractor._distances(a, b) - expected) <= 1e-14 * expected)
+        assert hausdorff_semidistance(a, b) == pytest.approx(
+            expected.min(axis=1).max(), rel=1e-14, abs=0.0)
+        assert _cloud(b, 32).diameter() == pytest.approx(cdist(b, b).max(), rel=1e-14, abs=0.0)
+
+
+class TestScrambledHalton:
+    @pytest.mark.parametrize(
+        "count, dim, seed",
+        [(16, 257, 1), (3, 129, 7), (18, 33, 0), (512, 9, 3), (1, 1, 0), (5, 2, 12345)],
+    )
+    def test_equals_scipy_halton_bit_for_bit(self, count, dim, seed):
+        expected = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+        assert np.array_equal(attractor._scrambled_halton(count, dim, seed), expected)
 
 
 LINEAR_BENCH = dict(

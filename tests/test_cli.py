@@ -1,11 +1,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from latticedyn.cli import main
+import latticedyn
+from latticedyn.cli import _write_table, main
 
 BASE = """
 [params]
@@ -85,6 +93,16 @@ class TestSimulate:
         assert len(rows) == 1
         v0 = np.array([float(x) for x in rows[0][1:]])
         assert np.linalg.norm(v0) == pytest.approx(1.0, rel=1e-12)
+
+    def test_table_matches_per_value_formatting(self, tmp_path):
+        rows = np.array([[-0.0, 1e-300, 0.1], [1.0 / 3.0, -2.5e17, 5e-324]])
+        times = np.array([0.0, 0.1 + 0.2])
+        _write_table(tmp_path / "t.csv", ["t", "a", "b", "c"], rows, times)
+        expected = "t,a,b,c\n" + "".join(
+            ",".join(format(float(x), ".17g") for x in (t, *row)) + "\n"
+            for t, row in zip(times, rows)
+        )
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == expected
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -234,28 +252,63 @@ class TestConverge:
         text = CONVERGE.replace("n = 6", "n = 6\nn_list = 2\nn_ref = 4")
         cfg = write_config(tmp_path, text)
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["exit_code"] == 3 and report["passed"] is False
+        assert report["error"]["type"] == "BoundaryContaminationError"
+        assert "edge amplitude" in report["error"]["message"]
+        assert report["config"]["params"]["n_ref"] == "4"
+        assert report["command"] == "converge" and report["seed"] == 99
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
-        "command, old, new",
+        "command, old, new, flags",
         [
-            ("simulate", "[simulate]", "[integrator]\nh = nan\n\n[simulate]"),
-            ("simulate", "t1 = 4.0", "t1 = inf"),
-            ("simulate", "nu = 1.0", "nu = auto"),
-            ("attractor", "burn_in = 9.0", "burn_in = 9.0\ntail_eps ="),
-            ("attractor", "burn_in = 9.0", "burn_in = 9.0\ntail_eps = 1e-2 -1e-3"),
-            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = inf"),
-            ("attractor", "sample_count = 4", "sample_count = 0"),
+            ("simulate", "[simulate]", "[integrator]\nh = nan\n\n[simulate]", ()),
+            ("simulate", "t1 = 4.0", "t1 = inf", ()),
+            ("simulate", "nu = 1.0", "nu = auto", ()),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\ntail_eps =", ()),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\ntail_eps = 1e-2 -1e-3", ()),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = inf", ()),
+            ("attractor", "sample_count = 4", "sample_count = 0", ()),
+            ("attractor", "seed = 99", "seed = -1", ()),
+            ("simulate", "[simulate]", "[simulate]", ("--seed", "-1")),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = -1", ()),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = 0", ()),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nic_radius = -1", ()),
+            ("converge", "burn_in = 9.0", "burn_in = 9.0\nboundary_floor = -1", ()),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nboundary_floor = 0", ()),
+            ("simulate", "v0_norm = 1.0", "v0_norm = -1", ()),
+            ("attractor", "eps = 1e-2", "eps = 0", ()),
+            ("attractor", "burn_in = 9.0", "burn_in = -1", ()),
+            ("simulate", "[simulate]", "[integrator]\nrho = -1\n\n[simulate]", ()),
         ],
         ids=["h-nan", "t1-inf", "nu-auto", "tail_eps-empty", "tail_eps-negative", "window-inf",
-             "sample_count-zero"],
+             "sample_count-zero", "seed-negative", "seed-flag-negative", "window-negative",
+             "window-zero", "ic_radius-negative", "boundary_floor-negative", "boundary_floor-zero",
+             "v0_norm-negative", "eps-zero", "burn_in-negative", "rho-negative"],
     )
-    def test_bad_numbers_exit_2_without_traceback(self, tmp_path, capsys, command, old, new):
+    def test_bad_numbers_exit_2_without_traceback(self, tmp_path, capsys, command, old, new,
+                                                  flags):
         assert old in BASE
         cfg = write_config(tmp_path, BASE.replace(old, new))
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
         assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == 2 and report["passed"] is False
+
+    def test_config_error_report(self, tmp_path):
+        cfg = write_config(tmp_path, BASE.replace("seed = 99", "seed = -1"))
+        out = tmp_path / "o"
+        assert main(["attractor", "--config", str(cfg), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"] == {
+            "type": "ConfigError", "message": "[attractor] seed must be >= 0, got -1"}
+        assert report["exit_code"] == 2 and report["passed"] is False
+        assert report["config"]["attractor"]["seed"] == "-1"
+        assert report["command"] == "attractor" and report["seed"] == -1
+        assert not (out / "cloud.csv").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, BASE + "\n[params]\n", name="dup.ini")
@@ -267,8 +320,12 @@ class TestConfigValidation:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
     def test_missing_config_file(self, tmp_path):
-        assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
-                     "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path / "nope.ini"), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == "ConfigError"
+        assert "cannot read config" in report["error"]["message"]
+        assert "config" not in report and report["seed"] is None
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -286,3 +343,78 @@ class TestConfigValidation:
         monkeypatch.setenv("LATTICE_LOG", "quiet")
         cfg = write_config(tmp_path, BASE)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+# the fuzzed keys and the menu of values drawn for them; huge magnitudes such
+# as t1 = 1e300 are left out: they are valid and would only run for a long time
+FUZZ_BASE = {
+    "params": {"nu": "1.0", "lambda": "1.0", "n": "3", "n_list": "1 2", "n_ref": "3"},
+    "nonlinearity": {"name": "cubic", "alpha": "1.0"},
+    "forcing": {"support": "finite", "amplitude0": "1.0", "decay_rate": "0.5",
+                "support_radius": "1", "frequency_rule": "1.0", "phase_rule": "0.0"},
+    "integrator": {"h": "0.05"},
+    "simulate": {"t0": "0.0", "t1": "0.5", "v0": "ball", "v0_norm": "1.0"},
+    "attractor": {"ic_count": "2", "sample_count": "2", "seed": "1", "burn_in": "2.0"},
+    "verify": {"triples": "5"},
+}
+FUZZ_KEYS = [
+    (section, key)
+    for section, keys in {
+        "params": ["nu", "lambda", "n", "n_list", "n_ref"],
+        "integrator": ["h", "rho"],
+        "simulate": ["t0", "t1", "v0_norm", "sample_stride"],
+        "attractor": ["eps", "ic_count", "sample_count", "seed", "burn_in", "window",
+                      "ic_radius", "tail_eps", "boundary_floor"],
+    }.items()
+    for key in keys
+]
+FUZZ_VALUES = ["nan", "inf", "-1", "0", "auto", "", "x", "0.5", "1", "2", "3"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["simulate", "verify", "attractor", "converge"]),
+    overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
+                              max_size=3),
+)
+def test_fuzzed_config_values_keep_the_exit_code_contract(capsys, command, overrides):
+    sections = {name: dict(values) for name, values in FUZZ_BASE.items()}
+    for (section, key), value in overrides.items():
+        sections[section][key] = value
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
+        for name, values in sections.items()
+    )
+    capsys.readouterr()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "exp.ini"
+        cfg.write_text(text, encoding="utf-8")
+        with np.errstate(all="ignore"):
+            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((Path(tmp) / "o" / "report.json").read_text())
+        assert report["command"] == command
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test and benchmark dependency only: a fresh interpreter
+    # running both cloud commands never imports it
+    attractor_cfg = write_config(tmp_path, BASE, name="attractor.ini")
+    converge_cfg = write_config(
+        tmp_path, CONVERGE.replace("n = 6", "n = 6\nn_list = 4 8\nn_ref = 32"), name="converge.ini")
+    script = "\n".join([
+        "import sys",
+        "from latticedyn.cli import main",
+        f"assert main(['attractor', '--config', {str(attractor_cfg)!r}, "
+        f"'--out', {str(tmp_path / 'a')!r}]) == 0",
+        f"assert main(['converge', '--config', {str(converge_cfg)!r}, "
+        f"'--out', {str(tmp_path / 'c')!r}]) == 0",
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(latticedyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, LATTICE_LOG="quiet")
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"
