@@ -24,8 +24,6 @@ from .dynamics import (
     max_stable_step,
 )
 from .estimates import (
-    AbsorbingBall,
-    absorbing_ball,
     burn_in_time,
     calibrate_tail_index,
     cutoff_eval,
@@ -43,26 +41,21 @@ from .operators import (
     apply_difference,
     apply_laplacian,
     difference_matrix,
-    embed,
     laplacian_matrix,
     project_forcing,
     wrap_forcing,
 )
-from .state import PaddedState
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsorbingBall",
     "AttractorCloud",
     "ConvergenceReport",
     "LatticeParams",
     "Nonlinearity",
-    "PaddedState",
     "QuasiPeriodicForcing",
     "TailCertificateReport",
     "Trajectory",
-    "absorbing_ball",
     "apply_difference",
     "apply_laplacian",
     "bebutov_distance",
@@ -72,7 +65,6 @@ __all__ = [
     "convergence_study",
     "cutoff_eval",
     "difference_matrix",
-    "embed",
     "equicontinuity_modulus",
     "forcing_from_config",
     "gronwall_bound",

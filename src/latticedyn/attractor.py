@@ -13,10 +13,10 @@ import numpy as np
 from .dynamics import (
     LatticeParams,
     Nonlinearity,
+    auto_step,
     integrate_final,
     make_finite_rhs,
     make_reference_rhs,
-    max_stable_step,
 )
 from .errors import (
     CapacityError,
@@ -33,8 +33,7 @@ from .estimates import (
     tail_mass,
 )
 from .forcing import QuasiPeriodicForcing
-from .operators import project_forcing, wrap_forcing
-from .state import pad_to_width
+from .operators import boundary_forcing
 
 POINT_CAP = 512  # keeps the brute-force cloud comparisons trivially cheap
 RADIUS_SLACK = 1.05
@@ -45,18 +44,13 @@ class AttractorCloud:
     """Finite point-cloud sample of one fiber attractor.
 
     ``states`` rows live over logical sites ``-half_width .. half_width``;
-    all rows were produced by pullback integrations ending on the stated
-    fiber (base forcing shifted by ``fiber_shift``).
+    all rows were produced by pullback integrations ending on one fiber.
     """
 
     label: str
-    order: int | None
-    fiber_shift: float
     half_width: int
     states: np.ndarray
     burn_in: float
-    start_offsets: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         states = np.asarray(self.states, dtype=float)
@@ -78,7 +72,17 @@ class AttractorCloud:
         return float(_distances(self.states, self.states).max())
 
     def as_width(self, half_width: int) -> np.ndarray:
-        return pad_to_width(self.states, self.half_width, half_width)
+        return _pad_to_width(self.states, self.half_width, half_width)
+
+
+def _pad_to_width(values: np.ndarray, half_width: int, target: int) -> np.ndarray:
+    """Zero-pad a state (or the rows of a stack) centred on site 0 from
+    ``half_width`` to the wider ``target``; the padding is an isometry."""
+    if target < half_width:
+        raise CapacityError(f"cannot narrow from half_width {half_width} to {target}")
+    pad = target - half_width
+    widths = [(0, 0)] * (np.ndim(values) - 1) + [(pad, pad)]
+    return np.pad(np.asarray(values, dtype=float), widths)
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,6 +175,7 @@ def sample_attractor(
     burn_in: float | None = None,
     window: float | None = None,
     step: float | None = None,
+    rho: float | None = None,
     ic_radius: float | None = None,
     boundary_floor: float = 1e-8,
 ) -> AttractorCloud:
@@ -182,9 +187,11 @@ def sample_attractor(
     state sits on the requested fiber.  All ``sample_count * ic_count`` rows
     (offset-major) are integrated in one batch: with ``N = ceil(max span /
     step)`` each row takes ``N`` steps of ``span_j / N <= step`` and lands
-    exactly on 0.  ``kind`` selects the wrapped finite system of order
-    ``params.n`` (forcing via ``boundary``: ``wrap`` or ``project``) or the
-    padded ``reference`` system of half-width ``n_work``.
+    exactly on 0.  Without ``step``, :func:`auto_step` derives it from
+    ``rho`` or the larger of ``ic_radius`` and the absorbing radius.
+    ``kind`` selects the wrapped finite system of order ``params.n`` (forcing
+    via ``boundary``: ``wrap`` or ``project``) or the padded ``reference``
+    system of half-width ``n_work``.
 
     Raises :class:`UnsettledCloudError` when a point ends outside the
     Gronwall bound.
@@ -211,13 +218,7 @@ def sample_attractor(
 
     fiber = f.shift(fiber_shift)
     if kind == "finite":
-        if boundary == "wrap":
-            g = wrap_forcing(fiber, params.n)
-        elif boundary == "project":
-            g = project_forcing(fiber, params.n)
-        else:
-            raise ParameterError(f"boundary must be 'wrap' or 'project', got {boundary!r}")
-        rhs = make_finite_rhs(params, nonlin, g)
+        rhs = make_finite_rhs(params, nonlin, boundary_forcing(fiber, params.n, boundary))
         half_width = params.n
         ic_half = params.n
         label = f"n={params.n}"
@@ -234,14 +235,13 @@ def sample_attractor(
     else:
         raise ParameterError(f"kind must be 'finite' or 'reference', got {kind!r}")
 
-    rho = 1.5 * max(ic_radius, radius) + 0.5
     if step is None:
-        step = max_stable_step(params, nonlin, rho)
+        step = auto_step(params, nonlin, max(ic_radius, radius), rho)
     if not step > 0.0:
         raise ParameterError(f"step must be > 0, got {step}")
 
     ics = _low_discrepancy_ball(ic_count, 2 * ic_half + 1, ic_radius, seed)
-    ics = pad_to_width(ics, ic_half, half_width)
+    ics = _pad_to_width(ics, ic_half, half_width)
     offsets = window * np.arange(sample_count) / sample_count
     spans = burn_in + offsets
     n_steps = max(1, math.ceil(spans.max() / step))
@@ -266,13 +266,9 @@ def sample_attractor(
         )
     return AttractorCloud(
         label=label,
-        order=params.n if kind == "finite" else None,
-        fiber_shift=fiber_shift,
         half_width=half_width,
         states=states,
         burn_in=burn_in,
-        start_offsets=offsets,
-        seed=seed,
     )
 
 
@@ -318,7 +314,6 @@ class ConvergenceRow:
     beta_from_ref: float
     runtime_s: float
     cloud_size: int
-    ref_size: int
 
 
 @dataclass(frozen=True)
@@ -326,7 +321,6 @@ class ConvergenceReport:
     """Distances from finite-order attractor clouds to the reference cloud."""
 
     rows: tuple[ConvergenceRow, ...]
-    reference_label: str
     threshold: float | None
 
     @property
@@ -371,6 +365,7 @@ def convergence_study(
     burn_in: float | None = None,
     window: float | None = None,
     step: float | None = None,
+    rho: float | None = None,
     boundary_floor: float = 1e-8,
 ) -> ConvergenceReport:
     """Sample each finite-order attractor and the padded reference proxy,
@@ -392,6 +387,7 @@ def convergence_study(
         burn_in=burn_in,
         window=window,
         step=step,
+        rho=rho,
     )
     ref_params = LatticeParams(nu=nu, lam=lam, n=n_ref)
     ref_cloud = sample_attractor(
@@ -414,22 +410,21 @@ def convergence_study(
                 beta_from_ref=hausdorff_semidistance(ref_cloud, cloud),
                 runtime_s=time.perf_counter() - started,
                 cloud_size=len(cloud),
-                ref_size=len(ref_cloud),
             )
         )
-    return ConvergenceReport(
-        rows=tuple(rows),
-        reference_label=ref_cloud.label,
-        threshold=threshold,
-    )
+    return ConvergenceReport(rows=tuple(rows), threshold=threshold)
 
 
 @dataclass(frozen=True)
 class TailCertificateRow:
+    """``vacuous``: ``k`` lies beyond every cloud's half-width, so every
+    tail mass is 0 and the row passes whatever the clouds hold."""
+
     eps: float
     k: int
     worst_tail: float
     margin: float
+    vacuous: bool
 
 
 @dataclass(frozen=True)
@@ -468,6 +463,7 @@ def tail_certificate(
     ball_sq = asymptotic_radius_sq(lam, alpha, f.uniform_bound()) * RADIUS_SLACK ** 2
     rows = []
     total = sum(len(c) for c in clouds)
+    widest = max(c.half_width for c in clouds)
     for eps in eps_list:
         k = calibrate_tail_index(nu, alpha, ball_sq, f.tail_sup_bound, eps)
         worst = 0.0
@@ -475,7 +471,8 @@ def tail_certificate(
             for point in cloud.states:
                 worst = max(worst, tail_mass(point, k))
         rows.append(
-            TailCertificateRow(eps=eps, k=k, worst_tail=worst, margin=eps - worst)
+            TailCertificateRow(eps=eps, k=k, worst_tail=worst, margin=eps - worst,
+                               vacuous=k > widest)
         )
     return TailCertificateReport(
         rows=tuple(rows), ball_norm_sq=ball_sq, points_checked=total

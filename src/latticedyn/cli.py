@@ -16,45 +16,32 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from .attractor import convergence_study, sample_attractor, tail_certificate
 from .dynamics import (
     LatticeParams,
     Nonlinearity,
-    cocycle_property_check,
+    auto_step,
     integrate,
     make_finite_rhs,
     make_nonlinearity,
-    max_stable_step,
 )
 from .errors import (
     BoundaryContaminationError,
-    CapacityError,
     ConfigError,
-    DimensionError,
     DivergenceError,
-    EmptyCloudError,
+    LatticeError,
     NonlinearityConditionError,
-    ParameterError,
-    StrictModeRequiredError,
-    UnsupportedForcingError,
 )
-from .estimates import asymptotic_radius_sq, gronwall_bound, verify_energy_decay
-from .forcing import QuasiPeriodicForcing, forcing_from_config
-from .operators import (
-    apply_difference,
-    apply_laplacian,
-    difference_matrix,
-    laplacian_matrix,
-    project_forcing,
-    wrap_forcing,
-)
+from .estimates import asymptotic_radius_sq
+from .forcing import FORCING_KEYS, QuasiPeriodicForcing, forcing_from_config
+from .operators import boundary_forcing, project_forcing, wrap_forcing
 
 log = logging.getLogger("latticedyn")
 
@@ -65,28 +52,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    ParameterError,
-    NonlinearityConditionError,
-    StrictModeRequiredError,
-    CapacityError,
-    DimensionError,
-    UnsupportedForcingError,
-    EmptyCloudError,
-)
-
-_SCHEMA: dict[str, set[str]] = {
-    "params": {"nu", "lambda", "n", "n_list", "n_ref", "n_work", "boundary"},
+_SCHEMA: dict[str, set[str] | frozenset[str]] = {
+    "params": {"nu", "lambda", "n", "n_list", "n_ref", "boundary"},
     "nonlinearity": {"name", "alpha", "coeffs"},
-    "forcing": {
-        "support",
-        "amplitude0",
-        "decay_rate",
-        "support_radius",
-        "frequency_rule",
-        "phase_rule",
-    },
+    "forcing": FORCING_KEYS,
     "integrator": {"h", "rho"},
     "simulate": {"t0", "t1", "v0", "v0_norm", "sample_stride"},
     "attractor": {
@@ -114,7 +83,6 @@ class ExperimentConfig:
     n: int | None
     n_list: tuple[int, ...] | None
     n_ref: int | None
-    n_work: int | None
     boundary: str
     nonlinearity_name: str
     alpha: float
@@ -152,15 +120,10 @@ class ExperimentConfig:
         return LatticeParams(nu=self.nu, lam=self.lam, n=order)
 
     def system_forcing(self, n: int) -> QuasiPeriodicForcing:
-        if self.boundary == "wrap":
-            return wrap_forcing(self.forcing, n)
-        return project_forcing(self.forcing, n)
+        return boundary_forcing(self.forcing, n, self.boundary)
 
     def step_for(self, params: LatticeParams, nonlin: Nonlinearity, radius: float) -> float:
-        if self.h is not None:
-            return self.h
-        rho = self.rho if self.rho is not None else 1.5 * radius + 0.5
-        return max_stable_step(params, nonlin, rho)
+        return self.h if self.h is not None else auto_step(params, nonlin, radius, self.rho)
 
 
 class _SectionView:
@@ -300,7 +263,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         n=params.get_int("n", None),
         n_list=params.get_int_list("n_list"),
         n_ref=params.get_int("n_ref", None),
-        n_work=params.get_int("n_work", None),
         boundary=boundary,
         nonlinearity_name=name,
         alpha=alpha,
@@ -360,12 +322,6 @@ def _write_report(out_dir: Path, report: dict[str, Any]) -> Path:
     return path
 
 
-def _check(name: str, passed: bool, margin: float, detail: str) -> dict[str, Any]:
-    status = "pass" if passed else "FAIL"
-    log.info("check %-28s %s (margin %.3g) %s", name, status, margin, detail)
-    return {"name": name, "passed": bool(passed), "margin": float(margin), "detail": detail}
-
-
 def _base_report(command: str, cfg: ExperimentConfig | None, seed: int | None) -> dict[str, Any]:
     """Report skeleton; the config echo is left out when the config did not parse."""
     report: dict[str, Any] = {
@@ -423,103 +379,56 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, 
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, dict]:
     report = _base_report("verify", cfg, seed)
-    checks = report["checks"]
+    rows = report["checks"]
     rng = np.random.default_rng(seed)
     params = cfg.make_params(cfg.n if cfg.n is not None else 8)
+    rows.append(checks.matrix_identity(min(max(params.n, 8), 32)))
 
-    # materialized stencil identity on small orders
-    worst_n = 0
-    ok = True
-    for n in range(1, min(max(params.n, 8), 32) + 1):
-        b = difference_matrix(n)
-        if not (np.array_equal(b.T @ b, laplacian_matrix(n))
-                and np.array_equal(b @ b.T, laplacian_matrix(n))):
-            ok, worst_n = False, n
-            break
-    checks.append(_check("matrix-identity", ok, 0.0, f"orders 1..{min(max(params.n, 8), 32)}"
-                         + ("" if ok else f", first failure at n={worst_n}")))
-
-    # quadratic-form identity, positivity, and operator norm on random states
-    worst_gap = 0.0
-    worst_quad = 0.0
-    worst_norm = 0.0
+    states = []
     for _ in range(50):
         n = int(rng.integers(1, 25))
-        v = rng.standard_normal(2 * n + 1)
-        av = apply_laplacian(v, n)
-        bv = apply_difference(v, n)
-        scale = float(v @ v) + 1e-30
-        worst_gap = max(worst_gap, abs(float(av @ v) - float(bv @ bv)) / scale)
-        worst_quad = max(worst_quad, -float(av @ v) / scale)
-        worst_norm = max(worst_norm, float(np.linalg.norm(av)) / (4.0 * np.linalg.norm(v)))
-    checks.append(_check("stencil-energy-identity", worst_gap < 1e-12, 1e-12 - worst_gap,
-                         f"worst relative gap {worst_gap:.3g}"))
-    checks.append(_check("stencil-positivity", worst_quad <= 1e-12, 1e-12 - worst_quad,
-                         f"worst negative quadratic form {worst_quad:.3g}"))
-    checks.append(_check("stencil-norm-bound", worst_norm <= 1.0 + 1e-12, 1.0 + 1e-12 - worst_norm,
-                         f"worst ||Av||/(4||v||) = {worst_norm:.6g}"))
+        states.append((n, rng.standard_normal(2 * n + 1)))
+    rows += checks.stencil_identities(states, tol=1e-12)
 
-    # shift equivariance of the two forcing projections
-    def equivariance_defect(project) -> float:
-        worst = 0.0
+    for name, project in (("truncation-equivariance", project_forcing),
+                          ("wrap-equivariance", wrap_forcing)):
+        cases = []
         for _ in range(cfg.verify_triples):
             n = int(rng.integers(1, 9))
             h_shift, t = rng.uniform(-20.0, 20.0, 2)
-            lhs = project(cfg.forcing.shift(h_shift), n).eval_window(t, n)
-            rhs = project(cfg.forcing, n).shift(h_shift).eval_window(t, n)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+            cases.append((cfg.forcing, n, h_shift, t))
+        rows.append(checks.shift_equivariance(name, project, cases, tol=1e-12))
 
-    for label, proj in (("truncation-equivariance", project_forcing),
-                        ("wrap-equivariance", wrap_forcing)):
-        worst = equivariance_defect(proj)
-        checks.append(_check(label, worst < 1e-12, 1e-12 - worst,
-                             f"{cfg.verify_triples} random (n, h, t) triples, worst {worst:.3g}"))
-
-    # nonlinearity contract at registration
     try:
         nonlin = cfg.make_nonlinearity()
-        checks.append(_check("nonlinearity-registration", True, 0.0,
-                             f"{cfg.nonlinearity_name}: contract holds on the sample grid"))
     except NonlinearityConditionError as exc:
-        checks.append(_check("nonlinearity-registration", False, -1.0, str(exc)))
+        rows.append(checks.check("nonlinearity-registration", False, -1.0, str(exc)))
         report["passed"] = False
         return EXIT_CHECK_FAILED, report
+    rows.append(checks.check("nonlinearity-registration", True, 0.0,
+                             f"{cfg.nonlinearity_name}: contract holds on the sample grid"))
 
-    # two-path composition defect of the numerical flow
     forcing_n = cfg.system_forcing(params.n)
-    radius = math.sqrt(
-        asymptotic_radius_sq(cfg.lam, nonlin.alpha, cfg.forcing.uniform_bound())
-    )
+    c_bound = cfg.forcing.uniform_bound()
+    radius = math.sqrt(asymptotic_radius_sq(cfg.lam, nonlin.alpha, c_bound))
     h = min(cfg.step_for(params, nonlin, max(radius, 1.0)), 1e-2)
     v0 = _initial_state(cfg, params.dim, seed) if cfg.v0_mode == "ball" else (
         np.random.default_rng(seed).standard_normal(params.dim) * 0.3
     )
-    defect = cocycle_property_check(v0, forcing_n, 1.0, 1.0, params, nonlin, h)
-    checks.append(_check("cocycle-defect", defect < cfg.cocycle_tol, cfg.cocycle_tol - defect,
-                         f"two-path defect {defect:.3g} at h={h:.3g}"))
+    rows.append(checks.cocycle_defect(v0, forcing_n, params, nonlin, h, tol=cfg.cocycle_tol))
 
-    # energy envelope along a forced trajectory
-    c_bound = cfg.forcing.uniform_bound()
+    # energy and absorbing envelopes along one forced trajectory
     v0_norm = max(cfg.v0_norm, 1.0)
     v0 = np.random.default_rng(seed + 1).standard_normal(params.dim)
     v0 *= v0_norm / np.linalg.norm(v0)
-    horizon = 6.0
-    traj = integrate(make_finite_rhs(params, nonlin, forcing_n), v0, 0.0, horizon,
+    traj = integrate(make_finite_rhs(params, nonlin, forcing_n), v0, 0.0, 6.0,
                      cfg.step_for(params, nonlin, max(radius, v0_norm)))
-    energy = verify_energy_decay(traj, cfg.lam, nonlin.alpha, c_bound, cfg.energy_margin)
-    checks.append(_check("energy-envelope", energy.ok, -energy.max_excess,
-                         f"{energy.samples_checked} sample pairs, max excess {energy.max_excess:.3g}"))
+    rows.append(checks.energy_envelope([traj], cfg.lam, nonlin.alpha, c_bound,
+                                       margin=cfg.energy_margin))
+    rows.append(checks.absorbing_envelope([traj], [v0_norm], cfg.lam, nonlin.alpha, c_bound,
+                                         slack=1.05))
 
-    envelope = np.array([
-        gronwall_bound(cfg.lam, nonlin.alpha, c_bound, v0_norm, t) for t in traj.times
-    ])
-    norms = np.sqrt(traj.norms_sq())
-    worst_ratio = float(np.max(norms / (envelope * 1.05 + 1e-30)))
-    checks.append(_check("absorbing-envelope", worst_ratio <= 1.0, 1.0 - worst_ratio,
-                         f"worst norm / (1.05 * bound) = {worst_ratio:.6g}"))
-
-    passed = all(c["passed"] for c in checks)
+    passed = all(c["passed"] for c in rows)
     report["passed"] = passed
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), report
 
@@ -537,7 +446,7 @@ def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int,
         cfg.forcing, params, nonlin,
         eps=cfg.eps, ic_count=cfg.ic_count, sample_count=cfg.sample_count,
         seed=seed, boundary=cfg.boundary, burn_in=cfg.burn_in,
-        window=cfg.window, step=cfg.h, ic_radius=cfg.ic_radius,
+        window=cfg.window, step=cfg.h, rho=cfg.rho, ic_radius=cfg.ic_radius,
     )
     cloud_path = out_dir / "cloud.csv"
     _write_table(cloud_path, _site_header(cloud.half_width), cloud.states)
@@ -557,18 +466,18 @@ def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int,
                 {
                     "ball_norm_sq": tail.ball_norm_sq,
                     "points_checked": tail.points_checked,
-                    "rows": [
-                        {"eps": r.eps, "k": r.k, "worst_tail": r.worst_tail, "margin": r.margin}
-                        for r in tail.rows
-                    ],
+                    "rows": [asdict(r) for r in tail.rows],
                 },
                 handle, indent=2, sort_keys=True,
             )
             handle.write("\n")
         report["artifacts"].append(str(tail_path))
+        vacuous = [r.eps for r in tail.rows if r.vacuous]
         report["checks"].append(
-            _check("tail-certificate", tail.ok,
-                   min(r.margin for r in tail.rows), f"{len(tail.rows)} tolerance levels")
+            checks.check("tail-certificate", tail.ok, min(r.margin for r in tail.rows),
+                         f"{len(tail.rows)} tolerance levels"
+                         + (f"; vacuous at eps {vacuous}: k exceeds the cloud half-width "
+                            f"{cloud.half_width}" if vacuous else ""))
         )
     else:
         log.info("check %-28s skipped: needs alpha > 0", "tail-certificate")
@@ -591,7 +500,7 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, 
         n_list=cfg.n_list, n_ref=cfg.n_ref,
         eps=cfg.eps, ic_count=cfg.ic_count, sample_count=cfg.sample_count,
         seed=seed, boundary=cfg.boundary, threshold=cfg.threshold,
-        burn_in=cfg.burn_in, window=cfg.window, step=cfg.h,
+        burn_in=cfg.burn_in, window=cfg.window, step=cfg.h, rho=cfg.rho,
         boundary_floor=cfg.boundary_floor,
     )
     csv_path = out_dir / "convergence.csv"
@@ -611,7 +520,7 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, 
         for r in study.rows
     ]
     report["checks"].append(
-        _check(
+        checks.check(
             "beta-threshold",
             study.passed,
             (cfg.threshold - study.final_beta) if cfg.threshold is not None else 0.0,
@@ -620,7 +529,7 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, 
         )
     )
     report["checks"].append(
-        _check("beta-nonincreasing", study.nonincreasing_within_noise, 0.0,
+        checks.check("beta-nonincreasing", study.nonincreasing_within_noise, 0.0,
                f"betas {[f'{b:.3g}' for b in study.betas]}")
     )
     passed = study.passed and study.nonincreasing_within_noise
@@ -679,12 +588,12 @@ def main(argv=None) -> int:
             source = "--seed" if args.seed is not None else "[attractor] seed"
             raise ConfigError(f"{source} must be >= 0, got {seed}")
         code, report = _COMMANDS[args.command](cfg, out_dir, seed)
-    except _CONFIG_ERRORS as exc:
-        log.error("configuration error: %s", exc)
-        code, error = EXIT_CONFIG, exc
     except (DivergenceError, BoundaryContaminationError) as exc:
         log.error("integration failed: %s", exc)
         code, error = EXIT_DIVERGED, exc
+    except LatticeError as exc:  # every other package error is a bad config or parameter
+        log.error("configuration error: %s", exc)
+        code, error = EXIT_CONFIG, exc
     if error is not None:
         report = _base_report(args.command, cfg, seed)
         report.update(error={"type": type(error).__name__, "message": str(error)},

@@ -262,6 +262,15 @@ def max_stable_step(params: LatticeParams, nonlin: Nonlinearity, rho: float) -> 
     return STABILITY_SAFETY / (4.0 * params.nu + params.lam + nonlin.lipschitz(rho))
 
 
+def auto_step(
+    params: LatticeParams, nonlin: Nonlinearity, radius: float, rho: float | None = None
+) -> float:
+    """The step every command takes when none is given: :func:`max_stable_step`
+    on the ball of radius ``rho``, by default ``1.5 * radius + 0.5`` with
+    ``radius`` the largest norm the run starts from or settles at."""
+    return max_stable_step(params, nonlin, 1.5 * radius + 0.5 if rho is None else rho)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-stamped state samples from a single integration run."""
@@ -269,8 +278,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     step: float
-    scheme: str = "rk4"
-    sample_stride: int = 1
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.states):
@@ -409,12 +416,7 @@ def integrate(
     if times[-1] != t1:
         times.append(t1)
         states.append(y)
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        step=h,
-        sample_stride=sample_stride,
-    )
+    return Trajectory(times=np.asarray(times), states=np.asarray(states), step=h)
 
 
 def integrate_final(

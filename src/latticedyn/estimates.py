@@ -11,7 +11,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, StrictModeRequiredError
-from .state import PaddedState
 from .dynamics import Trajectory
 
 #: Slope bound of the unit cutoff profile; the cubic smoothstep attains
@@ -52,37 +51,6 @@ def gronwall_bound(
     return math.sqrt(max(decaying, 0.0) + base)
 
 
-@dataclass(frozen=True)
-class AbsorbingBall:
-    """Ball that trajectories from ``||v0||`` enter within ``horizon``."""
-
-    radius: float
-    asymptotic_radius: float
-    horizon: float
-    lam: float
-    alpha: float
-    forcing_bound: float
-    initial_norm: float
-
-
-def absorbing_ball(
-    lam: float,
-    alpha: float,
-    forcing_bound: float,
-    v0_norm: float,
-    horizon: float,
-) -> AbsorbingBall:
-    return AbsorbingBall(
-        radius=gronwall_bound(lam, alpha, forcing_bound, v0_norm, horizon),
-        asymptotic_radius=math.sqrt(asymptotic_radius_sq(lam, alpha, forcing_bound)),
-        horizon=horizon,
-        lam=lam,
-        alpha=alpha,
-        forcing_bound=forcing_bound,
-        initial_norm=v0_norm,
-    )
-
-
 def cutoff_eval(k: int, s: float) -> float:
     """Smooth cutoff ``xi_k``: zero up to ``k``, one from ``2k`` on, with a
     cubic smoothstep bridge in between; ``|xi_k'| <= 1.5 / k``."""
@@ -115,13 +83,13 @@ def burn_in_time(alpha: float, ball_norm_sq: float, eps: float) -> float:
 def tail_mass(w, k: int) -> float:
     """Mass ``sum_{|i| >= k} |w_i|^2`` over the stored sites of ``w``.
 
-    ``w`` is a :class:`PaddedState` or an odd-length array over centered
-    logical sites.  Sites beyond the stored range are zero by embedding, so
-    ``k`` past the half-width simply yields zero.
+    ``w`` is an odd-length array over centered logical sites.  Sites beyond
+    the stored range are zero by embedding, so ``k`` past the half-width
+    simply yields zero.
     """
     if k < 0:
         raise ParameterError(f"tail index must be >= 0, got {k}")
-    values = w.values if isinstance(w, PaddedState) else np.asarray(w, dtype=float)
+    values = np.asarray(w, dtype=float)
     if values.ndim != 1 or values.size % 2 != 1:
         raise ParameterError("state must be one-dimensional with odd length")
     half = (values.size - 1) // 2
@@ -183,7 +151,6 @@ class EnergyDecayReport:
     violations: tuple[tuple[int, float], ...]
     max_excess: float
     samples_checked: int
-    margin: float
 
     @property
     def ok(self) -> bool:
@@ -218,5 +185,4 @@ def verify_energy_decay(
         violations=violations,
         max_excess=float(excess.max(initial=-math.inf)),
         samples_checked=len(dts),
-        margin=margin,
     )

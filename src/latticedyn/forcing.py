@@ -25,9 +25,11 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, ParameterError, UnsupportedForcingError
-from .state import PaddedState
 
 _SUPPORT_CAP = 10_000  # widest window a geometric forcing will materialize
+FORCING_KEYS = frozenset(
+    {"support", "amplitude0", "decay_rate", "support_radius", "frequency_rule", "phase_rule"}
+)
 
 
 class QuasiPeriodicForcing:
@@ -127,15 +129,6 @@ class QuasiPeriodicForcing:
     # structure
 
     @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def support(self) -> int | None:
-        """Stored support half-width; ``None`` for an infinite geometric profile."""
-        return self._support if self._kind == "finite" else None
-
-    @property
     def decay_rate(self) -> float | None:
         return self._decay_rate if self._kind == "geometric" else None
 
@@ -190,10 +183,6 @@ class QuasiPeriodicForcing:
         a, w, p = self.mode_table(window)
         return a * np.sin(w * (t + self._offset) + p)
 
-    def eval_state(self, t: float, window: int) -> PaddedState:
-        """Same as :meth:`eval_window`, embedded as a padded state."""
-        return PaddedState(self.eval_window(t, window), window)
-
     def norm_sq_at(self, t: float) -> float:
         """Exact squared sequence norm of ``f(t)``."""
         if self._kind == "finite":
@@ -201,9 +190,6 @@ class QuasiPeriodicForcing:
             return float(np.dot(v, v))
         s = math.sin(self._frequency * (t + self._offset) + self._phase)
         return self.total_energy() * s * s
-
-    def norm_at(self, t: float) -> float:
-        return math.sqrt(self.norm_sq_at(t))
 
     # ------------------------------------------------------------------
     # closed-form certificates
@@ -347,15 +333,7 @@ def forcing_from_config(mapping: Mapping[str, str]) -> QuasiPeriodicForcing:
     additionally needs ``support_radius``; its frequency and phase rules may
     be a single number or a per-site list of length ``2*support_radius + 1``.
     """
-    allowed = {
-        "support",
-        "amplitude0",
-        "decay_rate",
-        "support_radius",
-        "frequency_rule",
-        "phase_rule",
-    }
-    unknown = set(mapping) - allowed
+    unknown = set(mapping) - FORCING_KEYS
     if unknown:
         raise ConfigError(f"unknown forcing keys: {sorted(unknown)}")
 

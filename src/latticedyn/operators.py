@@ -1,5 +1,5 @@
-"""Finite-difference stencils with periodic wrap, the zero-padding embedding,
-and the two forcing-space projections (truncation and periodic wrap).
+"""Finite-difference stencils with periodic wrap and the two forcing-space
+projections (truncation and periodic wrap).
 
 The stencil operators act on vectors over logical sites ``-n .. n`` stored as
 arrays of length ``2n + 1``.  Application is matrix-free and O(n);
@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError
 from .forcing import QuasiPeriodicForcing
-from .state import PaddedState
 
 
 def _check_order(n: int) -> None:
@@ -80,20 +79,6 @@ def laplacian_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def embed(v, n: int, n_work: int) -> PaddedState:
-    """Zero-padding embedding of a ``2n+1`` state into half-width ``n_work``.
-
-    An exact isometry; restricting back to ``-n .. n`` recovers the input.
-    """
-    _check_order(n)
-    v = _check_width(v, n)
-    if v.ndim != 1:
-        raise DimensionError("embed expects a single state vector")
-    if n_work < n:
-        raise CapacityError(f"n_work={n_work} cannot hold order n={n}")
-    return PaddedState(np.pad(v, n_work - n), n_work)
-
-
 def project_forcing(f: QuasiPeriodicForcing, n: int) -> QuasiPeriodicForcing:
     """Truncation projection: keep modes ``|i| <= n``, drop the rest."""
     _check_order(n)
@@ -120,3 +105,14 @@ def wrap_forcing(f: QuasiPeriodicForcing, n: int) -> QuasiPeriodicForcing:
     return QuasiPeriodicForcing.finite(
         amps[sl], freqs[sl], phases[sl], time_offset=f.time_offset
     )
+
+
+def boundary_forcing(f: QuasiPeriodicForcing, n: int, boundary: str) -> QuasiPeriodicForcing:
+    """The forcing of the finite system of order ``n`` under the edge policy
+    ``boundary``: ``wrap`` (:func:`wrap_forcing`) or ``project``
+    (:func:`project_forcing`)."""
+    if boundary == "wrap":
+        return wrap_forcing(f, n)
+    if boundary == "project":
+        return project_forcing(f, n)
+    raise ParameterError(f"boundary must be 'wrap' or 'project', got {boundary!r}")

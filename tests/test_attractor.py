@@ -18,28 +18,81 @@ from latticedyn import (
     wrap_forcing,
 )
 from latticedyn import attractor
-from latticedyn.attractor import _low_discrepancy_ball
+from latticedyn.attractor import _low_discrepancy_ball, _pad_to_width
 from latticedyn.dynamics import integrate_final, make_finite_rhs, make_reference_rhs
 from latticedyn.errors import (
+    CapacityError,
     DivergenceError,
     EmptyCloudError,
     ParameterError,
     UnsettledCloudError,
 )
-from latticedyn.state import pad_to_width
 
 
 def _cloud(states, half_width):
     return AttractorCloud(
         label="test",
-        order=None,
-        fiber_shift=0.0,
         half_width=half_width,
         states=np.asarray(states, dtype=float),
         burn_in=0.0,
-        start_offsets=np.zeros(1),
-        seed=0,
     )
+
+
+class TestAttractorCloud:
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ParameterError):
+            _cloud(np.zeros((2, 4)), 2)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            _cloud([[1.0, np.nan, 0.0]], 1)
+
+
+class TestPadToWidth:
+    def test_definition(self):
+        out = _pad_to_width(np.array([1.0, 2.0, 3.0]), 1, 3)
+        assert np.array_equal(out, [0.0, 0.0, 1.0, 2.0, 3.0, 0.0, 0.0])
+
+    def test_isometry(self, rng):
+        v = rng.standard_normal(9)
+        assert np.linalg.norm(_pad_to_width(v, 4, 20)) == np.linalg.norm(v)
+
+    def test_round_trip(self, rng):
+        v = rng.standard_normal(5)
+        assert np.array_equal(_pad_to_width(v, 2, 11)[9:14], v)
+
+    def test_capacity_error(self):
+        with pytest.raises(CapacityError):
+            _pad_to_width(np.zeros(7), 3, 2)
+
+    def test_sites_outside_storage_are_zero(self):
+        # site j of a half-width-n state sits at index j + n
+        out = _pad_to_width(np.array([1.0, 2.0, 3.0]), 1, 7)
+        assert out[0 + 7] == 2.0
+        assert out[-1 + 7] == 1.0
+        assert out[5 + 7] == 0.0
+        assert out[-7 + 7] == 0.0
+
+    def test_widening_preserves_values_and_norm(self):
+        v = np.array([1.0, 2.0, 3.0])
+        wide = _pad_to_width(v, 1, 3)
+        assert np.array_equal(wide, [0, 0, 1.0, 2.0, 3.0, 0, 0])
+        assert np.linalg.norm(wide) == np.linalg.norm(v)
+
+    def test_refuses_to_narrow(self):
+        with pytest.raises(CapacityError):
+            _pad_to_width(np.zeros(5), 2, 1)
+
+    def test_stack_padding(self):
+        rows = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        out = _pad_to_width(rows, 1, 2)
+        assert out.shape == (2, 5)
+        assert np.array_equal(out[:, 0], [0.0, 0.0])
+        assert np.array_equal(out[:, 1:4], rows)
+
+    def test_same_width_passthrough(self):
+        rows = np.ones((3, 5))
+        assert np.array_equal(_pad_to_width(rows, 2, 2), rows)
 
 
 class TestHausdorff:
@@ -135,6 +188,14 @@ class TestSampleAttractor:
                 eps=1e-2, ic_count=2, sample_count=2, seed=0, kind="reference",
             )
 
+    def test_unknown_boundary_rejected(self):
+        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        with pytest.raises(ParameterError, match="boundary"):
+            sample_attractor(
+                LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
+                eps=1e-2, ic_count=2, sample_count=2, seed=0, boundary="mirror",
+            )
+
     def test_point_cap_enforced(self):
         params = LatticeParams(nu=1.0, lam=1.0, n=4)
         nl = make_nonlinearity("linear", 1.0)
@@ -163,7 +224,7 @@ class TestSampleAttractor:
             ics = _low_discrepancy_ball(ic_count, params.dim, 1.0, seed)
         else:
             rhs = make_reference_rhs(params, nl, f, n_work)
-            ics = pad_to_width(
+            ics = _pad_to_width(
                 _low_discrepancy_ball(ic_count, n_work + 1, 1.0, seed), n_work // 2, n_work
             )
         spans = burn_in + window * np.arange(sample_count) / sample_count
@@ -298,6 +359,16 @@ class TestTailCertificate:
         assert report.ok
         for row in report.rows:
             assert row.worst_tail <= 1e-12
+
+    def test_vacuous_when_k_exceeds_every_half_width(self):
+        f = QuasiPeriodicForcing.geometric(0.8, 0.5, 1.0)
+        narrow = _cloud(np.ones((2, 2 * 400 + 1)), 400)
+        wide = _cloud(np.ones((2, 2 * 500 + 1)), 500)
+        (row,) = tail_certificate([narrow], [1e-2], f, 1.0, 1.0, 1.0).rows
+        assert 400 < row.k < 500  # k(1e-2) = 471
+        assert row.vacuous and row.worst_tail == 0.0
+        (row,) = tail_certificate([narrow, wide], [1e-2], f, 1.0, 1.0, 1.0).rows
+        assert not row.vacuous and row.worst_tail > 0.0
 
     def test_one_scale_covers_all_orders(self):
         nl = make_nonlinearity("cubic", 1.0)

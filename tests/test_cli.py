@@ -173,6 +173,11 @@ class TestAttractor:
         assert len(header) == 13
         tail = json.loads((out / "tail_report.json").read_text())
         assert all(r["margin"] >= 0.0 for r in tail["rows"])
+        # k(1e-2) and k(1e-3) lie far beyond n = 6: the certificate says so
+        assert [r["vacuous"] for r in tail["rows"]] == [True, True]
+        (check,) = report["checks"]
+        assert check["name"] == "tail-certificate" and check["passed"]
+        assert "vacuous at eps [0.01, 0.001]: k exceeds the cloud half-width 6" in check["detail"]
 
     def test_zero_forcing_origin(self, tmp_path):
         text = BASE.replace("amplitude0 = 1.0", "amplitude0 = 0.0").replace(
@@ -209,6 +214,25 @@ class TestAttractor:
         assert not (out / "tail_report.json").exists()
         _, rows = read_csv(out / "cloud.csv")
         assert len(rows) == report["cloud"]["points"] == 12
+
+    @pytest.mark.parametrize("command", ["attractor", "converge"])
+    def test_rho_sets_the_automatic_step(self, tmp_path, command):
+        # cubic: the Lipschitz bound, and so the step, grows with rho
+        text = BASE.replace("name = linear", "name = cubic").replace(
+            "n = 6", "n = 6\nn_list = 2 4\nn_ref = 32")
+
+        def artifact(name, integrator):
+            out = tmp_path / name
+            cfg = write_config(tmp_path, text + f"\n[integrator]\n{integrator}\n",
+                               name=f"{name}.ini")
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            if command == "attractor":
+                return (out / "cloud.csv").read_bytes()
+            return [(r["beta_n_to_ref"], r["beta_ref_to_n"])
+                    for r in json.loads((out / "report.json").read_text())["rows"]]
+
+        assert artifact("a", "rho = 0.5") != artifact("b", "rho = 2.0")
+        assert artifact("c", "h = 0.02\nrho = 0.5") == artifact("d", "h = 0.02\nrho = 2.0")
 
     def test_byte_identical_cloud(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -282,11 +306,13 @@ class TestConfigValidation:
             ("attractor", "eps = 1e-2", "eps = 0", ()),
             ("attractor", "burn_in = 9.0", "burn_in = -1", ()),
             ("simulate", "[simulate]", "[integrator]\nrho = -1\n\n[simulate]", ()),
+            ("simulate", "n = 6", "n = 6\nn_work = 8", ()),
         ],
         ids=["h-nan", "t1-inf", "nu-auto", "tail_eps-empty", "tail_eps-negative", "window-inf",
              "sample_count-zero", "seed-negative", "seed-flag-negative", "window-negative",
              "window-zero", "ic_radius-negative", "boundary_floor-negative", "boundary_floor-zero",
-             "v0_norm-negative", "eps-zero", "burn_in-negative", "rho-negative"],
+             "v0_norm-negative", "eps-zero", "burn_in-negative", "rho-negative",
+             "n_work-unknown"],
     )
     def test_bad_numbers_exit_2_without_traceback(self, tmp_path, capsys, command, old, new,
                                                   flags):

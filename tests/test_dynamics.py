@@ -14,7 +14,7 @@ from latticedyn import (
     max_stable_step,
     project_forcing,
 )
-from latticedyn.dynamics import Nonlinearity, integrate_final
+from latticedyn.dynamics import Nonlinearity, Trajectory, auto_step, integrate_final
 from latticedyn.errors import (
     BoundaryContaminationError,
     DimensionError,
@@ -236,11 +236,39 @@ class TestStableStep:
         nl = make_nonlinearity("zero")
         assert max_stable_step(params, nl, 1.0) == pytest.approx(0.5)
 
+    def test_auto_step_uses_rho_or_the_radius_margin(self):
+        params = LatticeParams(nu=1.0, lam=1.0, n=2)
+        nl = make_nonlinearity("cubic", 1.0)
+        assert auto_step(params, nl, 1.0) == max_stable_step(params, nl, 2.0)
+        assert auto_step(params, nl, 1.0, rho=0.5) == max_stable_step(params, nl, 0.5)
+
     def test_roughly_halves_with_coupling(self):
         nl = make_nonlinearity("zero")
         h1 = max_stable_step(LatticeParams(nu=10.0, lam=0.1, n=1), nl, 1.0)
         h2 = max_stable_step(LatticeParams(nu=20.0, lam=0.1, n=1), nl, 1.0)
         assert h2 / h1 == pytest.approx(0.5, rel=0.02)
+
+
+class TestTrajectoryInvariants:
+    def test_rejects_nonincreasing_times(self):
+        with pytest.raises(ValueError):
+            Trajectory(
+                times=np.array([0.0, 1.0, 1.0]),
+                states=np.zeros((3, 2)),
+                step=0.5,
+            )
+
+    def test_rejects_non_finite_states(self):
+        with pytest.raises(ValueError):
+            Trajectory(
+                times=np.array([0.0, 1.0]),
+                states=np.array([[0.0, 0.0], [np.inf, 0.0]]),
+                step=1.0,
+            )
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            Trajectory(times=np.array([0.0]), states=np.zeros((2, 2)), step=1.0)
 
 
 class TestIntegrate:

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from latticedyn import (
     LatticeParams,
-    PaddedState,
     QuasiPeriodicForcing,
-    absorbing_ball,
     burn_in_time,
     calibrate_tail_index,
     cutoff_eval,
@@ -22,6 +20,7 @@ from latticedyn import (
     verify_energy_decay,
 )
 from latticedyn.errors import ParameterError, StrictModeRequiredError
+from latticedyn.estimates import asymptotic_radius_sq
 
 
 def energy_ode_oracle(lam, alpha, forcing_bound, y0, horizon, steps=200_000):
@@ -46,9 +45,9 @@ class TestGronwallBound:
             assert m == pytest.approx(math.exp(-1.5 * t) * 2.0, rel=1e-12)
 
     def test_asymptotic_radius(self):
-        ball = absorbing_ball(1.0, 1.0, 1.0, 5.0, 100.0)
-        assert ball.asymptotic_radius == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
-        assert ball.radius == pytest.approx(ball.asymptotic_radius, rel=1e-10)
+        radius = math.sqrt(asymptotic_radius_sq(1.0, 1.0, 1.0))
+        assert radius == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
+        assert gronwall_bound(1.0, 1.0, 1.0, 5.0, 100.0) == pytest.approx(radius, rel=1e-10)
 
     def test_matches_energy_ode(self):
         # independent quadrature oracle for lam = alpha = C = 1, ||v0|| = 2, T = 1
@@ -155,10 +154,6 @@ class TestTailMass:
 
     def test_beyond_storage_is_zero(self):
         assert tail_mass(np.ones(5), 3) == 0.0
-
-    def test_padded_state_input(self):
-        w = PaddedState(np.array([1.0, 2.0, 3.0, 0.0, 0.0]), 2)
-        assert tail_mass(w, 2) == pytest.approx(1.0)
 
 
 class TestTailCalibration:

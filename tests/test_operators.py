@@ -4,17 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticedyn import (
-    PaddedState,
     QuasiPeriodicForcing,
     apply_difference,
     apply_laplacian,
     difference_matrix,
-    embed,
     laplacian_matrix,
     project_forcing,
     wrap_forcing,
 )
-from latticedyn.errors import CapacityError, DimensionError
+from latticedyn.errors import DimensionError, ParameterError
+from latticedyn.operators import boundary_forcing
 
 
 B1 = np.array([[-1, 1, 0], [0, -1, 1], [1, 0, -1]])
@@ -96,25 +95,6 @@ class TestApply:
             apply_difference(np.zeros(6), 2)
 
 
-class TestEmbed:
-    def test_definition(self):
-        out = embed(np.array([1.0, 2.0, 3.0]), 1, 3)
-        assert isinstance(out, PaddedState)
-        assert np.array_equal(out.values, [0.0, 0.0, 1.0, 2.0, 3.0, 0.0, 0.0])
-
-    def test_isometry(self, rng):
-        v = rng.standard_normal(9)
-        assert embed(v, 4, 20).norm() == pytest.approx(np.linalg.norm(v), rel=0, abs=0)
-
-    def test_round_trip(self, rng):
-        v = rng.standard_normal(5)
-        assert np.array_equal(embed(v, 2, 11).restrict(2), v)
-
-    def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            embed(np.zeros(7), 3, 2)
-
-
 def _dyadic_forcing(support=8, frequency=1.0, phase=0.0):
     sites = np.abs(np.arange(-support, support + 1))
     return QuasiPeriodicForcing.finite(0.5 ** sites, frequency, phase)
@@ -150,6 +130,19 @@ class TestProjection:
         expected = 2.0 * sum(0.25 ** i for i in range(n + 1, 41))
         assert expected == pytest.approx((8.0 / 3.0) * 0.25 ** (n + 1), rel=1e-10)
         assert gap_sq == pytest.approx(expected, rel=1e-9)
+
+
+class TestBoundaryForcing:
+    @pytest.mark.parametrize("boundary, project", [("wrap", wrap_forcing),
+                                                   ("project", project_forcing)])
+    def test_policy_selects_the_projection(self, rng, make_random_forcing, boundary, project):
+        f = make_random_forcing(rng, support=6)
+        got = boundary_forcing(f, 3, boundary)
+        assert np.array_equal(got.eval_window(0.7, 3), project(f, 3).eval_window(0.7, 3))
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ParameterError, match="boundary"):
+            boundary_forcing(QuasiPeriodicForcing.zero(), 3, "mirror")
 
 
 class TestWrap:
