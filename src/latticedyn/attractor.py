@@ -170,8 +170,6 @@ def sample_attractor(
     seed: int,
     kind: str = "finite",
     boundary: str = "wrap",
-    n_work: int | None = None,
-    fiber_shift: float = 0.0,
     burn_in: float | None = None,
     window: float | None = None,
     step: float | None = None,
@@ -179,19 +177,21 @@ def sample_attractor(
     ic_radius: float | None = None,
     boundary_floor: float = 1e-8,
 ) -> AttractorCloud:
-    """Pullback sample of the fiber attractor at ``shift(fiber_shift, f)``.
+    """Pullback sample of the fiber attractor at the driver ``f``.
 
     Each of ``sample_count`` start offsets launches the full set of
-    ``ic_count`` initial conditions from the absorbing ball at time
-    ``-(burn_in + offset)`` and integrates them to time 0, so every collected
-    state sits on the requested fiber.  All ``sample_count * ic_count`` rows
-    (offset-major) are integrated in one batch: with ``N = ceil(max span /
-    step)`` each row takes ``N`` steps of ``span_j / N <= step`` and lands
+    ``ic_count`` initial conditions from the ball of radius ``ic_radius``
+    (by default the absorbing radius) at time ``-(burn_in + offset)`` and
+    integrates them to time 0, so every collected state sits on the
+    requested fiber.  All ``sample_count * ic_count`` rows (offset-major) go
+    to :func:`integrate_final` as one batch with per-row start times and the
+    largest step ``step``; it picks the step of each row so that all land
     exactly on 0.  Without ``step``, :func:`auto_step` derives it from
     ``rho`` or the larger of ``ic_radius`` and the absorbing radius.
     ``kind`` selects the wrapped finite system of order ``params.n`` (forcing
     via ``boundary``: ``wrap`` or ``project``) or the padded ``reference``
-    system of half-width ``n_work``.
+    system of half-width ``params.n``, whose edge sites are monitored
+    against ``boundary_floor``.
 
     Raises :class:`UnsettledCloudError` when a point ends outside the
     Gronwall bound.
@@ -208,7 +208,7 @@ def sample_attractor(
         ic_radius = radius
     ball_sq = max(ic_radius, radius) ** 2
     if burn_in is None:
-        if nonlin.mode != "strict":
+        if nonlin.alpha <= 0.0:
             raise StrictModeRequiredError(
                 "default burn-in needs a strict margin; pass burn_in explicitly"
             )
@@ -216,42 +216,30 @@ def sample_attractor(
     if window is None:
         window = _dominant_period(f)
 
-    fiber = f.shift(fiber_shift)
     if kind == "finite":
-        rhs = make_finite_rhs(params, nonlin, boundary_forcing(fiber, params.n, boundary))
-        half_width = params.n
+        rhs = make_finite_rhs(params, nonlin, boundary_forcing(f, params.n, boundary))
         ic_half = params.n
         label = f"n={params.n}"
     elif kind == "reference":
-        if n_work is None:
-            raise ParameterError("reference sampling needs n_work")
-        if n_work < params.n:
-            raise CapacityError(f"n_work={n_work} below truncation order {params.n}")
-        rhs = make_reference_rhs(params, nonlin, fiber, n_work)
-        half_width = n_work
+        rhs = make_reference_rhs(params, nonlin, f)
         # keep initial mass away from the monitored edges
-        ic_half = max(1, n_work // 2)
-        label = f"reference(n_work={n_work})"
+        ic_half = max(1, params.n // 2)
+        label = f"reference(n={params.n})"
     else:
         raise ParameterError(f"kind must be 'finite' or 'reference', got {kind!r}")
 
     if step is None:
         step = auto_step(params, nonlin, max(ic_radius, radius), rho)
-    if not step > 0.0:
-        raise ParameterError(f"step must be > 0, got {step}")
 
     ics = _low_discrepancy_ball(ic_count, 2 * ic_half + 1, ic_radius, seed)
-    ics = _pad_to_width(ics, ic_half, half_width)
+    ics = _pad_to_width(ics, ic_half, params.n)
     offsets = window * np.arange(sample_count) / sample_count
-    spans = burn_in + offsets
-    n_steps = max(1, math.ceil(spans.max() / step))
-    # minimum() only trims the rounding of span / N past step
     states = integrate_final(
         rhs,
         np.tile(ics, (sample_count, 1)),
-        np.repeat(-spans, ic_count),
+        np.repeat(-(burn_in + offsets), ic_count),
         0.0,
-        np.repeat(np.minimum(spans / n_steps, step), ic_count),
+        step,
         boundary_floor if kind == "reference" else None,
     )
 
@@ -266,7 +254,7 @@ def sample_attractor(
         )
     return AttractorCloud(
         label=label,
-        half_width=half_width,
+        half_width=params.n,
         states=states,
         burn_in=burn_in,
     )
@@ -356,52 +344,29 @@ def convergence_study(
     n_list: tuple[int, ...],
     n_ref: int,
     *,
-    eps: float,
-    ic_count: int,
-    sample_count: int,
-    seed: int,
-    boundary: str = "wrap",
     threshold: float | None = None,
-    burn_in: float | None = None,
-    window: float | None = None,
-    step: float | None = None,
-    rho: float | None = None,
-    boundary_floor: float = 1e-8,
+    **sampling,
 ) -> ConvergenceReport:
     """Sample each finite-order attractor and the padded reference proxy,
     then measure the one-sided distances between them.
 
-    The reference width must dominate every requested order; the sampling
-    configuration (seed, burn-in, offsets, step) is shared across systems so
-    the clouds are directly comparable.
+    The reference width must dominate every requested order.  ``sampling``
+    holds the keyword arguments of :func:`sample_attractor` (all but
+    ``kind``) and goes unchanged to every cloud, so the clouds share seed,
+    initial ball, burn-in, offsets and step and are directly comparable.
     """
     if not n_list:
         raise ParameterError("n_list must be nonempty")
     if n_ref < max(n_list):
         raise ParameterError(f"n_ref = {n_ref} must be >= max(n_list) = {max(n_list)}")
-    common = dict(
-        eps=eps,
-        ic_count=ic_count,
-        sample_count=sample_count,
-        seed=seed,
-        burn_in=burn_in,
-        window=window,
-        step=step,
-        rho=rho,
-    )
-    ref_params = LatticeParams(nu=nu, lam=lam, n=n_ref)
     ref_cloud = sample_attractor(
-        f, ref_params, nonlin,
-        kind="reference", n_work=n_ref, boundary_floor=boundary_floor,
-        **common,
+        f, LatticeParams(nu=nu, lam=lam, n=n_ref), nonlin, kind="reference", **sampling
     )
     rows = []
     for n in n_list:
         started = time.perf_counter()
         cloud = sample_attractor(
-            f, LatticeParams(nu=nu, lam=lam, n=n), nonlin,
-            kind="finite", boundary=boundary,
-            **common,
+            f, LatticeParams(nu=nu, lam=lam, n=n), nonlin, kind="finite", **sampling
         )
         rows.append(
             ConvergenceRow(
@@ -455,8 +420,6 @@ def tail_certificate(
     The same ``k(eps)`` is used for every cloud regardless of its truncation
     order; the report's margin is the worst slack observed across the union.
     """
-    if isinstance(clouds, AttractorCloud):
-        clouds = [clouds]
     clouds = list(clouds)
     if not clouds:
         raise EmptyCloudError("tail certificate needs at least one cloud")

@@ -95,11 +95,15 @@ def energy_envelope(trajs, lam: float, alpha: float, forcing_bound: float,
 
 def absorbing_envelope(trajs, v0_norms, lam: float, alpha: float, forcing_bound: float,
                        slack: float) -> dict[str, Any]:
-    """Every sampled norm stays within ``slack`` times the Gronwall bound
-    from its trajectory's initial norm ``v0_norms[j]``."""
+    """Every norm sampled after the start stays within ``slack`` times the
+    Gronwall bound from its trajectory's initial norm ``v0_norms[j]``.  The
+    start is left out: the bound is built from the initial norm, so it holds
+    there by construction, and from outside the absorbing ball the ratio
+    would read exactly ``1 / slack``."""
     worst = 0.0
     for traj, v0_norm in zip(trajs, v0_norms, strict=True):
-        bound = np.array([gronwall_bound(lam, alpha, forcing_bound, v0_norm, t) for t in traj.times])
-        worst = max(worst, float(np.max(np.sqrt(traj.norms_sq()) / (bound * slack + 1e-30))))
+        times, norms = traj.times[1:], np.sqrt(traj.norms_sq()[1:])
+        bound = np.array([gronwall_bound(lam, alpha, forcing_bound, v0_norm, t) for t in times])
+        worst = max(worst, float(np.max(norms / (bound * slack + 1e-30), initial=0.0)))
     return check("absorbing-envelope", worst <= 1.0, 1.0 - worst,
-                 f"worst norm / ({slack:g} * bound) = {worst:.6g}")
+                 f"worst norm / ({slack:g} * bound) after t0 = {worst:.6g}")

@@ -70,7 +70,7 @@ _SCHEMA: dict[str, set[str] | frozenset[str]] = {
         "boundary_floor",
     },
     "converge": {"threshold"},
-    "verify": {"cocycle_tol", "energy_margin", "triples"},
+    "verify": {"triples"},
 }
 
 
@@ -105,8 +105,6 @@ class ExperimentConfig:
     tail_eps: tuple[float, ...]
     boundary_floor: float
     threshold: float | None
-    cocycle_tol: float
-    energy_margin: float
     verify_triples: int
     echo: dict[str, dict[str, str]] = field(default_factory=dict)
 
@@ -124,6 +122,15 @@ class ExperimentConfig:
 
     def step_for(self, params: LatticeParams, nonlin: Nonlinearity, radius: float) -> float:
         return self.h if self.h is not None else auto_step(params, nonlin, radius, self.rho)
+
+    def sampling(self, seed: int) -> dict[str, Any]:
+        """The keyword arguments of :func:`sample_attractor` that every
+        sampled cloud shares, ``attractor`` and ``converge`` alike."""
+        return dict(
+            eps=self.eps, ic_count=self.ic_count, sample_count=self.sample_count, seed=seed,
+            boundary=self.boundary, burn_in=self.burn_in, window=self.window, step=self.h,
+            rho=self.rho, ic_radius=self.ic_radius, boundary_floor=self.boundary_floor,
+        )
 
 
 class _SectionView:
@@ -256,6 +263,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     v0_mode = sim.get_str("v0", "zero")
     if v0_mode not in ("zero", "ball"):
         raise ConfigError(f"[simulate] v0 must be zero|ball, got {v0_mode!r}")
+    triples = ver.get_int("triples", "100")
+    if triples < 1:
+        raise ConfigError(f"[verify] triples must be >= 1, got {triples}")
 
     return ExperimentConfig(
         nu=nu,
@@ -285,9 +295,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         tail_eps=att.get_float_list("tail_eps", "1e-2 1e-3", gt=0.0),
         boundary_floor=att.get_float("boundary_floor", "1e-8", gt=0.0),
         threshold=conv.get_float("threshold", "auto"),
-        cocycle_tol=ver.get_float("cocycle_tol", "1e-8"),
-        energy_margin=ver.get_float("energy_margin", "0.05"),
-        verify_triples=ver.get_int("triples", "100"),
+        verify_triples=triples,
         echo=echo,
     )
 
@@ -415,7 +423,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, di
     v0 = _initial_state(cfg, params.dim, seed) if cfg.v0_mode == "ball" else (
         np.random.default_rng(seed).standard_normal(params.dim) * 0.3
     )
-    rows.append(checks.cocycle_defect(v0, forcing_n, params, nonlin, h, tol=cfg.cocycle_tol))
+    rows.append(checks.cocycle_defect(v0, forcing_n, params, nonlin, h, tol=1e-8))
 
     # energy and absorbing envelopes along one forced trajectory
     v0_norm = max(cfg.v0_norm, 1.0)
@@ -423,8 +431,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, di
     v0 *= v0_norm / np.linalg.norm(v0)
     traj = integrate(make_finite_rhs(params, nonlin, forcing_n), v0, 0.0, 6.0,
                      cfg.step_for(params, nonlin, max(radius, v0_norm)))
-    rows.append(checks.energy_envelope([traj], cfg.lam, nonlin.alpha, c_bound,
-                                       margin=cfg.energy_margin))
+    rows.append(checks.energy_envelope([traj], cfg.lam, nonlin.alpha, c_bound, margin=0.05))
     rows.append(checks.absorbing_envelope([traj], [v0_norm], cfg.lam, nonlin.alpha, c_bound,
                                          slack=1.05))
 
@@ -442,12 +449,7 @@ def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int,
     certify = nonlin.alpha > 0.0
     log.info("attractor: n=%d eps=%g points=%d", params.n, cfg.eps,
              cfg.ic_count * cfg.sample_count)
-    cloud = sample_attractor(
-        cfg.forcing, params, nonlin,
-        eps=cfg.eps, ic_count=cfg.ic_count, sample_count=cfg.sample_count,
-        seed=seed, boundary=cfg.boundary, burn_in=cfg.burn_in,
-        window=cfg.window, step=cfg.h, rho=cfg.rho, ic_radius=cfg.ic_radius,
-    )
+    cloud = sample_attractor(cfg.forcing, params, nonlin, **cfg.sampling(seed))
     cloud_path = out_dir / "cloud.csv"
     _write_table(cloud_path, _site_header(cloud.half_width), cloud.states)
     report["artifacts"] = [str(cloud_path)]
@@ -496,12 +498,8 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, 
     nonlin = cfg.make_nonlinearity()
     log.info("converge: n_list=%s n_ref=%d", list(cfg.n_list), cfg.n_ref)
     study = convergence_study(
-        cfg.forcing, cfg.nu, cfg.lam, nonlin,
-        n_list=cfg.n_list, n_ref=cfg.n_ref,
-        eps=cfg.eps, ic_count=cfg.ic_count, sample_count=cfg.sample_count,
-        seed=seed, boundary=cfg.boundary, threshold=cfg.threshold,
-        burn_in=cfg.burn_in, window=cfg.window, step=cfg.h, rho=cfg.rho,
-        boundary_floor=cfg.boundary_floor,
+        cfg.forcing, cfg.nu, cfg.lam, nonlin, n_list=cfg.n_list, n_ref=cfg.n_ref,
+        threshold=cfg.threshold, **cfg.sampling(seed),
     )
     csv_path = out_dir / "convergence.csv"
     _write_table(

@@ -50,24 +50,20 @@ class Nonlinearity:
     """Pointwise feedback term with a declared sign margin and a
     Lipschitz-on-ball witness.
 
-    ``mode`` is ``"strict"`` (``s*F(s) <= -alpha*s**2``) or ``"weak"``
-    (``s*F(s) <= 0``).  The declared conditions are checked by dense sampling
-    at registration time; see :meth:`verify`.
+    A margin ``alpha > 0`` declares the strict condition
+    ``s*F(s) <= -alpha*s**2``, ``alpha == 0`` the weak one ``s*F(s) <= 0``.
+    The declared condition is checked by dense sampling at registration
+    time; see :meth:`verify`.
     """
 
     name: str
     func: Callable[[np.ndarray], np.ndarray]
     alpha: float
-    mode: str
     lipschitz: Callable[[float], float]
 
     def __post_init__(self) -> None:
-        if self.mode not in ("strict", "weak"):
-            raise ParameterError(f"mode must be 'strict' or 'weak', got {self.mode!r}")
         if self.alpha < 0.0:
             raise ParameterError(f"margin alpha must be >= 0, got {self.alpha}")
-        if self.mode == "weak" and self.alpha != 0.0:
-            raise ParameterError("weak mode requires alpha == 0")
 
     def verify(self, rho_max: float = 4.0, samples: int = _REGISTRATION_SAMPLES) -> None:
         """Check the declared contract on a dense grid of ``[-rho_max, rho_max]``.
@@ -83,7 +79,7 @@ class Nonlinearity:
                 f"{self.name}: zero fixed point violated, F(0) = {f0}"
             )
         slack = _SIGN_SLACK * (1.0 + s * s)
-        if self.mode == "strict":
+        if self.alpha > 0.0:
             bad = s * fs > -self.alpha * s * s + slack
             if np.any(bad):
                 worst = s[np.argmax(s * fs + self.alpha * s * s)]
@@ -112,25 +108,23 @@ def make_nonlinearity(
     name: str,
     alpha: float = 0.0,
     coeffs: tuple[float, ...] | None = None,
-    rho_max: float = 4.0,
 ) -> Nonlinearity:
     """Build and register a catalog nonlinearity.
 
     * ``linear``: ``F(s) = -alpha * s``
     * ``cubic``:  ``F(s) = -alpha * s - s**3``
-    * ``zero``:   ``F = 0`` (weak mode, requires ``alpha == 0``)
+    * ``zero``:   ``F = 0`` (requires ``alpha == 0``)
     * ``poly``:   odd polynomial ``F(s) = c0*s + c1*s**3 + ...`` from
-      ``coeffs``, declared strict when ``alpha > 0`` else weak.
+      ``coeffs``
 
-    Registration fails with the violated condition named if the declared
-    mode does not hold on the sampling grid.
+    Registration fails with the violated condition named if the sign
+    condition declared by ``alpha`` does not hold on the sampling grid.
     """
     if name == "linear":
         nl = Nonlinearity(
             name="linear",
             func=lambda s, a=alpha: -a * s,
             alpha=alpha,
-            mode="strict" if alpha > 0 else "weak",
             lipschitz=lambda rho, a=alpha: a,
         )
     elif name == "cubic":
@@ -138,7 +132,6 @@ def make_nonlinearity(
             name="cubic",
             func=lambda s, a=alpha: -a * s - s * s * s,
             alpha=alpha,
-            mode="strict" if alpha > 0 else "weak",
             lipschitz=lambda rho, a=alpha: a + 3.0 * rho * rho,
         )
     elif name == "zero":
@@ -148,7 +141,6 @@ def make_nonlinearity(
             name="zero",
             func=lambda s: np.zeros_like(s),
             alpha=0.0,
-            mode="weak",
             lipschitz=lambda rho: 0.0,
         )
     elif name == "poly":
@@ -170,14 +162,13 @@ def make_nonlinearity(
             name="poly",
             func=_poly,
             alpha=alpha,
-            mode="strict" if alpha > 0 else "weak",
             lipschitz=lambda rho, cs=cs: sum(
                 (2 * k + 1) * abs(c) * rho ** (2 * k) for k, c in enumerate(cs)
             ),
         )
     else:
         raise ParameterError(f"unknown nonlinearity '{name}'")
-    nl.verify(rho_max=rho_max)
+    nl.verify()
     return nl
 
 
@@ -239,14 +230,11 @@ def make_reference_rhs(
     params: LatticeParams,
     nonlin: Nonlinearity,
     forcing: QuasiPeriodicForcing,
-    n_work: int,
 ) -> Callable:
-    """Padded stand-in for the full two-sided system on half-width ``n_work``
-    with zero ghost cells.  Pair it with ``boundary_floor`` in
+    """Padded stand-in for the full two-sided system on half-width
+    ``params.n`` with zero ghost cells.  Pair it with ``boundary_floor`` in
     :func:`integrate_final` to detect mass reaching the edges."""
-    if n_work < 1:
-        raise ParameterError(f"working half-width must be >= 1, got {n_work}")
-    return _compile_rhs(params, nonlin, forcing, n_work, periodic=False)
+    return _compile_rhs(params, nonlin, forcing, params.n, periodic=False)
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +265,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    step: float
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.states):
@@ -314,30 +301,22 @@ def _step_count(span: float, h: float) -> int:
     return max(1, math.ceil(span / h * (1.0 - 1e-12))) if span > 0.0 else 0
 
 
-def _row_schedule(y: np.ndarray, t0, t1: float, h):
+def _row_schedule(y: np.ndarray, t0, t1: float, h: float):
     """Per-row start times and steps as ``(rows, 1)`` columns, and the step
-    count every moving row shares.  A row with ``t0 == t1`` gets step 0."""
+    count ``N`` the longest span takes at step ``h``.  Row ``j`` steps
+    ``min(span_j / N, h)``, so a row with ``t0 == t1`` gets step 0."""
     if y.ndim != 2:
-        raise DimensionError("per-row start times or steps need a stack of state rows")
+        raise DimensionError("per-row start times need a stack of state rows")
     try:
-        t0, h = (
-            np.broadcast_to(np.reshape(np.asarray(x, dtype=float), (-1, 1)), (len(y), 1))
-            for x in (t0, h)
-        )
+        t0 = np.broadcast_to(np.reshape(np.asarray(t0, dtype=float), (-1, 1)), (len(y), 1))
     except ValueError as exc:
-        raise DimensionError(f"need one start time and one step per row: {exc}") from exc
+        raise DimensionError(f"need one start time per row: {exc}") from exc
     span = t1 - t0
     if np.any(span < 0.0):
         raise ParameterError(f"t1 = {t1} precedes t0 = {t0.min()}")
-    moving = span > 0.0
-    if np.any(h[moving] <= 0.0):
-        raise ParameterError(f"steps must be > 0, got {h.min()}")
-    counts = np.ceil(span[moving] / h[moving] * (1.0 - 1e-12))
-    if np.any(counts != counts[:1]):
-        raise ParameterError(
-            "rows need one shared step count; give row j the step span_j / N"
-        )
-    return t0, np.where(moving, h, 0.0), int(counts[0]) if counts.size else 0
+    n_steps = _step_count(float(span.max()), h)
+    # minimum() only trims the rounding of span / N past h
+    return t0, np.minimum(span / max(n_steps, 1), h), n_steps
 
 
 def _check_edges(y: np.ndarray, t, floor: float) -> None:
@@ -354,17 +333,18 @@ def _check_edges(y: np.ndarray, t, floor: float) -> None:
 def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
     """The one RK4 loop: yields ``(t, y)`` after each accepted step.
 
-    Steps before the last are ``h``; the last one is ``t1 - t``, so every
-    row ends on ``t1`` (exactly so for ``t1 = 0``).  ``t0`` and ``h`` are
-    scalars or hold one entry per row of a stacked ``y``.  With
-    ``boundary_floor`` set, the edge sites are checked at the start and after
-    every step.
+    ``t0`` is a scalar or holds one start time per row of a stacked ``y``;
+    ``h`` is the largest step.  With a scalar ``t0`` the steps before the
+    last are ``h``; with per-row ``t0`` row ``j`` steps ``span_j / N`` (see
+    :func:`_row_schedule`).  The last step is ``t1 - t``, so every row ends
+    on ``t1`` (exactly so for ``t1 = 0``).  With ``boundary_floor`` set, the
+    edge sites are checked at the start and after every step.
     """
-    if np.ndim(t0) or np.ndim(h):
+    if not h > 0.0:
+        raise ParameterError(f"step must be > 0, got {h}")
+    if np.ndim(t0):
         t0, h, n_steps = _row_schedule(y, t0, t1, h)
     else:
-        if h <= 0.0:
-            raise ParameterError(f"step must be > 0, got {h}")
         if t1 < t0:
             raise ParameterError(f"t1 = {t1} precedes t0 = {t0}")
         n_steps = _step_count(t1 - t0, h)
@@ -416,19 +396,21 @@ def integrate(
     if times[-1] != t1:
         times.append(t1)
         states.append(y)
-    return Trajectory(times=np.asarray(times), states=np.asarray(states), step=h)
+    return Trajectory(times=np.asarray(times), states=np.asarray(states))
 
 
 def integrate_final(
-    rhs, v0, t0, t1: float, h, boundary_floor: float | None = None
+    rhs, v0, t0, t1: float, h: float, boundary_floor: float | None = None
 ) -> np.ndarray:
     """Endpoint-only RK4 for one state or a stack of rows stepped together.
 
-    ``t0`` and ``h`` are scalars or hold one start time and one step per row;
-    rows that move must share one step count ``N`` (row ``j`` stepping
-    ``(t1 - t0_j) / N``).  ``boundary_floor`` turns on the edge monitor of the
-    padded reference system: :class:`BoundaryContaminationError` once an edge
-    site exceeds it.
+    ``t0`` is a scalar or holds one start time per row; ``h`` is the largest
+    step any row takes.  With per-row start times the integrator derives the
+    schedule: ``N`` steps from the longest span at step ``h``, and row ``j``
+    stepping ``min((t1 - t0_j) / N, h)``, so every row lands on ``t1`` after
+    the same ``N`` steps.  ``boundary_floor`` turns on the edge monitor of
+    the padded reference system: :class:`BoundaryContaminationError` once an
+    edge site exceeds it.
     """
     y = np.array(v0, dtype=float)
     for _, y in _march(rhs, y, t0, t1, h, boundary_floor):

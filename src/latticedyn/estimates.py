@@ -16,6 +16,7 @@ from .dynamics import Trajectory
 #: Slope bound of the unit cutoff profile; the cubic smoothstep attains
 #: its steepest slope 3/2 at the midpoint of the bridge.
 CUTOFF_SLOPE_BOUND = 1.5
+_TAIL_INDEX_CAP = 10 ** 9
 
 
 def asymptotic_radius_sq(lam: float, alpha: float, forcing_bound: float) -> float:
@@ -108,8 +109,6 @@ def calibrate_tail_index(
     ball_norm_sq: float,
     tail_bound: Callable[[int], float],
     eps: float,
-    slope_bound: float = CUTOFF_SLOPE_BOUND,
-    k_max: int = 10 ** 9,
 ) -> int:
     """Smallest cutoff scale ``k`` with
 
@@ -125,15 +124,15 @@ def calibrate_tail_index(
     budget = eps * alpha / 2.0
 
     def load(k: int) -> float:
-        return nu * 4.0 * slope_bound * ball_norm_sq / k + tail_bound(k - 1) / alpha
+        return nu * 4.0 * CUTOFF_SLOPE_BOUND * ball_norm_sq / k + tail_bound(k - 1) / alpha
 
     # the load is nonincreasing in k: bracket then bisect for the first hit
     lo, hi = 1, 1
     while load(hi) > budget:
         hi *= 2
-        if hi > k_max:
+        if hi > _TAIL_INDEX_CAP:
             raise ParameterError(
-                f"no cutoff scale below {k_max} meets eps = {eps}"
+                f"no cutoff scale below {_TAIL_INDEX_CAP} meets eps = {eps}"
             )
     while lo < hi:
         mid = (lo + hi) // 2

@@ -179,15 +179,6 @@ class TestSampleAttractor:
         )
         assert cloud.norms().max() <= math.sqrt(1.0 / 3.0) * 1.05
 
-    def test_reference_kind_needs_width(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=4)
-        nl = make_nonlinearity("linear", 1.0)
-        with pytest.raises(ParameterError):
-            sample_attractor(
-                LINEAR_BENCH["forcing"], params, nl,
-                eps=1e-2, ic_count=2, sample_count=2, seed=0, kind="reference",
-            )
-
     def test_unknown_boundary_rejected(self):
         params = LatticeParams(nu=1.0, lam=1.0, n=4)
         with pytest.raises(ParameterError, match="boundary"):
@@ -209,23 +200,23 @@ class TestSampleAttractor:
     def test_batched_cloud_matches_single_row_runs(self, kind):
         # the one batched call equals integrating each (offset, initial
         # condition) row alone with the same per-row step span_j / N
-        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        params = LatticeParams(nu=1.0, lam=1.0, n=4 if kind == "finite" else 10)
         nl = make_nonlinearity("cubic", 1.0)
         f = LINEAR_BENCH["forcing"]
         step, burn_in, window, seed = 0.03, 2.0, 1.7, 2
-        ic_count, sample_count, n_work = 3, 5, 10
+        ic_count, sample_count = 3, 5
         cloud = sample_attractor(
             f, params, nl, eps=1e-2, ic_count=ic_count, sample_count=sample_count,
             seed=seed, burn_in=burn_in, window=window, step=step, ic_radius=1.0,
-            kind=kind, n_work=n_work, boundary_floor=1.0,
+            kind=kind, boundary_floor=1.0,
         )
         if kind == "finite":
             rhs = make_finite_rhs(params, nl, wrap_forcing(f, params.n))
             ics = _low_discrepancy_ball(ic_count, params.dim, 1.0, seed)
         else:
-            rhs = make_reference_rhs(params, nl, f, n_work)
+            rhs = make_reference_rhs(params, nl, f)
             ics = _pad_to_width(
-                _low_discrepancy_ball(ic_count, n_work + 1, 1.0, seed), n_work // 2, n_work
+                _low_discrepancy_ball(ic_count, params.n + 1, 1.0, seed), params.n // 2, params.n
             )
         spans = burn_in + window * np.arange(sample_count) / sample_count
         n_steps = math.ceil(spans.max() / step)
@@ -241,10 +232,10 @@ class TestSampleAttractor:
         real = attractor.integrate_final
 
         def spy(rhs, v0, t0, t1, h, boundary_floor=None):
-            seen["t0"], seen["h"] = np.asarray(t0), np.asarray(h)
+            seen["t0"], seen["h"], seen["t"] = np.asarray(t0), h, []
 
             def recording(t, u):
-                seen["t"] = np.broadcast_to(t, (len(u), 1)).copy()
+                seen["t"].append(np.broadcast_to(t, (len(u), 1)).copy())
                 return rhs(t, u)
 
             return real(recording, v0, t0, t1, h, boundary_floor)
@@ -256,11 +247,13 @@ class TestSampleAttractor:
             LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
             eps=1e-2, ic_count=3, sample_count=7, seed=2, burn_in=2.0, step=step,
         )
-        assert seen["h"].shape == seen["t0"].shape == (21,)
-        assert np.all(seen["h"] <= step)
+        assert seen["h"] == step and seen["t0"].shape == (21,)
         assert len(set(seen["t0"])) == 7
+        # every step's first and last stages are one row step apart
+        row_steps = seen["t"][3] - seen["t"][0]
+        assert np.all(row_steps > 0.0) and np.all(row_steps <= step)
         # the last stage of the last step is evaluated at t = 0 on every row
-        assert np.array_equal(seen["t"], np.zeros((21, 1)))
+        assert np.array_equal(seen["t"][-1], np.zeros((21, 1)))
         assert len(cloud) == 21
 
     def test_unsettled_cloud_is_a_divergence(self):
@@ -286,8 +279,8 @@ class TestSampleAttractor:
             f, params, nl, eps=1e-2, ic_count=3, sample_count=6, seed=9, burn_in=9.0
         )
         shifted = sample_attractor(
-            f, params, nl, eps=1e-2, ic_count=3, sample_count=6, seed=9,
-            burn_in=9.0, fiber_shift=tau,
+            f.shift(tau), params, nl, eps=1e-2, ic_count=3, sample_count=6, seed=9,
+            burn_in=9.0,
         )
         defect = invariance_defect(
             base, shifted, wrap_forcing(f, params.n), params, nl, tau, 0.01
@@ -312,7 +305,7 @@ class TestConvergenceStudy:
 
     def test_self_comparison_at_reference_order(self):
         # wrap effects at the reference order are below the sampling floor;
-        # the driven tail legitimately carries ~1e-8 at the n_work=16 edge
+        # the driven tail legitimately carries ~1e-8 at the n_ref = 16 edge
         nl = make_nonlinearity("linear", 1.0)
         report = convergence_study(
             LINEAR_BENCH["forcing"], 1.0, 1.0, nl,

@@ -133,10 +133,19 @@ class TestEnvelopes:
         traj, _, c = run
         states = traj.states.copy()
         states[len(states) // 2:] *= 1.5
-        jumped = Trajectory(times=traj.times, states=states, step=traj.step)
+        jumped = Trajectory(times=traj.times, states=states)
         row = checks.energy_envelope([traj, jumped], 1.0, 1.0, c, 0.05)
         assert row["passed"] is False and row["margin"] < 0.0
         assert row["detail"].startswith(f"{2 * (len(traj.times) - 1)} sample pairs")
+
+    def test_settled_trajectory_reads_below_one_over_slack(self, run):
+        # at t0 the norm equals the bound, so a ratio taken there would read
+        # exactly 1 / slack whatever the trajectory did afterwards
+        traj, v0_norm, c = run
+        row = checks.absorbing_envelope([traj], [v0_norm], 1.0, 1.0, c, 1.05)
+        worst = 1.0 - row["margin"]
+        assert row["passed"] and worst < 1.0 / 1.05 - 1e-3
+        assert row["detail"].endswith(f"after t0 = {worst:.6g}")
 
     def test_norm_above_the_gronwall_bound_fails(self, run):
         traj, v0_norm, c = run

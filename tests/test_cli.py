@@ -234,6 +234,24 @@ class TestAttractor:
         assert artifact("a", "rho = 0.5") != artifact("b", "rho = 2.0")
         assert artifact("c", "h = 0.02\nrho = 0.5") == artifact("d", "h = 0.02\nrho = 2.0")
 
+    @pytest.mark.parametrize("command", ["attractor", "converge"])
+    def test_ic_radius_sets_the_initial_ball(self, tmp_path, command):
+        # at a fixed step and burn-in only the initial conditions move
+        text = BASE.replace("name = linear", "name = cubic").replace(
+            "n = 6", "n = 6\nn_list = 2 4\nn_ref = 32") + "\n[integrator]\nh = 0.02\n"
+
+        def artifact(name, ic_radius):
+            out = tmp_path / name
+            cfg = write_config(tmp_path, text.replace("burn_in = 9.0", f"burn_in = 9.0\n{ic_radius}"),
+                               name=f"{name}.ini")
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            if command == "attractor":
+                return (out / "cloud.csv").read_bytes()
+            return [(r["beta_n_to_ref"], r["beta_ref_to_n"])
+                    for r in json.loads((out / "report.json").read_text())["rows"]]
+
+        assert artifact("a", "") != artifact("b", "ic_radius = 3.0")
+
     def test_byte_identical_cloud(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -307,12 +325,14 @@ class TestConfigValidation:
             ("attractor", "burn_in = 9.0", "burn_in = -1", ()),
             ("simulate", "[simulate]", "[integrator]\nrho = -1\n\n[simulate]", ()),
             ("simulate", "n = 6", "n = 6\nn_work = 8", ()),
+            ("verify", "[simulate]", "[verify]\ntriples = 0\n\n[simulate]", ()),
+            ("verify", "[simulate]", "[verify]\ntriples = -3\n\n[simulate]", ()),
         ],
         ids=["h-nan", "t1-inf", "nu-auto", "tail_eps-empty", "tail_eps-negative", "window-inf",
              "sample_count-zero", "seed-negative", "seed-flag-negative", "window-negative",
              "window-zero", "ic_radius-negative", "boundary_floor-negative", "boundary_floor-zero",
              "v0_norm-negative", "eps-zero", "burn_in-negative", "rho-negative",
-             "n_work-unknown"],
+             "n_work-unknown", "triples-zero", "triples-negative"],
     )
     def test_bad_numbers_exit_2_without_traceback(self, tmp_path, capsys, command, old, new,
                                                   flags):

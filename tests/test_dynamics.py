@@ -63,7 +63,6 @@ class TestNonlinearityContract:
             name="offset",
             func=lambda s: -s + 1.0,
             alpha=0.0,
-            mode="weak",
             lipschitz=lambda rho: 1.0,
         )
         with pytest.raises(NonlinearityConditionError, match="zero fixed point"):
@@ -74,7 +73,6 @@ class TestNonlinearityContract:
             name="steep",
             func=lambda s: -4.0 * s,
             alpha=0.0,
-            mode="weak",
             lipschitz=lambda rho: 1.0,
         )
         with pytest.raises(NonlinearityConditionError, match="Lipschitz"):
@@ -102,14 +100,7 @@ class TestNonlinearityContract:
         assert ulps.max() <= bound
 
     def test_cubic_sampled_lipschitz_within_witness(self):
-        make_nonlinearity("cubic", 1.0, rho_max=3.0).verify(rho_max=3.0)
-
-    def test_weak_mode_rejects_margin(self):
-        with pytest.raises(ParameterError):
-            Nonlinearity(
-                name="bad", func=lambda s: -s, alpha=1.0, mode="weak",
-                lipschitz=lambda rho: 1.0,
-            )
+        make_nonlinearity("cubic", 1.0).verify(rho_max=3.0)
 
 
 class TestFiniteRhs:
@@ -180,17 +171,17 @@ class TestReferenceRhs:
         )
 
     def test_zero_state(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=2)
+        params = LatticeParams(nu=1.0, lam=1.0, n=5)
         nl = make_nonlinearity("zero")
-        rhs = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero(), 5)
+        rhs = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero())
         assert np.array_equal(rhs(0.0, np.zeros(11)), np.zeros(11))
 
     def test_delta_state_with_decay(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=2)
+        params = LatticeParams(nu=1.0, lam=1.0, n=5)
         nl = make_nonlinearity("zero")
         u = np.zeros(11)
         u[5] = 1.0
-        out = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero(), 5)(0.0, u)
+        out = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero())(0.0, u)
         expected = np.zeros(11)
         expected[4], expected[5], expected[6] = 1.0, -3.0, 1.0  # stencil minus lam*u
         assert np.array_equal(out, expected)
@@ -204,14 +195,14 @@ class TestReferenceRhs:
         v = np.zeros(2 * n + 1)
         v[2:-2] = rng.standard_normal(2 * n - 3)  # zero at |i| in {n-1? no: n, n-1}
         fin = make_finite_rhs(params, nl, project_forcing(f, n))(0.7, v)
-        ref = make_reference_rhs(params, nl, f, n)(0.7, v.copy())
+        ref = make_reference_rhs(params, nl, f)(0.7, v.copy())
         inner = slice(2, 2 * n - 1)  # |i| <= n-2 rows agree exactly
         assert np.allclose(fin[inner], ref[inner], atol=1e-14)
 
     def test_boundary_contamination_detected(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=2)
+        params = LatticeParams(nu=1.0, lam=1.0, n=4)
         nl = make_nonlinearity("zero")
-        rhs = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero(), 4)
+        rhs = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero())
         u = np.zeros(9)
         u[0] = 1e-3
         with pytest.raises(BoundaryContaminationError):
@@ -255,7 +246,6 @@ class TestTrajectoryInvariants:
             Trajectory(
                 times=np.array([0.0, 1.0, 1.0]),
                 states=np.zeros((3, 2)),
-                step=0.5,
             )
 
     def test_rejects_non_finite_states(self):
@@ -263,12 +253,11 @@ class TestTrajectoryInvariants:
             Trajectory(
                 times=np.array([0.0, 1.0]),
                 states=np.array([[0.0, 0.0], [np.inf, 0.0]]),
-                step=1.0,
             )
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionError):
-            Trajectory(times=np.array([0.0]), states=np.zeros((2, 2)), step=1.0)
+            Trajectory(times=np.array([0.0]), states=np.zeros((2, 2)))
 
 
 class TestIntegrate:
@@ -314,7 +303,8 @@ class TestIntegrate:
         assert traj.final_state[0] == pytest.approx(math.exp(-0.25), abs=1e-6)
 
     def test_per_row_start_times_land_exactly_on_zero(self, rng):
-        # each row steps (0 - t0_j) / N; the last RK4 stage sits on t = 0
+        # N = 7 steps from the longest span at h = 2/7; each row steps
+        # (0 - t0_j) / N, and the last RK4 stage sits on t = 0
         params = LatticeParams(nu=1.0, lam=1.0, n=3)
         nl = make_nonlinearity("cubic", 1.0)
         f = project_forcing(QuasiPeriodicForcing.geometric(0.5, 0.5, 1.3, 0.2), 3)
@@ -328,7 +318,7 @@ class TestIntegrate:
         t0 = np.array([-2.0, -1.3, -0.1 / 3.0, 0.0])
         steps = -t0 / 7
         v0 = rng.standard_normal((4, params.dim))
-        batch = integrate_final(recording, v0, t0, 0.0, steps)
+        batch = integrate_final(recording, v0, t0, 0.0, 2.0 / 7)
         assert len(seen) == 4 * 7
         assert np.array_equal(seen[-1], np.zeros((4, 1)))
         assert np.array_equal(batch[3], v0[3])  # a row with no span stays put
@@ -337,10 +327,19 @@ class TestIntegrate:
             assert np.allclose(batch[row], single, rtol=0.0, atol=1e-14)
 
     def test_per_row_steps_need_one_step_count(self):
-        rhs = lambda t, y: -y  # noqa: E731
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y
+
         v0 = np.ones((2, 3))
-        with pytest.raises(ParameterError, match="step count"):
-            integrate_final(rhs, v0, np.array([-1.0, -1.0]), 0.0, np.array([0.1, 0.2]))
+        # the longest span sets N = 10 at h = 0.1; the shorter row steps 0.05
+        batch = integrate_final(rhs, v0, np.array([-1.0, -0.5]), 0.0, 0.1)
+        assert len(calls) == 4 * 10
+        for row, (t0, h) in enumerate(((-1.0, 0.1), (-0.5, 0.05))):
+            single = integrate_final(lambda t, y: -y, v0[row], t0, 0.0, h)
+            assert np.allclose(batch[row], single, rtol=0.0, atol=1e-15)
         with pytest.raises(ParameterError):
             integrate_final(rhs, v0, np.array([-1.0, 0.5]), 0.0, 0.1)
         with pytest.raises(DimensionError):
