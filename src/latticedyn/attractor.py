@@ -153,7 +153,7 @@ def _low_discrepancy_ball(count: int, dim: int, radius: float, seed: int) -> np.
 
 def _dominant_period(f: QuasiPeriodicForcing) -> float:
     amps, freqs, _ = f.mode_table(f.effective_support(1e-12))
-    if amps.size == 0 or not np.any(amps != 0.0):
+    if not np.any(amps != 0.0):
         return 1.0
     w = abs(float(freqs[np.argmax(np.abs(amps))]))
     return 2.0 * math.pi / w if w > 0.0 else 1.0

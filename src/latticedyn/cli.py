@@ -381,7 +381,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, 
     _write_table(norms_path, ["t", "norm_sq"], norms_sq[:, None], traj.times)
     report["artifacts"] = [str(traj_path), str(norms_path)]
     report["final_norm"] = float(math.sqrt(norms_sq[-1]))
-    report["steps"] = int(len(traj.times) - 1)
+    report["steps"] = traj.steps
     return EXIT_OK, report
 
 

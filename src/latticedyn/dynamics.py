@@ -65,13 +65,13 @@ class Nonlinearity:
         if self.alpha < 0.0:
             raise ParameterError(f"margin alpha must be >= 0, got {self.alpha}")
 
-    def verify(self, rho_max: float = 4.0, samples: int = _REGISTRATION_SAMPLES) -> None:
+    def verify(self, rho_max: float = 4.0) -> None:
         """Check the declared contract on a dense grid of ``[-rho_max, rho_max]``.
 
         Raises :class:`NonlinearityConditionError` naming the violated
         condition: zero fixed point, sign margin, or Lipschitz witness.
         """
-        s = np.linspace(-rho_max, rho_max, samples)
+        s = np.linspace(-rho_max, rho_max, _REGISTRATION_SAMPLES)
         fs = np.asarray(self.func(s), dtype=float)
         f0 = float(self.func(np.array([0.0]))[0])
         if f0 != 0.0:
@@ -115,11 +115,13 @@ def make_nonlinearity(
     * ``cubic``:  ``F(s) = -alpha * s - s**3``
     * ``zero``:   ``F = 0`` (requires ``alpha == 0``)
     * ``poly``:   odd polynomial ``F(s) = c0*s + c1*s**3 + ...`` from
-      ``coeffs``
+      ``coeffs`` (any other name rejects ``coeffs``)
 
     Registration fails with the violated condition named if the sign
     condition declared by ``alpha`` does not hold on the sampling grid.
     """
+    if coeffs is not None and name != "poly":
+        raise ParameterError(f"coeffs apply to the poly nonlinearity only, not '{name}'")
     if name == "linear":
         nl = Nonlinearity(
             name="linear",
@@ -261,10 +263,12 @@ def auto_step(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped state samples from a single integration run."""
+    """Time-stamped state samples from a single integration run of
+    ``steps`` RK4 steps."""
 
     times: np.ndarray
     states: np.ndarray
+    steps: int
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.states):
@@ -389,6 +393,7 @@ def integrate(
         raise DimensionError("integrate expects a single state vector")
     times = [t0]
     states = [y]
+    k = 0
     for k, (t, y) in enumerate(_march(rhs, y, t0, t1, h, None), 1):
         if k % sample_stride == 0:
             times.append(t)
@@ -396,7 +401,7 @@ def integrate(
     if times[-1] != t1:
         times.append(t1)
         states.append(y)
-    return Trajectory(times=np.asarray(times), states=np.asarray(states))
+    return Trajectory(times=np.asarray(times), states=np.asarray(states), steps=k)
 
 
 def integrate_final(

@@ -4,13 +4,14 @@ Every forcing assigns to lattice site ``i`` the scalar signal
 
     f_i(t) = a_i * sin(w_i * t + p_i),
 
-with ``sum_i a_i**2`` finite, certified by construction.  Two storage forms
-are supported:
+with ``sum_i a_i**2`` finite, certified by construction.  Two frozen storage
+forms are supported:
 
-* ``finite``    -- explicit mode table on ``|i| <= m`` with per-site
-  amplitude, frequency, and phase;
-* ``geometric`` -- ``a_i = a0 * r**|i|`` on all of Z (``0 < r < 1``) with one
-  shared frequency and phase, so norms and mode tails have closed forms.
+* :class:`FiniteForcing`    -- explicit mode table on ``|i| <= m`` with
+  per-site amplitude, frequency, and phase;
+* :class:`GeometricForcing` -- ``a_i = a0 * r**|i|`` on all of Z
+  (``0 < r < 1``) with one shared frequency and phase, so norms and mode
+  tails have closed forms.
 
 Time shifts are tracked through an exact shift accumulator, which makes the
 shift group law and the shift-equivariance of the truncation and wrap
@@ -19,7 +20,9 @@ projections hold to the last bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -33,46 +36,15 @@ FORCING_KEYS = frozenset(
 
 
 class QuasiPeriodicForcing:
-    """Immutable quasi-periodic forcing; construct via :meth:`finite`,
-    :meth:`geometric`, or :meth:`zero`."""
+    """Immutable quasi-periodic forcing, stored as :class:`FiniteForcing` or
+    :class:`GeometricForcing`; construct via :meth:`finite`, :meth:`geometric`,
+    or :meth:`zero`.  ``mode_table`` does *not* fold the shift accumulator
+    ``time_offset`` into its phases; carry it alongside when rebuilding."""
 
-    __slots__ = (
-        "_kind",
-        "_amplitudes",
-        "_frequencies",
-        "_phases",
-        "_support",
-        "_amplitude0",
-        "_decay_rate",
-        "_frequency",
-        "_phase",
-        "_offset",
-    )
+    time_offset: float
 
-    def __init__(self, *, _kind: str, **fields) -> None:
-        self._kind = _kind
-        self._amplitudes = fields.get("amplitudes")
-        self._frequencies = fields.get("frequencies")
-        self._phases = fields.get("phases")
-        self._support = fields.get("support")
-        self._amplitude0 = fields.get("amplitude0")
-        self._decay_rate = fields.get("decay_rate")
-        self._frequency = fields.get("frequency")
-        self._phase = fields.get("phase")
-        self._offset = fields.get("offset", 0.0)
-
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def finite(
-        cls,
-        amplitudes,
-        frequencies,
-        phases=0.0,
-        *,
-        time_offset: float = 0.0,
-    ) -> "QuasiPeriodicForcing":
+    @staticmethod
+    def finite(amplitudes, frequencies, phases=0.0, *, time_offset: float = 0.0) -> FiniteForcing:
         """Mode table over logical sites ``-m .. m`` (array length ``2m+1``).
 
         Scalars for ``frequencies`` or ``phases`` broadcast over all sites.
@@ -84,196 +56,170 @@ class QuasiPeriodicForcing:
         p = np.broadcast_to(np.asarray(phases, dtype=float), a.shape).copy()
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(w)) and np.all(np.isfinite(p))):
             raise ParameterError("mode table contains non-finite entries")
-        m = (a.size - 1) // 2
         a.setflags(write=False)
         w.setflags(write=False)
         p.setflags(write=False)
-        return cls(
-            _kind="finite",
-            amplitudes=a,
-            frequencies=w,
-            phases=p,
-            support=m,
-            offset=float(time_offset),
-        )
+        return FiniteForcing(a, w, p, float(time_offset))
 
-    @classmethod
+    @staticmethod
     def geometric(
-        cls,
         amplitude0: float,
         decay_rate: float,
         frequency: float,
         phase: float = 0.0,
         *,
         time_offset: float = 0.0,
-    ) -> "QuasiPeriodicForcing":
+    ) -> GeometricForcing:
         """Geometric amplitude profile ``a_i = amplitude0 * decay_rate**|i|``."""
         if not 0.0 < decay_rate < 1.0:
             raise ParameterError(f"decay_rate must lie in (0, 1), got {decay_rate}")
         if amplitude0 < 0.0:
             raise ParameterError(f"amplitude0 must be >= 0, got {amplitude0}")
-        return cls(
-            _kind="geometric",
-            amplitude0=float(amplitude0),
-            decay_rate=float(decay_rate),
-            frequency=float(frequency),
-            phase=float(phase),
-            offset=float(time_offset),
+        return GeometricForcing(
+            float(amplitude0), float(decay_rate), float(frequency), float(phase), float(time_offset)
         )
 
-    @classmethod
-    def zero(cls) -> "QuasiPeriodicForcing":
-        return cls.finite([0.0], 0.0, 0.0)
-
-    # ------------------------------------------------------------------
-    # structure
-
-    @property
-    def decay_rate(self) -> float | None:
-        return self._decay_rate if self._kind == "geometric" else None
-
-    @property
-    def time_offset(self) -> float:
-        return self._offset
-
-    def mode_table(self, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Base amplitude/frequency/phase arrays for ``|i| <= window``.
-
-        The shift accumulator is *not* folded into the returned phases; carry
-        ``time_offset`` alongside when rebuilding a forcing from the table.
-        """
-        if window < 0:
-            raise ParameterError("window must be >= 0")
-        width = 2 * window + 1
-        if self._kind == "finite":
-            a = np.zeros(width)
-            w = np.zeros(width)
-            p = np.zeros(width)
-            m = self._support
-            lo = max(-window, -m)
-            hi = min(window, m)
-            if lo <= hi:
-                a[lo + window:hi + window + 1] = self._amplitudes[lo + m:hi + m + 1]
-                w[lo + window:hi + window + 1] = self._frequencies[lo + m:hi + m + 1]
-                p[lo + window:hi + window + 1] = self._phases[lo + m:hi + m + 1]
-            return a, w, p
-        sites = np.abs(np.arange(-window, window + 1))
-        a = self._amplitude0 * self._decay_rate ** sites
-        return a, np.full(width, self._frequency), np.full(width, self._phase)
-
-    def effective_support(self, tol: float = 1e-16) -> int:
-        """Smallest window whose amplitude tail norm is below ``tol``."""
-        if self._kind == "finite":
-            return self._support
-        if self._amplitude0 == 0.0:
-            return 0
-        # solve 2 a0^2 r^(2(n+1)) / (1 - r^2) <= tol^2 for n
-        r = self._decay_rate
-        target = tol * tol * (1.0 - r * r) / (2.0 * self._amplitude0 ** 2)
-        if target <= 0.0:
-            return _SUPPORT_CAP
-        n = math.log(target) / (2.0 * math.log(r)) - 1.0
-        return int(min(max(math.ceil(n), 0), _SUPPORT_CAP))
-
-    # ------------------------------------------------------------------
-    # evaluation
+    @staticmethod
+    def zero() -> FiniteForcing:
+        return QuasiPeriodicForcing.finite([0.0], 0.0, 0.0)
 
     def eval_window(self, t: float, window: int):
         """Component values ``f_i(t)`` for ``|i| <= window`` as an array."""
         a, w, p = self.mode_table(window)
-        return a * np.sin(w * (t + self._offset) + p)
-
-    def norm_sq_at(self, t: float) -> float:
-        """Exact squared sequence norm of ``f(t)``."""
-        if self._kind == "finite":
-            v = self.eval_window(t, self._support)
-            return float(np.dot(v, v))
-        s = math.sin(self._frequency * (t + self._offset) + self._phase)
-        return self.total_energy() * s * s
-
-    # ------------------------------------------------------------------
-    # closed-form certificates
-
-    def total_energy(self) -> float:
-        """``sum_i a_i**2``, the square-summability certificate."""
-        if self._kind == "finite":
-            return float(np.dot(self._amplitudes, self._amplitudes))
-        r2 = self._decay_rate ** 2
-        return self._amplitude0 ** 2 * (1.0 + r2) / (1.0 - r2)
+        return a * np.sin(w * (t + self.time_offset) + p)
 
     def uniform_bound(self) -> float:
         """Time-uniform norm bound, valid for every shift and every
         truncation or wrap image (projections only drop or relocate modes)."""
         return math.sqrt(self.total_energy())
 
+    def shift(self, h: float) -> QuasiPeriodicForcing:
+        """Time translate: the shifted forcing evaluates as ``f(t + h)``."""
+        return dataclasses.replace(self, time_offset=self.time_offset + h)
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteForcing(QuasiPeriodicForcing):
+    """Explicit read-only mode table on ``|i| <= m``, arrays of length ``2m+1``."""
+
+    amplitudes: np.ndarray
+    frequencies: np.ndarray
+    phases: np.ndarray
+    time_offset: float = 0.0
+
+    def mode_table(self, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Base amplitude/frequency/phase arrays for ``|i| <= window``, zero
+        outside the support."""
+        if window < 0:
+            raise ParameterError("window must be >= 0")
+        width = 2 * window + 1
+        a = np.zeros(width)
+        w = np.zeros(width)
+        p = np.zeros(width)
+        m = self.effective_support()
+        lo = max(-window, -m)
+        hi = min(window, m)
+        if lo <= hi:
+            a[lo + window:hi + window + 1] = self.amplitudes[lo + m:hi + m + 1]
+            w[lo + window:hi + window + 1] = self.frequencies[lo + m:hi + m + 1]
+            p[lo + window:hi + window + 1] = self.phases[lo + m:hi + m + 1]
+        return a, w, p
+
+    def effective_support(self, tol: float = 1e-16) -> int:
+        """The support radius ``m``: the table has no tail to cut."""
+        return (self.amplitudes.size - 1) // 2
+
+    def norm_sq_at(self, t: float) -> float:
+        """Exact squared sequence norm of ``f(t)``."""
+        v = self.eval_window(t, self.effective_support())
+        return float(np.dot(v, v))
+
+    def total_energy(self) -> float:
+        """``sum_i a_i**2``, the square-summability certificate."""
+        return float(np.dot(self.amplitudes, self.amplitudes))
+
+    def _outside(self, v: np.ndarray, n: int) -> float:
+        """``sum v_i**2`` over the sites ``|i| >= n+1`` of a table on ``|i| <= m``."""
+        if n < 0:
+            raise ParameterError("tail order must be >= 0")
+        m = self.effective_support()
+        if n >= m:
+            return 0.0
+        head = v[m - n:m + n + 1]
+        return float(np.dot(v, v) - np.dot(head, head))
+
     def tail(self, n: int, t: float) -> float:
         """Mode-tail mass ``sum_{|i| >= n+1} |f_i(t)|**2``, exact."""
-        if n < 0:
-            raise ParameterError("tail order must be >= 0")
-        if self._kind == "finite":
-            if n >= self._support:
-                return 0.0
-            v = self.eval_window(t, self._support)
-            head = v[self._support - n:self._support + n + 1]
-            return float(np.dot(v, v) - np.dot(head, head))
-        s = math.sin(self._frequency * (t + self._offset) + self._phase)
-        return self.tail_sup_bound(n) * s * s
+        return self._outside(self.eval_window(t, self.effective_support()), n)
 
     def tail_sup_bound(self, n: int) -> float:
-        """Upper bound for ``sup_t`` of :meth:`tail`; exact (attained) when all
-        modes share one frequency and phase."""
-        if n < 0:
-            raise ParameterError("tail order must be >= 0")
-        if self._kind == "finite":
-            if n >= self._support:
-                return 0.0
-            a = self._amplitudes
-            m = self._support
-            head = a[m - n:m + n + 1]
-            return float(np.dot(a, a) - np.dot(head, head))
-        r2 = self._decay_rate ** 2
-        return 2.0 * self._amplitude0 ** 2 * r2 ** (n + 1) / (1.0 - r2)
+        """Upper bound for ``sup_t`` of :meth:`tail`, from the amplitudes."""
+        return self._outside(self.amplitudes, n)
 
     def time_lipschitz(self) -> float:
         """Global Lipschitz constant in time, ``sqrt(sum a_i^2 w_i^2)``."""
-        if self._kind == "finite":
-            aw = self._amplitudes * self._frequencies
-            return float(math.sqrt(np.dot(aw, aw)))
-        return abs(self._frequency) * self.uniform_bound()
+        aw = self.amplitudes * self.frequencies
+        return float(math.sqrt(np.dot(aw, aw)))
 
-    # ------------------------------------------------------------------
-    # shift flow
 
-    def shift(self, h: float) -> "QuasiPeriodicForcing":
-        """Time translate: the shifted forcing evaluates as ``f(t + h)``."""
-        if self._kind == "finite":
-            return QuasiPeriodicForcing(
-                _kind="finite",
-                amplitudes=self._amplitudes,
-                frequencies=self._frequencies,
-                phases=self._phases,
-                support=self._support,
-                offset=self._offset + h,
-            )
-        return QuasiPeriodicForcing(
-            _kind="geometric",
-            amplitude0=self._amplitude0,
-            decay_rate=self._decay_rate,
-            frequency=self._frequency,
-            phase=self._phase,
-            offset=self._offset + h,
-        )
+@dataclass(frozen=True)
+class GeometricForcing(QuasiPeriodicForcing):
+    """``a_i = amplitude0 * decay_rate**|i|`` on all of Z (``0 < decay_rate < 1``)
+    with one shared frequency and phase; norms and tails have closed forms."""
 
-    def __repr__(self) -> str:
-        if self._kind == "finite":
-            return (
-                f"QuasiPeriodicForcing(finite, support={self._support}, "
-                f"offset={self._offset!r})"
-            )
-        return (
-            f"QuasiPeriodicForcing(geometric, a0={self._amplitude0!r}, "
-            f"r={self._decay_rate!r}, w={self._frequency!r}, offset={self._offset!r})"
-        )
+    amplitude0: float
+    decay_rate: float
+    frequency: float
+    phase: float
+    time_offset: float = 0.0
+
+    def mode_table(self, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Base amplitude/frequency/phase arrays for ``|i| <= window``."""
+        if window < 0:
+            raise ParameterError("window must be >= 0")
+        width = 2 * window + 1
+        sites = np.abs(np.arange(-window, window + 1))
+        a = self.amplitude0 * self.decay_rate ** sites
+        return a, np.full(width, self.frequency), np.full(width, self.phase)
+
+    def effective_support(self, tol: float = 1e-16) -> int:
+        """Smallest window whose amplitude tail norm is below ``tol``."""
+        if self.amplitude0 == 0.0:
+            return 0
+        # solve 2 a0^2 r^(2(n+1)) / (1 - r^2) <= tol^2 for n
+        r = self.decay_rate
+        target = tol * tol * (1.0 - r * r) / (2.0 * self.amplitude0 ** 2)
+        if target <= 0.0:
+            return _SUPPORT_CAP
+        n = math.log(target) / (2.0 * math.log(r)) - 1.0
+        return int(min(max(math.ceil(n), 0), _SUPPORT_CAP))
+
+    def norm_sq_at(self, t: float) -> float:
+        """Exact squared sequence norm of ``f(t)``."""
+        s = math.sin(self.frequency * (t + self.time_offset) + self.phase)
+        return self.total_energy() * s * s
+
+    def total_energy(self) -> float:
+        """``sum_i a_i**2``, the square-summability certificate."""
+        r2 = self.decay_rate ** 2
+        return self.amplitude0 ** 2 * (1.0 + r2) / (1.0 - r2)
+
+    def tail(self, n: int, t: float) -> float:
+        """Mode-tail mass ``sum_{|i| >= n+1} |f_i(t)|**2``, exact."""
+        s = math.sin(self.frequency * (t + self.time_offset) + self.phase)
+        return self.tail_sup_bound(n) * s * s
+
+    def tail_sup_bound(self, n: int) -> float:
+        """``sup_t`` of :meth:`tail`, attained: all modes share one frequency
+        and phase."""
+        if n < 0:
+            raise ParameterError("tail order must be >= 0")
+        r2 = self.decay_rate ** 2
+        return 2.0 * self.amplitude0 ** 2 * r2 ** (n + 1) / (1.0 - r2)
+
+    def time_lipschitz(self) -> float:
+        """Global Lipschitz constant in time, ``|w| * sqrt(sum a_i^2)``."""
+        return abs(self.frequency) * self.uniform_bound()
 
 
 # ----------------------------------------------------------------------
@@ -330,8 +276,9 @@ def forcing_from_config(mapping: Mapping[str, str]) -> QuasiPeriodicForcing:
 
     Required: ``support`` (``finite`` | ``geometric``), ``amplitude0``,
     ``decay_rate``, ``frequency_rule``, ``phase_rule``.  Finite support
-    additionally needs ``support_radius``; its frequency and phase rules may
-    be a single number or a per-site list of length ``2*support_radius + 1``.
+    additionally needs ``support_radius`` (geometric support rejects it); its
+    frequency and phase rules may be a single number or a per-site list of
+    length ``2*support_radius + 1``.
     """
     unknown = set(mapping) - FORCING_KEYS
     if unknown:
@@ -366,6 +313,8 @@ def forcing_from_config(mapping: Mapping[str, str]) -> QuasiPeriodicForcing:
         raise ConfigError("amplitude0/decay_rate must be numeric") from exc
 
     if support == "geometric":
+        if "support_radius" in mapping:
+            raise ConfigError("support_radius applies to finite support only, not 'geometric'")
         freq = _rule("frequency_rule", 1)
         phase = _rule("phase_rule", 1)
         try:

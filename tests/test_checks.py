@@ -133,7 +133,7 @@ class TestEnvelopes:
         traj, _, c = run
         states = traj.states.copy()
         states[len(states) // 2:] *= 1.5
-        jumped = Trajectory(times=traj.times, states=states)
+        jumped = Trajectory(times=traj.times, states=states, steps=traj.steps)
         row = checks.energy_envelope([traj, jumped], 1.0, 1.0, c, 0.05)
         assert row["passed"] is False and row["margin"] < 0.0
         assert row["detail"].startswith(f"{2 * (len(traj.times) - 1)} sample pairs")

@@ -94,6 +94,18 @@ class TestSimulate:
         v0 = np.array([float(x) for x in rows[0][1:]])
         assert np.linalg.norm(v0) == pytest.approx(1.0, rel=1e-12)
 
+    def test_steps_counts_rk4_steps_not_samples(self, tmp_path):
+        text = BASE.replace("[simulate]", "[integrator]\nh = 0.01\n\n[simulate]").replace(
+            "t1 = 4.0", "t1 = 1.0\nsample_stride = 10"
+        )
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        _, rows = read_csv(out / "trajectory.csv")
+        assert report["steps"] == 100
+        assert len(rows) == 11
+
     def test_table_matches_per_value_formatting(self, tmp_path):
         rows = np.array([[-0.0, 1e-300, 0.1], [1.0 / 3.0, -2.5e17, 5e-324]])
         times = np.array([0.0, 0.1 + 0.2])
@@ -327,12 +339,15 @@ class TestConfigValidation:
             ("simulate", "n = 6", "n = 6\nn_work = 8", ()),
             ("verify", "[simulate]", "[verify]\ntriples = 0\n\n[simulate]", ()),
             ("verify", "[simulate]", "[verify]\ntriples = -3\n\n[simulate]", ()),
+            ("simulate", "name = linear", "name = cubic\ncoeffs = 7 7 7", ()),
+            ("simulate", "support = finite", "support = geometric", ()),
         ],
         ids=["h-nan", "t1-inf", "nu-auto", "tail_eps-empty", "tail_eps-negative", "window-inf",
              "sample_count-zero", "seed-negative", "seed-flag-negative", "window-negative",
              "window-zero", "ic_radius-negative", "boundary_floor-negative", "boundary_floor-zero",
              "v0_norm-negative", "eps-zero", "burn_in-negative", "rho-negative",
-             "n_work-unknown", "triples-zero", "triples-negative"],
+             "n_work-unknown", "triples-zero", "triples-negative", "coeffs-not-poly",
+             "support_radius-geometric"],
     )
     def test_bad_numbers_exit_2_without_traceback(self, tmp_path, capsys, command, old, new,
                                                   flags):

@@ -99,6 +99,11 @@ class TestNonlinearityContract:
         ulps = np.abs(nl.func(s) - exact) / np.spacing(np.maximum(scale, 1e-300))
         assert ulps.max() <= bound
 
+    @pytest.mark.parametrize("name", ["linear", "cubic", "zero"])
+    def test_coeffs_rejected_outside_poly(self, name):
+        with pytest.raises(ParameterError, match="coeffs"):
+            make_nonlinearity(name, 0.0, (7.0, 7.0, 7.0))
+
     def test_cubic_sampled_lipschitz_within_witness(self):
         make_nonlinearity("cubic", 1.0).verify(rho_max=3.0)
 
@@ -246,6 +251,7 @@ class TestTrajectoryInvariants:
             Trajectory(
                 times=np.array([0.0, 1.0, 1.0]),
                 states=np.zeros((3, 2)),
+                steps=2,
             )
 
     def test_rejects_non_finite_states(self):
@@ -253,11 +259,12 @@ class TestTrajectoryInvariants:
             Trajectory(
                 times=np.array([0.0, 1.0]),
                 states=np.array([[0.0, 0.0], [np.inf, 0.0]]),
+                steps=1,
             )
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionError):
-            Trajectory(times=np.array([0.0]), states=np.zeros((2, 2)))
+            Trajectory(times=np.array([0.0]), states=np.zeros((2, 2)), steps=1)
 
 
 class TestIntegrate:
@@ -289,6 +296,7 @@ class TestIntegrate:
         traj = integrate(lambda t, y: -y, np.array([1.0, 2.0]), 1.0, 1.0, 0.1)
         assert len(traj.times) == 1
         assert np.array_equal(traj.states[0], [1.0, 2.0])
+        assert traj.steps == 0
 
     def test_sampling_stride(self):
         traj = integrate(
@@ -296,6 +304,7 @@ class TestIntegrate:
         )
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[-1] == 1.0
+        assert traj.steps == 10 and len(traj.times) == 4
 
     def test_partial_final_step_lands_exactly(self):
         traj = integrate(lambda t, y: -y, np.array([1.0]), 0.0, 0.25, 0.1)

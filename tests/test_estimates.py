@@ -227,7 +227,7 @@ class TestEnergyDecay:
 
         times = np.array([0.0, 1.0])
         states = np.array([[0.1, 0.0], [5.0, 0.0]])
-        traj = Trajectory(times=times, states=states)
+        traj = Trajectory(times=times, states=states, steps=1)
         report = verify_energy_decay(traj, 1.0, 1.0, 0.5)
         assert not report.ok
         assert report.violations[0][0] == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from latticedyn import (
     project_forcing,
 )
 from latticedyn.errors import ConfigError, ParameterError
+from latticedyn.forcing import FiniteForcing, GeometricForcing
 
 
 def geometric_energy_oracle(a0, r, n_terms=300):
@@ -37,6 +39,56 @@ class TestEval:
         assert f.norm_sq_at(math.pi / 2) == pytest.approx(
             geometric_energy_oracle(1.0, 0.5), rel=1e-12
         )
+
+
+class TestValueTypes:
+    @pytest.fixture(params=["finite", "geometric"])
+    def forcing(self, request):
+        if request.param == "finite":
+            return QuasiPeriodicForcing.finite([0.5, 1.0, 0.5], [1.0, 2.0, 3.0], 0.25)
+        return QuasiPeriodicForcing.geometric(1.0, 0.5, 2.0, 0.25)
+
+    def test_fields_are_frozen(self, forcing):
+        for field in dataclasses.fields(forcing):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(forcing, field.name, 0.0)
+
+    def test_mode_arrays_are_read_only(self, forcing):
+        if isinstance(forcing, FiniteForcing):
+            for arr in (forcing.amplitudes, forcing.frequencies, forcing.phases):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 9.0
+        before = forcing.eval_window(0.3, 2)
+        for arr in forcing.mode_table(2):
+            arr[:] = 9.0
+        assert np.array_equal(forcing.eval_window(0.3, 2), before)
+
+    def test_caller_inputs_are_copied(self):
+        amps, freqs, phases = np.array([0.5, 1.0, 0.5]), np.array([1.0, 2.0, 3.0]), np.zeros(3)
+        f = QuasiPeriodicForcing.finite(amps, freqs, phases)
+        before = f.eval_window(0.3, 1)
+        for arr in (amps, freqs, phases):
+            arr[:] = 9.0
+        assert np.array_equal(f.eval_window(0.3, 1), before)
+
+        a0, r, w, p = (np.array(x) for x in (1.0, 0.5, 2.0, 0.25))
+        g = QuasiPeriodicForcing.geometric(a0, r, w, p)
+        before = g.eval_window(0.3, 1)
+        for arr in (a0, r, w, p):
+            arr[...] = 0.75
+        assert np.array_equal(g.eval_window(0.3, 1), before)
+
+    def test_shift_keeps_form_and_fields(self, forcing):
+        g = forcing.shift(0.5).shift(0.25)
+        assert type(g) is type(forcing)
+        assert g.time_offset == 0.75
+        for field in dataclasses.fields(forcing):
+            if field.name != "time_offset":
+                assert getattr(g, field.name) is getattr(forcing, field.name)
+
+    def test_constructors_pick_the_form(self):
+        assert type(QuasiPeriodicForcing.zero()) is FiniteForcing
+        assert type(QuasiPeriodicForcing.geometric(1.0, 0.5, 1.0)) is GeometricForcing
 
 
 class TestShift:
@@ -221,6 +273,17 @@ class TestConfigParsing:
     def test_bad_support_rejected(self):
         with pytest.raises(ConfigError):
             forcing_from_config({"support": "fancy", "amplitude0": "1"})
+
+    def test_support_radius_rejected_for_geometric(self):
+        with pytest.raises(ConfigError, match="support_radius"):
+            forcing_from_config(
+                {
+                    "support": "geometric",
+                    "amplitude0": "1.0",
+                    "support_radius": "40",
+                    "frequency_rule": "1.0",
+                }
+            )
 
     def test_decay_rate_must_be_contractive(self):
         with pytest.raises(ConfigError):
