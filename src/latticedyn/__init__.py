@@ -35,7 +35,6 @@ from .forcing import (
     QuasiPeriodicForcing,
     bebutov_distance,
     equicontinuity_modulus,
-    forcing_from_config,
 )
 from .operators import (
     apply_difference,
@@ -66,7 +65,6 @@ __all__ = [
     "cutoff_eval",
     "difference_matrix",
     "equicontinuity_modulus",
-    "forcing_from_config",
     "gronwall_bound",
     "hausdorff_semidistance",
     "integrate",

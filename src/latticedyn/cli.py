@@ -40,7 +40,7 @@ from .errors import (
     NonlinearityConditionError,
 )
 from .estimates import asymptotic_radius_sq
-from .forcing import FORCING_KEYS, QuasiPeriodicForcing, forcing_from_config
+from .forcing import QuasiPeriodicForcing
 from .operators import boundary_forcing, project_forcing, wrap_forcing
 
 log = logging.getLogger("latticedyn")
@@ -51,28 +51,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
-
-_SCHEMA: dict[str, set[str] | frozenset[str]] = {
-    "params": {"nu", "lambda", "n", "n_list", "n_ref", "boundary"},
-    "nonlinearity": {"name", "alpha", "coeffs"},
-    "forcing": FORCING_KEYS,
-    "integrator": {"h", "rho"},
-    "simulate": {"t0", "t1", "v0", "v0_norm", "sample_stride"},
-    "attractor": {
-        "eps",
-        "ic_count",
-        "sample_count",
-        "seed",
-        "burn_in",
-        "window",
-        "ic_radius",
-        "tail_eps",
-        "boundary_floor",
-    },
-    "converge": {"threshold"},
-    "verify": {"triples"},
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -95,17 +73,13 @@ class ExperimentConfig:
     v0_mode: str
     v0_norm: float
     sample_stride: int
-    eps: float
-    ic_count: int
-    sample_count: int
     seed: int
-    burn_in: float | None
-    window: float | None
-    ic_radius: float | None
     tail_eps: tuple[float, ...]
-    boundary_floor: float
     threshold: float | None
     verify_triples: int
+    # the keyword arguments of sample_attractor read from [attractor], shared
+    # by the attractor and converge commands
+    sampling: dict[str, Any]
     echo: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def make_nonlinearity(self) -> Nonlinearity:
@@ -123,27 +97,25 @@ class ExperimentConfig:
     def step_for(self, params: LatticeParams, nonlin: Nonlinearity, radius: float) -> float:
         return self.h if self.h is not None else auto_step(params, nonlin, radius, self.rho)
 
-    def sampling(self, seed: int) -> dict[str, Any]:
-        """The keyword arguments of :func:`sample_attractor` that every
-        sampled cloud shares, ``attractor`` and ``converge`` alike."""
-        return dict(
-            eps=self.eps, ic_count=self.ic_count, sample_count=self.sample_count, seed=seed,
-            boundary=self.boundary, burn_in=self.burn_in, window=self.window, step=self.h,
-            rho=self.rho, ic_radius=self.ic_radius, boundary_floor=self.boundary_floor,
-        )
+
+_REQUIRED: Any = object()  # the default of a key that must be given
 
 
 class _SectionView:
-    """Typed accessors over one config section with error context."""
+    """Typed accessors over one config section with error context; ``read``
+    records every key asked for, so that the rest can be rejected."""
 
     def __init__(self, name: str, values: dict[str, str]):
         self.name = name
         self.values = values
+        self.read: set[str] = set()
 
     def _raw(self, key: str, default: str | None) -> str | None:
-        if key in self.values:
-            return self.values[key]
-        return default
+        self.read.add(key)
+        raw = self.values.get(key, default)
+        if raw is _REQUIRED:
+            raise ConfigError(f"[{self.name}] {key} is required")
+        return raw
 
     def _bounded(self, key: str, value: float, raw: str, gt: float | None,
                  ge: float | None) -> float:
@@ -192,9 +164,11 @@ class _SectionView:
         except ValueError as exc:
             raise ConfigError(f"[{self.name}] {key}: expected integer list") from exc
 
-    def get_float_list(self, key: str, default: str, *,
-                       gt: float | None = None) -> tuple[float, ...]:
+    def get_float_list(self, key: str, default: str | None, *,
+                       gt: float | None = None) -> tuple[float, ...] | None:
         raw = self._raw(key, default)
+        if raw is None:
+            return None
         try:
             values = tuple(float(x) for x in raw.split())
         except ValueError as exc:
@@ -206,8 +180,36 @@ class _SectionView:
         return tuple(self._bounded(key, x, raw, gt, None) for x in values)
 
 
+def _load_forcing(view: _SectionView) -> QuasiPeriodicForcing:
+    """Site amplitudes ``amplitude0 * decay_rate**|i|`` on ``|i| <= support_radius``
+    (finite) or on all of Z (geometric); a frequency or phase rule is one
+    number, or for finite support one number per site."""
+    support = view.get_str("support", _REQUIRED).lower()
+    if support not in ("finite", "geometric"):
+        raise ConfigError(f"[forcing] support: expected finite|geometric, got {support!r}")
+    amplitude0 = view.get_float("amplitude0", _REQUIRED)
+    decay = view.get_float("decay_rate", "0.5")
+    radius = view.get_int("support_radius", _REQUIRED) if support == "finite" else 0
+    if radius < 0:
+        raise ConfigError(f"[forcing] support_radius: must be >= 0, got {radius}")
+    width = 2 * radius + 1
+    rules = []
+    for key in ("frequency_rule", "phase_rule"):
+        rule = view.get_float_list(key, "0.0")
+        if len(rule) not in (1, width):
+            expected = ("geometric support takes one number" if support == "geometric"
+                        else f"expected 1 or {width} numbers")
+            raise ConfigError(f"[forcing] {key}: {expected}, got {len(rule)}")
+        rules.append(rule)
+    if support == "geometric":
+        return QuasiPeriodicForcing.geometric(amplitude0, decay, rules[0][0], rules[1][0])
+    amplitudes = amplitude0 * decay ** np.abs(np.arange(-radius, radius + 1))
+    return QuasiPeriodicForcing.finite(amplitudes, *rules)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate the INI experiment file; unknown keys are rejected."""
+    """Parse and validate the INI experiment file; a section or key that
+    no accessor reads is rejected."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -217,67 +219,39 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    echo: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _SCHEMA[section]
-        if unknown:
-            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-        echo[section] = dict(parser[section])
+    echo = {section: dict(parser[section]) for section in parser.sections()}
+    views: dict[str, _SectionView] = {}
 
     def view(name: str) -> _SectionView:
-        return _SectionView(name, echo.get(name, {}))
+        return views.setdefault(name, _SectionView(name, echo.get(name, {})))
 
     params = view("params")
-    nu = params.get_float("nu", "1.0")
-    lam = params.get_float("lambda", None)
-    if lam is None:
-        raise ConfigError("[params] lambda is required")
     boundary = params.get_str("boundary", "wrap")
     if boundary not in ("wrap", "project"):
         raise ConfigError(f"[params] boundary must be wrap|project, got {boundary!r}")
-
-    nl = view("nonlinearity")
-    name = nl.get_str("name", "zero")
-    alpha = nl.get_float("alpha", "0.0")
-    coeffs_raw = nl.get_str("coeffs", None)
-    coeffs = None
-    if coeffs_raw is not None:
-        try:
-            coeffs = tuple(float(x) for x in coeffs_raw.split())
-        except ValueError as exc:
-            raise ConfigError("[nonlinearity] coeffs: expected number list") from exc
-
-    if "forcing" in echo:
-        forcing = forcing_from_config(echo["forcing"])
-    else:
-        forcing = QuasiPeriodicForcing.zero()
-
-    integ = view("integrator")
     sim = view("simulate")
-    att = view("attractor")
-    conv = view("converge")
-    ver = view("verify")
-
     v0_mode = sim.get_str("v0", "zero")
     if v0_mode not in ("zero", "ball"):
         raise ConfigError(f"[simulate] v0 must be zero|ball, got {v0_mode!r}")
-    triples = ver.get_int("triples", "100")
+    triples = view("verify").get_int("triples", "100")
     if triples < 1:
         raise ConfigError(f"[verify] triples must be >= 1, got {triples}")
 
-    return ExperimentConfig(
-        nu=nu,
-        lam=lam,
+    nl = view("nonlinearity")
+    integ = view("integrator")
+    att = view("attractor")
+    cfg = ExperimentConfig(
+        nu=params.get_float("nu", "1.0"),
+        lam=params.get_float("lambda", _REQUIRED),
         n=params.get_int("n", None),
         n_list=params.get_int_list("n_list"),
         n_ref=params.get_int("n_ref", None),
         boundary=boundary,
-        nonlinearity_name=name,
-        alpha=alpha,
-        coeffs=coeffs,
-        forcing=forcing,
+        nonlinearity_name=nl.get_str("name", "zero"),
+        alpha=nl.get_float("alpha", "0.0"),
+        coeffs=nl.get_float_list("coeffs", None),
+        forcing=(_load_forcing(view("forcing")) if "forcing" in echo
+                 else QuasiPeriodicForcing.zero()),
         h=integ.get_float("h", "auto"),
         rho=integ.get_float("rho", "auto", gt=0.0),
         t0=sim.get_float("t0", "0.0"),
@@ -285,19 +259,28 @@ def load_config(path: str | Path) -> ExperimentConfig:
         v0_mode=v0_mode,
         v0_norm=sim.get_float("v0_norm", "1.0", ge=0.0),
         sample_stride=sim.get_int("sample_stride", "1"),
-        eps=att.get_float("eps", "1e-2", gt=0.0),
-        ic_count=att.get_int("ic_count", "4"),
-        sample_count=att.get_int("sample_count", "8"),
         seed=att.get_int("seed", "0"),
-        burn_in=att.get_float("burn_in", "auto", ge=0.0),
-        window=att.get_float("window", "auto", gt=0.0),
-        ic_radius=att.get_float("ic_radius", "auto", ge=0.0),
         tail_eps=att.get_float_list("tail_eps", "1e-2 1e-3", gt=0.0),
-        boundary_floor=att.get_float("boundary_floor", "1e-8", gt=0.0),
-        threshold=conv.get_float("threshold", "auto"),
+        threshold=view("converge").get_float("threshold", "auto"),
         verify_triples=triples,
+        sampling=dict(
+            eps=att.get_float("eps", "1e-2", gt=0.0),
+            ic_count=att.get_int("ic_count", "4"),
+            sample_count=att.get_int("sample_count", "8"),
+            burn_in=att.get_float("burn_in", "auto", ge=0.0),
+            window=att.get_float("window", "auto", gt=0.0),
+            ic_radius=att.get_float("ic_radius", "auto", ge=0.0),
+            boundary_floor=att.get_float("boundary_floor", "1e-8", gt=0.0),
+        ),
         echo=echo,
     )
+    for section, values in echo.items():
+        if section not in views:
+            raise ConfigError(f"unknown config section [{section}]")
+        unknown = set(values) - views[section].read
+        if unknown:
+            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+    return cfg
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +340,7 @@ def _initial_state(cfg: ExperimentConfig, dim: int, seed: int) -> np.ndarray:
     return v * (cfg.v0_norm / scale) if scale > 0 else v
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, dict]:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any]:
     report = _base_report("simulate", cfg, seed)
     nonlin = cfg.make_nonlinearity()
     params = cfg.make_params()
@@ -382,10 +365,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, 
     report["artifacts"] = [str(traj_path), str(norms_path)]
     report["final_norm"] = float(math.sqrt(norms_sq[-1]))
     report["steps"] = traj.steps
-    return EXIT_OK, report
+    return report
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, dict]:
+def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any]:
     report = _base_report("verify", cfg, seed)
     rows = report["checks"]
     rng = np.random.default_rng(seed)
@@ -411,8 +394,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, di
         nonlin = cfg.make_nonlinearity()
     except NonlinearityConditionError as exc:
         rows.append(checks.check("nonlinearity-registration", False, -1.0, str(exc)))
-        report["passed"] = False
-        return EXIT_CHECK_FAILED, report
+        return report
     rows.append(checks.check("nonlinearity-registration", True, 0.0,
                              f"{cfg.nonlinearity_name}: contract holds on the sample grid"))
 
@@ -434,22 +416,20 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, di
     rows.append(checks.energy_envelope([traj], cfg.lam, nonlin.alpha, c_bound, margin=0.05))
     rows.append(checks.absorbing_envelope([traj], [v0_norm], cfg.lam, nonlin.alpha, c_bound,
                                          slack=1.05))
-
-    passed = all(c["passed"] for c in rows)
-    report["passed"] = passed
-    return (EXIT_OK if passed else EXIT_CHECK_FAILED), report
+    return report
 
 
-def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, dict]:
+def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any]:
     report = _base_report("attractor", cfg, seed)
     nonlin = cfg.make_nonlinearity()
     params = cfg.make_params()
     # the tail calibration divides by the sign margin, so a weak-mode run
     # (alpha = 0) samples its cloud and records the certificate as skipped
     certify = nonlin.alpha > 0.0
-    log.info("attractor: n=%d eps=%g points=%d", params.n, cfg.eps,
-             cfg.ic_count * cfg.sample_count)
-    cloud = sample_attractor(cfg.forcing, params, nonlin, **cfg.sampling(seed))
+    log.info("attractor: n=%d eps=%g points=%d", params.n, cfg.sampling["eps"],
+             cfg.sampling["ic_count"] * cfg.sampling["sample_count"])
+    cloud = sample_attractor(cfg.forcing, params, nonlin, seed=seed, boundary=cfg.boundary,
+                             step=cfg.h, rho=cfg.rho, **cfg.sampling)
     cloud_path = out_dir / "cloud.csv"
     _write_table(cloud_path, _site_header(cloud.half_width), cloud.states)
     report["artifacts"] = [str(cloud_path)]
@@ -484,12 +464,10 @@ def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int,
     else:
         log.info("check %-28s skipped: needs alpha > 0", "tail-certificate")
         report["skipped"] = [{"name": "tail-certificate", "reason": "needs alpha > 0"}]
-    passed = all(c["passed"] for c in report["checks"])
-    report["passed"] = passed
-    return (EXIT_OK if passed else EXIT_CHECK_FAILED), report
+    return report
 
 
-def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, dict]:
+def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any]:
     report = _base_report("converge", cfg, seed)
     if not cfg.n_list:
         raise ConfigError("[params] n_list is required for converge")
@@ -499,7 +477,8 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, 
     log.info("converge: n_list=%s n_ref=%d", list(cfg.n_list), cfg.n_ref)
     study = convergence_study(
         cfg.forcing, cfg.nu, cfg.lam, nonlin, n_list=cfg.n_list, n_ref=cfg.n_ref,
-        threshold=cfg.threshold, **cfg.sampling(seed),
+        threshold=cfg.threshold, seed=seed, boundary=cfg.boundary, step=cfg.h, rho=cfg.rho,
+        **cfg.sampling,
     )
     csv_path = out_dir / "convergence.csv"
     _write_table(
@@ -530,9 +509,7 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> tuple[int, 
         checks.check("beta-nonincreasing", study.nonincreasing_within_noise, 0.0,
                f"betas {[f'{b:.3g}' for b in study.betas]}")
     )
-    passed = study.passed and study.nonincreasing_within_noise
-    report["passed"] = passed
-    return (EXIT_OK if passed else EXIT_CHECK_FAILED), report
+    return report
 
 
 _COMMANDS = {
@@ -585,7 +562,9 @@ def main(argv=None) -> int:
         if seed < 0:
             source = "--seed" if args.seed is not None else "[attractor] seed"
             raise ConfigError(f"{source} must be >= 0, got {seed}")
-        code, report = _COMMANDS[args.command](cfg, out_dir, seed)
+        report = _COMMANDS[args.command](cfg, out_dir, seed)
+        report["passed"] = all(c["passed"] for c in report["checks"])
+        code = EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
     except (DivergenceError, BoundaryContaminationError) as exc:
         log.error("integration failed: %s", exc)
         code, error = EXIT_DIVERGED, exc

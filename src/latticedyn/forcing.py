@@ -23,16 +23,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, UnsupportedForcingError
+from .errors import ParameterError, UnsupportedForcingError
 
 _SUPPORT_CAP = 10_000  # widest window a geometric forcing will materialize
-FORCING_KEYS = frozenset(
-    {"support", "amplitude0", "decay_rate", "support_radius", "frequency_rule", "phase_rule"}
-)
 
 
 class QuasiPeriodicForcing:
@@ -71,6 +67,8 @@ class QuasiPeriodicForcing:
         time_offset: float = 0.0,
     ) -> GeometricForcing:
         """Geometric amplitude profile ``a_i = amplitude0 * decay_rate**|i|``."""
+        if not all(math.isfinite(x) for x in (amplitude0, frequency, phase)):
+            raise ParameterError("geometric forcing has non-finite parameters")
         if not 0.0 < decay_rate < 1.0:
             raise ParameterError(f"decay_rate must lie in (0, 1), got {decay_rate}")
         if amplitude0 < 0.0:
@@ -269,71 +267,3 @@ def bebutov_distance(
         scale = max(t, dt)
         best = max(best, min(running, 1.0 / scale))
     return best
-
-
-def forcing_from_config(mapping: Mapping[str, str]) -> QuasiPeriodicForcing:
-    """Build a forcing from flat config keys.
-
-    Required: ``support`` (``finite`` | ``geometric``), ``amplitude0``,
-    ``decay_rate``, ``frequency_rule``, ``phase_rule``.  Finite support
-    additionally needs ``support_radius`` (geometric support rejects it); its
-    frequency and phase rules may be a single number or a per-site list of
-    length ``2*support_radius + 1``.
-    """
-    unknown = set(mapping) - FORCING_KEYS
-    if unknown:
-        raise ConfigError(f"unknown forcing keys: {sorted(unknown)}")
-
-    def _get(key: str, default: str | None = None) -> str:
-        if key in mapping:
-            return mapping[key]
-        if default is None:
-            raise ConfigError(f"missing forcing key '{key}'")
-        return default
-
-    def _rule(key: str, width: int) -> np.ndarray:
-        parts = _get(key, "0.0").split()
-        try:
-            vals = [float(x) for x in parts]
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric list for '{key}'") from exc
-        if len(vals) == 1:
-            return np.full(width, vals[0])
-        if len(vals) != width:
-            raise ConfigError(
-                f"'{key}' must have 1 or {width} entries, got {len(vals)}"
-            )
-        return np.asarray(vals)
-
-    support = _get("support").strip().lower()
-    try:
-        amplitude0 = float(_get("amplitude0"))
-        decay = float(_get("decay_rate", "0.5"))
-    except ValueError as exc:
-        raise ConfigError("amplitude0/decay_rate must be numeric") from exc
-
-    if support == "geometric":
-        if "support_radius" in mapping:
-            raise ConfigError("support_radius applies to finite support only, not 'geometric'")
-        freq = _rule("frequency_rule", 1)
-        phase = _rule("phase_rule", 1)
-        try:
-            return QuasiPeriodicForcing.geometric(
-                amplitude0, decay, float(freq[0]), float(phase[0])
-            )
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-    if support == "finite":
-        try:
-            radius = int(_get("support_radius"))
-        except ValueError as exc:
-            raise ConfigError("support_radius must be an integer") from exc
-        if radius < 0:
-            raise ConfigError("support_radius must be >= 0")
-        width = 2 * radius + 1
-        sites = np.abs(np.arange(-radius, radius + 1))
-        amps = amplitude0 * decay ** sites
-        return QuasiPeriodicForcing.finite(
-            amps, _rule("frequency_rule", width), _rule("phase_rule", width)
-        )
-    raise ConfigError(f"support must be 'finite' or 'geometric', got '{support}'")

@@ -66,7 +66,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["command"] == "simulate"
+        assert report["command"] == "simulate" and report["passed"] is True
         # unforced-free decay bound does not apply here (forced run),
         # but the absorbing level does: C = uniform bound, rate lam+alpha
         header, rows = read_csv(out / "trajectory.csv")
@@ -316,41 +316,55 @@ class TestConverge:
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
-        "command, old, new, flags",
+        "command, old, new, flags, message",
         [
-            ("simulate", "[simulate]", "[integrator]\nh = nan\n\n[simulate]", ()),
-            ("simulate", "t1 = 4.0", "t1 = inf", ()),
-            ("simulate", "nu = 1.0", "nu = auto", ()),
-            ("attractor", "burn_in = 9.0", "burn_in = 9.0\ntail_eps =", ()),
-            ("attractor", "burn_in = 9.0", "burn_in = 9.0\ntail_eps = 1e-2 -1e-3", ()),
-            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = inf", ()),
-            ("attractor", "sample_count = 4", "sample_count = 0", ()),
-            ("attractor", "seed = 99", "seed = -1", ()),
-            ("simulate", "[simulate]", "[simulate]", ("--seed", "-1")),
-            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = -1", ()),
-            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = 0", ()),
-            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nic_radius = -1", ()),
-            ("converge", "burn_in = 9.0", "burn_in = 9.0\nboundary_floor = -1", ()),
-            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nboundary_floor = 0", ()),
-            ("simulate", "v0_norm = 1.0", "v0_norm = -1", ()),
-            ("attractor", "eps = 1e-2", "eps = 0", ()),
-            ("attractor", "burn_in = 9.0", "burn_in = -1", ()),
-            ("simulate", "[simulate]", "[integrator]\nrho = -1\n\n[simulate]", ()),
-            ("simulate", "n = 6", "n = 6\nn_work = 8", ()),
-            ("verify", "[simulate]", "[verify]\ntriples = 0\n\n[simulate]", ()),
-            ("verify", "[simulate]", "[verify]\ntriples = -3\n\n[simulate]", ()),
-            ("simulate", "name = linear", "name = cubic\ncoeffs = 7 7 7", ()),
-            ("simulate", "support = finite", "support = geometric", ()),
+            ("simulate", "[simulate]", "[integrator]\nh = nan\n\n[simulate]", (), ""),
+            ("simulate", "t1 = 4.0", "t1 = inf", (), ""),
+            ("simulate", "nu = 1.0", "nu = auto", (), ""),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\ntail_eps =", (), ""),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\ntail_eps = 1e-2 -1e-3", (), ""),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = inf", (), ""),
+            ("attractor", "sample_count = 4", "sample_count = 0", (), ""),
+            ("attractor", "seed = 99", "seed = -1", (), ""),
+            ("simulate", "[simulate]", "[simulate]", ("--seed", "-1"), ""),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = -1", (), ""),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = 0", (), ""),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nic_radius = -1", (), ""),
+            ("converge", "burn_in = 9.0", "burn_in = 9.0\nboundary_floor = -1", (), ""),
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nboundary_floor = 0", (), ""),
+            ("simulate", "v0_norm = 1.0", "v0_norm = -1", (), ""),
+            ("attractor", "eps = 1e-2", "eps = 0", (), ""),
+            ("attractor", "burn_in = 9.0", "burn_in = -1", (), ""),
+            ("simulate", "[simulate]", "[integrator]\nrho = -1\n\n[simulate]", (), ""),
+            ("simulate", "n = 6", "n = 6\nn_work = 8", (), ""),
+            ("verify", "[simulate]", "[verify]\ntriples = 0\n\n[simulate]", (), ""),
+            ("verify", "[simulate]", "[verify]\ntriples = -3\n\n[simulate]", (), ""),
+            ("simulate", "name = linear", "name = cubic\ncoeffs = 7 7 7", (), ""),
+            ("simulate", "support = finite", "support = geometric", (), ""),
+            ("simulate", "[simulate]", "[bogus]\nx = 1\n\n[simulate]", (),
+             "unknown config section [bogus]"),
+            ("simulate", "phase_rule = 0.0", "phase_rule = 0.0\nzzz = 1", (),
+             "unknown keys in [forcing]: ['zzz']"),
+            ("attractor", "support = finite\namplitude0 = 1.0\ndecay_rate = 0.5\nsupport_radius = 2",
+             "support = geometric\namplitude0 = nan\ndecay_rate = 0.5", (),
+             "[forcing] amplitude0: expected a finite number"),
+            ("simulate", "support = finite\namplitude0 = 1.0\ndecay_rate = 0.5\nsupport_radius = 2"
+             "\nfrequency_rule = 1.0",
+             "support = geometric\namplitude0 = 1.0\ndecay_rate = 0.5\nfrequency_rule = 1 2 3", (),
+             "[forcing] frequency_rule: geometric support takes one number, got 3"),
+            ("verify", "name = linear", "name = poly\ncoeffs = nan", (),
+             "[nonlinearity] coeffs: expected a nonempty list of finite numbers"),
         ],
         ids=["h-nan", "t1-inf", "nu-auto", "tail_eps-empty", "tail_eps-negative", "window-inf",
              "sample_count-zero", "seed-negative", "seed-flag-negative", "window-negative",
              "window-zero", "ic_radius-negative", "boundary_floor-negative", "boundary_floor-zero",
              "v0_norm-negative", "eps-zero", "burn_in-negative", "rho-negative",
              "n_work-unknown", "triples-zero", "triples-negative", "coeffs-not-poly",
-             "support_radius-geometric"],
+             "support_radius-geometric", "section-unknown", "forcing-key-unknown",
+             "amplitude0-nan-geometric", "frequency_rule-geometric-per-site", "coeffs-nan"],
     )
     def test_bad_numbers_exit_2_without_traceback(self, tmp_path, capsys, command, old, new,
-                                                  flags):
+                                                  flags, message):
         assert old in BASE
         cfg = write_config(tmp_path, BASE.replace(old, new))
         out = tmp_path / "o"
@@ -358,6 +372,7 @@ class TestConfigValidation:
         assert "Traceback" not in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert report["exit_code"] == 2 and report["passed"] is False
+        assert message in report["error"]["message"]
 
     def test_config_error_report(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace("seed = 99", "seed = -1"))
@@ -371,7 +386,7 @@ class TestConfigValidation:
         assert report["command"] == "attractor" and report["seed"] == -1
         assert not (out / "cloud.csv").exists()
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_duplicate_section_rejected(self, tmp_path):
         cfg = write_config(tmp_path, BASE + "\n[params]\n", name="dup.ini")
         # duplicate section is a parse error
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -422,6 +437,8 @@ FUZZ_KEYS = [
     (section, key)
     for section, keys in {
         "params": ["nu", "lambda", "n", "n_list", "n_ref"],
+        "nonlinearity": ["alpha"],
+        "forcing": ["amplitude0", "decay_rate", "support_radius", "frequency_rule", "phase_rule"],
         "integrator": ["h", "rho"],
         "simulate": ["t0", "t1", "v0_norm", "sample_stride"],
         "attractor": ["eps", "ic_count", "sample_count", "seed", "burn_in", "window",

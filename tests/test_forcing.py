@@ -8,10 +8,10 @@ from latticedyn import (
     QuasiPeriodicForcing,
     bebutov_distance,
     equicontinuity_modulus,
-    forcing_from_config,
     project_forcing,
 )
-from latticedyn.errors import ConfigError, ParameterError
+from latticedyn.cli import load_config
+from latticedyn.errors import ConfigError, LatticeError, ParameterError
 from latticedyn.forcing import FiniteForcing, GeometricForcing
 
 
@@ -89,6 +89,13 @@ class TestValueTypes:
     def test_constructors_pick_the_form(self):
         assert type(QuasiPeriodicForcing.zero()) is FiniteForcing
         assert type(QuasiPeriodicForcing.geometric(1.0, 0.5, 1.0)) is GeometricForcing
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.5, 1.0, 0.0), (1.0, 0.5, math.inf, 0.0),
+                                      (1.0, 0.5, 1.0, -math.inf)],
+                             ids=["amplitude0-nan", "frequency-inf", "phase-inf"])
+    def test_geometric_rejects_non_finite_parameters(self, args):
+        with pytest.raises(ParameterError, match="non-finite"):
+            QuasiPeriodicForcing.geometric(*args)
 
 
 class TestShift:
@@ -237,22 +244,33 @@ class TestEquicontinuity:
             equicontinuity_modulus(QuasiPeriodicForcing.zero(), 0.0)
 
 
+def load_forcing(tmp_path, keys):
+    """The forcing that ``load_config`` builds from a ``[forcing]`` section."""
+    path = tmp_path / "exp.ini"
+    path.write_text("[params]\nlambda = 1.0\n\n[forcing]\n"
+                    + "".join(f"{key} = {value}\n" for key, value in keys.items()),
+                    encoding="utf-8")
+    return load_config(path).forcing
+
+
 class TestConfigParsing:
-    def test_geometric(self):
-        f = forcing_from_config(
+    def test_geometric(self, tmp_path):
+        f = load_forcing(
+            tmp_path,
             {
                 "support": "geometric",
                 "amplitude0": "1.0",
                 "decay_rate": "0.5",
                 "frequency_rule": "1.0",
                 "phase_rule": "0.0",
-            }
+            },
         )
         assert f.decay_rate == 0.5
         assert f.uniform_bound() == pytest.approx(math.sqrt(5.0 / 3.0))
 
-    def test_finite_with_per_site_frequencies(self):
-        f = forcing_from_config(
+    def test_finite_with_per_site_frequencies(self, tmp_path):
+        f = load_forcing(
+            tmp_path,
             {
                 "support": "finite",
                 "amplitude0": "2.0",
@@ -260,39 +278,41 @@ class TestConfigParsing:
                 "support_radius": "1",
                 "frequency_rule": "1.0 2.0 3.0",
                 "phase_rule": "0.0",
-            }
+            },
         )
         amps, freqs, _ = f.mode_table(1)
         assert np.array_equal(amps, [1.0, 2.0, 1.0])
         assert np.array_equal(freqs, [1.0, 2.0, 3.0])
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            forcing_from_config({"support": "geometric", "amplitude0": "1", "zzz": "1"})
+            load_forcing(tmp_path, {"support": "geometric", "amplitude0": "1", "zzz": "1"})
 
-    def test_bad_support_rejected(self):
+    def test_bad_support_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            forcing_from_config({"support": "fancy", "amplitude0": "1"})
+            load_forcing(tmp_path, {"support": "fancy", "amplitude0": "1"})
 
-    def test_support_radius_rejected_for_geometric(self):
+    def test_support_radius_rejected_for_geometric(self, tmp_path):
         with pytest.raises(ConfigError, match="support_radius"):
-            forcing_from_config(
+            load_forcing(
+                tmp_path,
                 {
                     "support": "geometric",
                     "amplitude0": "1.0",
                     "support_radius": "40",
                     "frequency_rule": "1.0",
-                }
+                },
             )
 
-    def test_decay_rate_must_be_contractive(self):
-        with pytest.raises(ConfigError):
-            forcing_from_config(
+    def test_decay_rate_must_be_contractive(self, tmp_path):
+        with pytest.raises(LatticeError):
+            load_forcing(
+                tmp_path,
                 {
                     "support": "geometric",
                     "amplitude0": "1.0",
                     "decay_rate": "1.5",
                     "frequency_rule": "1.0",
                     "phase_rule": "0.0",
-                }
+                },
             )
