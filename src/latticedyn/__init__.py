@@ -8,7 +8,6 @@ from .attractor import (
     TailCertificateReport,
     convergence_study,
     hausdorff_semidistance,
-    invariance_defect,
     sample_attractor,
     tail_certificate,
 )
@@ -31,11 +30,7 @@ from .estimates import (
     tail_mass,
     verify_energy_decay,
 )
-from .forcing import (
-    QuasiPeriodicForcing,
-    bebutov_distance,
-    equicontinuity_modulus,
-)
+from .forcing import QuasiPeriodicForcing
 from .operators import (
     apply_difference,
     apply_laplacian,
@@ -57,18 +52,15 @@ __all__ = [
     "Trajectory",
     "apply_difference",
     "apply_laplacian",
-    "bebutov_distance",
     "burn_in_time",
     "calibrate_tail_index",
     "cocycle_property_check",
     "convergence_study",
     "cutoff_eval",
     "difference_matrix",
-    "equicontinuity_modulus",
     "gronwall_bound",
     "hausdorff_semidistance",
     "integrate",
-    "invariance_defect",
     "laplacian_matrix",
     "make_finite_rhs",
     "make_nonlinearity",

@@ -71,9 +71,6 @@ class AttractorCloud:
     def diameter(self) -> float:
         return float(_distances(self.states, self.states).max())
 
-    def as_width(self, half_width: int) -> np.ndarray:
-        return _pad_to_width(self.states, self.half_width, half_width)
-
 
 def _pad_to_width(values: np.ndarray, half_width: int, target: int) -> np.ndarray:
     """Zero-pad a state (or the rows of a stack) centred on site 0 from
@@ -152,10 +149,7 @@ def _low_discrepancy_ball(count: int, dim: int, radius: float, seed: int) -> np.
 
 
 def _dominant_period(f: QuasiPeriodicForcing) -> float:
-    amps, freqs, _ = f.mode_table(f.effective_support(1e-12))
-    if not np.any(amps != 0.0):
-        return 1.0
-    w = abs(float(freqs[np.argmax(np.abs(amps))]))
+    w = abs(f.dominant_frequency())
     return 2.0 * math.pi / w if w > 0.0 else 1.0
 
 
@@ -260,39 +254,15 @@ def sample_attractor(
     )
 
 
-def hausdorff_semidistance(a, b) -> float:
-    """One-sided Hausdorff distance ``max_{x in a} min_{y in b} ||x - y||``.
-
-    Clouds are re-embedded into a common width first; plain point matrices
-    of equal width are accepted directly.  Brute force over all pairs.
+def hausdorff_semidistance(a: AttractorCloud, b: AttractorCloud) -> float:
+    """One-sided Hausdorff distance ``max_{x in a} min_{y in b} ||x - y||``
+    between two clouds, after zero-padding both to the wider half-width
+    (an isometric embedding).  Brute force over all pairs.
     """
-    if isinstance(a, AttractorCloud) and isinstance(b, AttractorCloud):
-        width = max(a.half_width, b.half_width)
-        pa, pb = a.as_width(width), b.as_width(width)
-    else:
-        pa = np.atleast_2d(np.asarray(a, dtype=float))
-        pb = np.atleast_2d(np.asarray(b, dtype=float))
-        if pa.shape[1] != pb.shape[1]:
-            raise ParameterError("point sets must share one width")
-    if pa.shape[0] == 0 or pb.shape[0] == 0:
-        raise EmptyCloudError("semi-distance needs nonempty point sets")
+    width = max(a.half_width, b.half_width)
+    pa = _pad_to_width(a.states, a.half_width, width)
+    pb = _pad_to_width(b.states, b.half_width, width)
     return float(_distances(pa, pb).min(axis=1).max())
-
-
-def invariance_defect(
-    cloud: AttractorCloud,
-    shifted_cloud: AttractorCloud,
-    system_forcing: QuasiPeriodicForcing,
-    params: LatticeParams,
-    nonlin: Nonlinearity,
-    tau: float,
-    step: float,
-) -> float:
-    """How far the time-``tau`` image of a sampled fiber lands from the
-    sampled fiber at the shifted driver; small for a well-resolved cloud."""
-    rhs = make_finite_rhs(params, nonlin, system_forcing)
-    images = integrate_final(rhs, cloud.states, 0.0, tau, step)
-    return hausdorff_semidistance(images, shifted_cloud.as_width(cloud.half_width))
 
 
 @dataclass(frozen=True)

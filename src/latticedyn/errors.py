@@ -21,10 +21,6 @@ class CapacityError(LatticeError, ValueError):
     """A padded container is too narrow for the requested content."""
 
 
-class UnsupportedForcingError(LatticeError, ValueError):
-    """The forcing lies outside the certified representable class."""
-
-
 class NonlinearityConditionError(LatticeError, ValueError):
     """A declared nonlinearity contract failed its registration check."""
 

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedForcingError
-
-_SUPPORT_CAP = 10_000  # widest window a geometric forcing will materialize
+from .errors import ParameterError
 
 
 class QuasiPeriodicForcing:
@@ -52,6 +50,9 @@ class QuasiPeriodicForcing:
         p = np.broadcast_to(np.asarray(phases, dtype=float), a.shape).copy()
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(w)) and np.all(np.isfinite(p))):
             raise ParameterError("mode table contains non-finite entries")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.dot(a, a)):
+                raise ParameterError("forcing energy sum a_i^2 is not a finite float")
         a.setflags(write=False)
         w.setflags(write=False)
         p.setflags(write=False)
@@ -73,6 +74,11 @@ class QuasiPeriodicForcing:
             raise ParameterError(f"decay_rate must lie in (0, 1), got {decay_rate}")
         if amplitude0 < 0.0:
             raise ParameterError(f"amplitude0 must be >= 0, got {amplitude0}")
+        r2 = decay_rate * decay_rate
+        if not math.isfinite(amplitude0 * amplitude0 * (1.0 + r2) / (1.0 - r2)):
+            raise ParameterError(
+                f"forcing energy sum a_i^2 is not a finite float (amplitude0 = {amplitude0})"
+            )
         return GeometricForcing(
             float(amplitude0), float(decay_rate), float(frequency), float(phase), float(time_offset)
         )
@@ -123,41 +129,30 @@ class FiniteForcing(QuasiPeriodicForcing):
             p[lo + window:hi + window + 1] = self.phases[lo + m:hi + m + 1]
         return a, w, p
 
-    def effective_support(self, tol: float = 1e-16) -> int:
+    def effective_support(self) -> int:
         """The support radius ``m``: the table has no tail to cut."""
         return (self.amplitudes.size - 1) // 2
 
-    def norm_sq_at(self, t: float) -> float:
-        """Exact squared sequence norm of ``f(t)``."""
-        v = self.eval_window(t, self.effective_support())
-        return float(np.dot(v, v))
+    def dominant_frequency(self) -> float:
+        """Frequency of the first largest amplitude; 0 for a zero forcing."""
+        k = int(np.argmax(np.abs(self.amplitudes)))
+        return float(self.frequencies[k]) if self.amplitudes[k] != 0.0 else 0.0
 
     def total_energy(self) -> float:
         """``sum_i a_i**2``, the square-summability certificate."""
         return float(np.dot(self.amplitudes, self.amplitudes))
 
-    def _outside(self, v: np.ndarray, n: int) -> float:
-        """``sum v_i**2`` over the sites ``|i| >= n+1`` of a table on ``|i| <= m``."""
+    def tail_sup_bound(self, n: int) -> float:
+        """Upper bound for ``sup_t`` of the mode-tail mass
+        ``sum_{|i| >= n+1} |f_i(t)|**2``: ``sum a_i**2`` over those sites."""
         if n < 0:
             raise ParameterError("tail order must be >= 0")
         m = self.effective_support()
         if n >= m:
             return 0.0
-        head = v[m - n:m + n + 1]
-        return float(np.dot(v, v) - np.dot(head, head))
-
-    def tail(self, n: int, t: float) -> float:
-        """Mode-tail mass ``sum_{|i| >= n+1} |f_i(t)|**2``, exact."""
-        return self._outside(self.eval_window(t, self.effective_support()), n)
-
-    def tail_sup_bound(self, n: int) -> float:
-        """Upper bound for ``sup_t`` of :meth:`tail`, from the amplitudes."""
-        return self._outside(self.amplitudes, n)
-
-    def time_lipschitz(self) -> float:
-        """Global Lipschitz constant in time, ``sqrt(sum a_i^2 w_i^2)``."""
-        aw = self.amplitudes * self.frequencies
-        return float(math.sqrt(np.dot(aw, aw)))
+        a = self.amplitudes
+        head = a[m - n:m + n + 1]
+        return float(np.dot(a, a) - np.dot(head, head))
 
 
 @dataclass(frozen=True)
@@ -180,90 +175,20 @@ class GeometricForcing(QuasiPeriodicForcing):
         a = self.amplitude0 * self.decay_rate ** sites
         return a, np.full(width, self.frequency), np.full(width, self.phase)
 
-    def effective_support(self, tol: float = 1e-16) -> int:
-        """Smallest window whose amplitude tail norm is below ``tol``."""
-        if self.amplitude0 == 0.0:
-            return 0
-        # solve 2 a0^2 r^(2(n+1)) / (1 - r^2) <= tol^2 for n
-        r = self.decay_rate
-        target = tol * tol * (1.0 - r * r) / (2.0 * self.amplitude0 ** 2)
-        if target <= 0.0:
-            return _SUPPORT_CAP
-        n = math.log(target) / (2.0 * math.log(r)) - 1.0
-        return int(min(max(math.ceil(n), 0), _SUPPORT_CAP))
-
-    def norm_sq_at(self, t: float) -> float:
-        """Exact squared sequence norm of ``f(t)``."""
-        s = math.sin(self.frequency * (t + self.time_offset) + self.phase)
-        return self.total_energy() * s * s
+    def dominant_frequency(self) -> float:
+        """Frequency of site 0, which carries the largest amplitude; 0 for a
+        zero forcing."""
+        return self.frequency if self.amplitude0 > 0.0 else 0.0
 
     def total_energy(self) -> float:
         """``sum_i a_i**2``, the square-summability certificate."""
         r2 = self.decay_rate ** 2
         return self.amplitude0 ** 2 * (1.0 + r2) / (1.0 - r2)
 
-    def tail(self, n: int, t: float) -> float:
-        """Mode-tail mass ``sum_{|i| >= n+1} |f_i(t)|**2``, exact."""
-        s = math.sin(self.frequency * (t + self.time_offset) + self.phase)
-        return self.tail_sup_bound(n) * s * s
-
     def tail_sup_bound(self, n: int) -> float:
-        """``sup_t`` of :meth:`tail`, attained: all modes share one frequency
-        and phase."""
+        """``sup_t`` of the mode-tail mass ``sum_{|i| >= n+1} |f_i(t)|**2``,
+        attained: all modes share one frequency and phase."""
         if n < 0:
             raise ParameterError("tail order must be >= 0")
         r2 = self.decay_rate ** 2
         return 2.0 * self.amplitude0 ** 2 * r2 ** (n + 1) / (1.0 - r2)
-
-    def time_lipschitz(self) -> float:
-        """Global Lipschitz constant in time, ``|w| * sqrt(sum a_i^2)``."""
-        return abs(self.frequency) * self.uniform_bound()
-
-
-# ----------------------------------------------------------------------
-# module-level operations
-
-
-def equicontinuity_modulus(f: QuasiPeriodicForcing, eps: float) -> float:
-    """Largest step ``delta`` with ``|t1-t2| < delta`` forcing
-    ``||f(t1)-f(t2)|| < eps``, from the analytic time-Lipschitz bound.
-
-    The bound is uniform over all of R.  Returns ``inf`` for a constant
-    (zero) forcing: any step works.
-    """
-    if eps <= 0.0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
-    lip = f.time_lipschitz()
-    if not math.isfinite(lip):
-        raise UnsupportedForcingError("frequency-weighted mode sum diverges")
-    if lip == 0.0:
-        return math.inf
-    return eps / lip
-
-
-def bebutov_distance(
-    f: QuasiPeriodicForcing,
-    g: QuasiPeriodicForcing,
-    l_max: float,
-    dt: float,
-) -> float:
-    """Grid approximation of the compact-open metric
-
-        d(f, g) = sup_{L>0} min( max_{|t|<=L} ||f(t)-g(t)||, 1/L ).
-
-    The inner max is scanned on a grid of spacing ``dt``, so the result
-    approximates the metric from below.  Diagnostics only.
-    """
-    if l_max <= 0.0 or dt <= 0.0:
-        raise ParameterError("l_max and dt must be positive")
-    window = max(f.effective_support(1e-12), g.effective_support(1e-12))
-    ts = np.arange(0.0, l_max + 0.5 * dt, dt)
-    running = 0.0
-    best = 0.0
-    for t in ts:
-        for tt in ((t, -t) if t > 0.0 else (t,)):
-            d = f.eval_window(tt, window) - g.eval_window(tt, window)
-            running = max(running, float(np.linalg.norm(d)))
-        scale = max(t, dt)
-        best = max(best, min(running, 1.0 / scale))
-    return best

@@ -11,7 +11,6 @@ from latticedyn import (
     QuasiPeriodicForcing,
     convergence_study,
     hausdorff_semidistance,
-    invariance_defect,
     make_nonlinearity,
     sample_attractor,
     tail_certificate,
@@ -101,8 +100,8 @@ class TestHausdorff:
         assert hausdorff_semidistance(c, c) == 0.0
 
     def test_two_point_brute_force_example(self):
-        a = np.array([[0.0, 0.0]])
-        b = np.array([[1.0, 0.0], [0.0, 2.0]])
+        a = _cloud([[0.0, 0.0, 0.0]], 1)
+        b = _cloud([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], 1)
         # brute force oracle: min(1, 2) one way, max(1, 2) the other
         assert hausdorff_semidistance(a, b) == pytest.approx(1.0)
         assert hausdorff_semidistance(b, a) == pytest.approx(2.0)
@@ -114,9 +113,8 @@ class TestHausdorff:
         assert hausdorff_semidistance(wide, narrow) == 0.0
 
     def test_empty_rejected(self):
-        c = _cloud([[1.0, 0.0, 0.0]], 1)
         with pytest.raises(EmptyCloudError):
-            hausdorff_semidistance(np.empty((0, 3)), c.states)
+            _cloud(np.empty((0, 3)), 1)
 
     @pytest.mark.parametrize("spread", [1.0, 1e-8])
     def test_distances_match_cdist(self, rng, spread):
@@ -126,9 +124,32 @@ class TestHausdorff:
         b = a[rng.integers(0, 40, 25)] + spread * rng.standard_normal((25, 65))
         expected = cdist(a, b)
         assert np.all(np.abs(attractor._distances(a, b) - expected) <= 1e-14 * expected)
-        assert hausdorff_semidistance(a, b) == pytest.approx(
+        assert hausdorff_semidistance(_cloud(a, 32), _cloud(b, 32)) == pytest.approx(
             expected.min(axis=1).max(), rel=1e-14, abs=0.0)
         assert _cloud(b, 32).diameter() == pytest.approx(cdist(b, b).max(), rel=1e-14, abs=0.0)
+
+
+class TestDominantPeriod:
+    def test_finite_takes_the_first_largest_amplitude(self):
+        f = QuasiPeriodicForcing.finite([0.5, -2.0, 1.0, 2.0, 0.1], [1.0, 4.0, 2.0, 8.0, 3.0])
+        assert attractor._dominant_period(f) == 2.0 * math.pi / 4.0
+
+    def test_negative_frequency_gives_a_positive_period(self):
+        f = QuasiPeriodicForcing.finite([1.0], -2.0)
+        assert attractor._dominant_period(f) == math.pi
+
+    @pytest.mark.parametrize("amplitude0", [1.0, 1e-200, 1e-320])
+    def test_geometric_reads_site_zero(self, amplitude0):
+        f = QuasiPeriodicForcing.geometric(amplitude0, 0.5, 0.5)
+        assert attractor._dominant_period(f) == 4.0 * math.pi
+
+    @pytest.mark.parametrize("f", [QuasiPeriodicForcing.zero(),
+                                   QuasiPeriodicForcing.finite([0.0, 0.0, 0.0], 3.0),
+                                   QuasiPeriodicForcing.geometric(0.0, 0.5, 3.0),
+                                   QuasiPeriodicForcing.finite([1.0], 0.0)],
+                             ids=["zero", "finite-zero-amplitudes", "geometric-zero", "constant"])
+    def test_unit_period_without_an_oscillating_mode(self, f):
+        assert attractor._dominant_period(f) == 1.0
 
 
 class TestScrambledHalton:
@@ -282,10 +303,9 @@ class TestSampleAttractor:
             f.shift(tau), params, nl, eps=1e-2, ic_count=3, sample_count=6, seed=9,
             burn_in=9.0,
         )
-        defect = invariance_defect(
-            base, shifted, wrap_forcing(f, params.n), params, nl, tau, 0.01
-        )
-        assert defect < 1e-5
+        rhs = make_finite_rhs(params, nl, wrap_forcing(f, params.n))
+        images = _cloud(integrate_final(rhs, base.states, 0.0, tau, 0.01), params.n)
+        assert hausdorff_semidistance(images, shifted) < 1e-5
 
 
 class TestConvergenceStudy:

@@ -1,0 +1,36 @@
+"""The per-layer tracer of ``perfbench/`` hooks latticedyn names from outside
+the package; a hook whose target is gone turns its metrics into "missing"
+without failing the benchmark run.  This guard fails instead."""
+
+import importlib.util
+from pathlib import Path
+
+from latticedyn import attractor, cli, dynamics
+from latticedyn.forcing import QuasiPeriodicForcing
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hook_finds_its_target_and_is_restored():
+    tracing = load_tracing()
+    modules = (attractor, cli, dynamics)
+    before = [dict(vars(m)) for m in modules] + [dict(cli._COMMANDS)]
+    methods = [(cls, name, getattr(cls, name)) for cls, name in (
+        (QuasiPeriodicForcing, "eval_window"), (dynamics.Trajectory, "norms_sq"),
+        (attractor.AttractorCloud, "diameter"), (attractor.AttractorCloud, "norms"))]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert tracer.missing == set()
+        assert tracing.missing_metrics(tracer) == set()
+    finally:
+        tracer.restore()
+    assert [dict(vars(m)) for m in modules] + [dict(cli._COMMANDS)] == before
+    assert all(getattr(cls, name) is original for cls, name, original in methods)

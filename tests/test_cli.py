@@ -300,6 +300,21 @@ class TestConverge:
         cfg = write_config(tmp_path, text)
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["attractor", "converge"])
+    @pytest.mark.parametrize("amplitude0", ["1e-200", "1e-320"])
+    def test_tiny_geometric_amplitude_runs(self, tmp_path, capsys, command, amplitude0):
+        # the default window is one period of site 0's mode, however small
+        # its amplitude (the square of 1e-200 underflows to 0)
+        text = CONVERGE.replace("n = 6", "n = 6\nn_list = 2 4\nn_ref = 16").replace(
+            "support = finite\namplitude0 = 1.0\ndecay_rate = 0.5\nsupport_radius = 2",
+            f"support = geometric\namplitude0 = {amplitude0}\ndecay_rate = 0.5")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is True and "error" not in report
+
     def test_boundary_contamination_exit_code(self, tmp_path):
         # a reference width this small cannot hold the driven response, so
         # the edge monitor fires and the run reports an integration failure
@@ -312,6 +327,11 @@ class TestConverge:
         assert "edge amplitude" in report["error"]["message"]
         assert report["config"]["params"]["n_ref"] == "4"
         assert report["command"] == "converge" and report["seed"] == 99
+
+
+# finite geometric amplitudes whose energy sum a_i^2 overflows a float
+ENERGY_OVERFLOW = [(command, amplitude0) for command in ("simulate", "verify", "attractor", "converge")
+                   for amplitude0 in ("1e200", "1e300")]
 
 
 class TestConfigValidation:
@@ -354,6 +374,12 @@ class TestConfigValidation:
              "[forcing] frequency_rule: geometric support takes one number, got 3"),
             ("verify", "name = linear", "name = poly\ncoeffs = nan", (),
              "[nonlinearity] coeffs: expected a nonempty list of finite numbers"),
+            *[(command, "support = finite\namplitude0 = 1.0\ndecay_rate = 0.5\nsupport_radius = 2",
+               f"support = geometric\namplitude0 = {amplitude0}\ndecay_rate = 0.5", (),
+               "forcing energy sum a_i^2 is not a finite float")
+              for command, amplitude0 in ENERGY_OVERFLOW],
+            ("simulate", "amplitude0 = 1.0", "amplitude0 = 1e200", (),
+             "forcing energy sum a_i^2 is not a finite float"),
         ],
         ids=["h-nan", "t1-inf", "nu-auto", "tail_eps-empty", "tail_eps-negative", "window-inf",
              "sample_count-zero", "seed-negative", "seed-flag-negative", "window-negative",
@@ -361,7 +387,9 @@ class TestConfigValidation:
              "v0_norm-negative", "eps-zero", "burn_in-negative", "rho-negative",
              "n_work-unknown", "triples-zero", "triples-negative", "coeffs-not-poly",
              "support_radius-geometric", "section-unknown", "forcing-key-unknown",
-             "amplitude0-nan-geometric", "frequency_rule-geometric-per-site", "coeffs-nan"],
+             "amplitude0-nan-geometric", "frequency_rule-geometric-per-site", "coeffs-nan",
+             *[f"energy-{amplitude0}-geometric-{command}" for command, amplitude0 in ENERGY_OVERFLOW],
+             "energy-1e200-finite"],
     )
     def test_bad_numbers_exit_2_without_traceback(self, tmp_path, capsys, command, old, new,
                                                   flags, message):

@@ -4,12 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from latticedyn import (
-    QuasiPeriodicForcing,
-    bebutov_distance,
-    equicontinuity_modulus,
-    project_forcing,
-)
+from latticedyn import QuasiPeriodicForcing, project_forcing
 from latticedyn.cli import load_config
 from latticedyn.errors import ConfigError, LatticeError, ParameterError
 from latticedyn.forcing import FiniteForcing, GeometricForcing
@@ -34,11 +29,10 @@ class TestEval:
 
     def test_geometric_norm_at_peak(self):
         f = QuasiPeriodicForcing.geometric(1.0, 0.5, 1.0, 0.0)
-        # sum 4^-|i| = 5/3 at the sine peak
-        assert f.norm_sq_at(math.pi / 2) == pytest.approx(5.0 / 3.0, rel=1e-12)
-        assert f.norm_sq_at(math.pi / 2) == pytest.approx(
-            geometric_energy_oracle(1.0, 0.5), rel=1e-12
-        )
+        # sum 4^-|i| = 5/3 at the sine peak; the window leaves out < 4^-60
+        v = f.eval_window(math.pi / 2, 60)
+        assert float(v @ v) == pytest.approx(5.0 / 3.0, rel=1e-12)
+        assert float(v @ v) == pytest.approx(geometric_energy_oracle(1.0, 0.5), rel=1e-12)
 
 
 class TestValueTypes:
@@ -128,8 +122,15 @@ class TestShift:
 class TestTail:
     def test_finite_support_inside_window(self, rng, make_random_forcing):
         f = make_random_forcing(rng, support=3)
-        assert f.tail(3, 1.7) == 0.0
-        assert f.tail(10, -0.4) == 0.0
+        assert f.tail_sup_bound(3) == 0.0
+        assert f.tail_sup_bound(10) == 0.0
+        # the amplitude mass on the sites |i| >= n + 1 of the table on |i| <= 3
+        a = f.amplitudes
+        for n in range(3):
+            outside = np.concatenate([a[:3 - n], a[4 + n:]])
+            assert f.tail_sup_bound(n) == pytest.approx(float(outside @ outside), rel=1e-12)
+        with pytest.raises(ParameterError):
+            f.tail_sup_bound(-1)
 
     def test_geometric_sup_bound_matches_series(self):
         f = QuasiPeriodicForcing.geometric(1.0, 0.5, 1.0)
@@ -141,58 +142,23 @@ class TestTail:
             )
 
     def test_tail_is_norm_minus_head(self, rng, make_random_forcing):
-        # identity R_n(f)(t) = ||f(t)||^2 - sum_{|i|<=n} |f_i(t)|^2
+        # sup_t R_n(f) = sum_i a_i^2 - sum_{|i|<=n} a_i^2, the energy outside the head
         for f in (
             make_random_forcing(rng, support=6),
             QuasiPeriodicForcing.geometric(0.8, 0.6, 1.4, 0.3),
         ):
-            for t in rng.uniform(-10.0, 10.0, 5):
-                for n in (0, 2, 5):
-                    head = f.eval_window(t, n)
-                    expected = f.norm_sq_at(t) - float(head @ head)
-                    assert f.tail(n, t) == pytest.approx(expected, abs=1e-12)
+            for n in (0, 2, 5):
+                head = f.mode_table(n)[0]
+                expected = f.total_energy() - float(head @ head)
+                assert f.tail_sup_bound(n) == pytest.approx(expected, abs=1e-12)
 
     def test_tail_nonincreasing_and_vanishing(self):
         f = QuasiPeriodicForcing.geometric(2.0, 0.5, 1.0, 0.4)
-        t = 0.9
-        tails = [f.tail(n, t) for n in range(12)]
-        assert all(a >= b for a, b in zip(tails, tails[1:]))
         # decay rate follows the stored certificate: ratio r^2 per order
         sups = [f.tail_sup_bound(n) for n in range(12)]
+        assert all(a > b for a, b in zip(sups, sups[1:]))
         ratios = [b / a for a, b in zip(sups, sups[1:])]
         assert np.allclose(ratios, 0.25, rtol=1e-12)
-
-
-class TestBebutovDistance:
-    def test_identical_forcings(self):
-        f = QuasiPeriodicForcing.geometric(1.0, 0.5, 1.0)
-        assert bebutov_distance(f, f, 20.0, 0.05) == 0.0
-
-    def test_amplitude_perturbation(self):
-        # phase pi/2: the gap delta*|cos t| peaks at t=0, inside every window
-        delta = 1e-3
-        f = QuasiPeriodicForcing.finite([1.0], 1.0, math.pi / 2)
-        g = QuasiPeriodicForcing.finite([1.0 + delta], 1.0, math.pi / 2)
-        d = bebutov_distance(f, g, 50.0, 0.1)
-        # 1-D scan oracle over the same grid
-        ls = np.arange(0.1, 50.0 + 0.05, 0.1)
-        inner = delta  # max_{|t|<=L} delta |cos t| = delta for every L
-        oracle = max(min(inner, 1.0 / l) for l in ls)
-        assert d == pytest.approx(oracle, rel=1e-12)
-        assert d == pytest.approx(delta, rel=1e-12)
-
-    def test_symmetry(self, rng, make_random_forcing):
-        f = make_random_forcing(rng, support=2)
-        g = make_random_forcing(rng, support=3)
-        assert bebutov_distance(f, g, 10.0, 0.2) == bebutov_distance(g, f, 10.0, 0.2)
-
-    def test_periodic_recurrence(self):
-        # shifts by whole periods return to the start in the metric
-        f = QuasiPeriodicForcing.finite([1.0, 0.5, 1.0], 2.0, 0.3)
-        period = math.pi  # common frequency 2
-        for k in (1, 7, 40):
-            d = bebutov_distance(f.shift(k * period), f, 30.0, 0.25)
-            assert d < 1e-6
 
 
 class TestUniformBound:
@@ -216,32 +182,9 @@ class TestUniformBound:
         ):
             c = f.uniform_bound()
             ts = rng.uniform(-500.0, 500.0, 10_000)
-            norms = np.sqrt([f.norm_sq_at(t) for t in ts])
+            # a window of 60 holds every site of both forcings above 0.55^60
+            norms = np.array([np.linalg.norm(f.eval_window(t, 60)) for t in ts])
             assert np.all(norms <= c * (1.0 + 1e-12))
-
-
-class TestEquicontinuity:
-    def test_zero_forcing_sentinel(self):
-        assert equicontinuity_modulus(QuasiPeriodicForcing.zero(), 0.1) == math.inf
-
-    def test_single_mode(self):
-        f = QuasiPeriodicForcing.finite([1.0], 2.0, 0.0)
-        assert equicontinuity_modulus(f, 0.5) == pytest.approx(0.25)
-
-    def test_modulus_verified_by_sampling(self, rng, make_random_forcing):
-        f = make_random_forcing(rng, support=3)
-        eps = 0.05
-        delta = equicontinuity_modulus(f, eps)
-        t1 = rng.uniform(-20.0, 20.0, 400)
-        t2 = t1 + rng.uniform(-delta, delta, 400) * 0.999
-        window = 3
-        for a, b in zip(t1, t2):
-            gap = np.linalg.norm(f.eval_window(a, window) - f.eval_window(b, window))
-            assert gap < eps
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ParameterError):
-            equicontinuity_modulus(QuasiPeriodicForcing.zero(), 0.0)
 
 
 def load_forcing(tmp_path, keys):
