@@ -28,7 +28,6 @@ from .estimates import (
     cutoff_eval,
     gronwall_bound,
     tail_mass,
-    verify_energy_decay,
 )
 from .forcing import QuasiPeriodicForcing
 from .operators import (
@@ -70,6 +69,5 @@ __all__ = [
     "sample_attractor",
     "tail_certificate",
     "tail_mass",
-    "verify_energy_decay",
     "wrap_forcing",
 ]

@@ -279,7 +279,6 @@ class ConvergenceReport:
     """Distances from finite-order attractor clouds to the reference cloud."""
 
     rows: tuple[ConvergenceRow, ...]
-    threshold: float | None
 
     @property
     def betas(self) -> list[float]:
@@ -291,19 +290,8 @@ class ConvergenceReport:
         return all(b1 > b2 for b1, b2 in zip(betas, betas[1:]))
 
     @property
-    def nonincreasing_within_noise(self) -> bool:
-        betas = self.betas
-        return all(b2 <= 1.1 * b1 for b1, b2 in zip(betas, betas[1:]))
-
-    @property
     def final_beta(self) -> float:
         return self.rows[-1].beta_to_ref
-
-    @property
-    def passed(self) -> bool:
-        if self.threshold is None:
-            return True
-        return self.final_beta < self.threshold
 
 
 def convergence_study(
@@ -313,8 +301,6 @@ def convergence_study(
     nonlin: Nonlinearity,
     n_list: tuple[int, ...],
     n_ref: int,
-    *,
-    threshold: float | None = None,
     **sampling,
 ) -> ConvergenceReport:
     """Sample each finite-order attractor and the padded reference proxy,
@@ -347,7 +333,7 @@ def convergence_study(
                 cloud_size=len(cloud),
             )
         )
-    return ConvergenceReport(rows=tuple(rows), threshold=threshold)
+    return ConvergenceReport(rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,26 @@
 """The property checks shared by ``latticedyn verify`` and the acceptance
 suite: the stencil identities, shift equivariance of the forcing
-projections, the flow composition defect, and the energy and absorbing
-envelopes along trajectories.
+projections, the flow composition defect, the energy and absorbing
+envelopes along trajectories, and the rows ``attractor`` and ``converge``
+make of the tail certificate and the distances to the reference cloud.
 
-Each check measures the inputs it is given against the gate its caller
-passes and returns report rows ``{name, passed, margin, detail}``; the
+This is the one module that compares a measurement with a gate.  Each
+check measures the inputs it is given against the gate its caller passes
+and returns report rows ``{name, passed, margin, detail}``; the
 margin is the signed distance to the gate, positive when the check passes.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from typing import Any
 
 import numpy as np
 
 from .dynamics import cocycle_property_check
-from .estimates import gronwall_bound, verify_energy_decay
+from .errors import ParameterError
+from .estimates import gronwall_bound
 from .operators import apply_difference, apply_laplacian, difference_matrix, laplacian_matrix
 
 log = logging.getLogger("latticedyn")
@@ -84,13 +88,20 @@ def cocycle_defect(v0, forcing, params, nonlin, h: float, tol: float,
 
 def energy_envelope(trajs, lam: float, alpha: float, forcing_bound: float,
                     margin: float) -> dict[str, Any]:
-    """No sample pair of any trajectory exceeds the discrete energy
-    envelope widened by ``margin`` (see :func:`verify_energy_decay`)."""
-    reports = [verify_energy_decay(traj, lam, alpha, forcing_bound, margin) for traj in trajs]
-    worst = max(r.max_excess for r in reports)
-    pairs = sum(r.samples_checked for r in reports)
-    return check("energy-envelope", all(r.ok for r in reports), -worst,
-                 f"{pairs} sample pairs, max excess {worst:.3g}")
+    """No sample pair of any trajectory exceeds the discrete shadow of the energy
+    inequality, ``y_{k+1} <= y_k exp(-(lam + 2 alpha) dt) + (C^2 / lam) dt (1 + margin)``,
+    where ``margin`` absorbs integration error."""
+    if lam <= 0.0:
+        raise ParameterError(f"decay rate must be > 0, got {lam}")
+    excess = []
+    for traj in trajs:
+        y, dts = traj.norms_sq(), np.diff(traj.times)
+        allowed = (y[:-1] * np.exp(-(lam + 2.0 * alpha) * dts)
+                   + (forcing_bound ** 2 / lam) * dts * (1.0 + margin))
+        excess.append(y[1:] - allowed)
+    worst = max(float(e.max(initial=-math.inf)) for e in excess)
+    return check("energy-envelope", worst <= 0.0, -worst,
+                 f"{sum(e.size for e in excess)} sample pairs, max excess {worst:.3g}")
 
 
 def absorbing_envelope(trajs, v0_norms, lam: float, alpha: float, forcing_bound: float,
@@ -107,3 +118,29 @@ def absorbing_envelope(trajs, v0_norms, lam: float, alpha: float, forcing_bound:
         worst = max(worst, float(np.max(norms / (bound * slack + 1e-30), initial=0.0)))
     return check("absorbing-envelope", worst <= 1.0, 1.0 - worst,
                  f"worst norm / ({slack:g} * bound) after t0 = {worst:.6g}")
+
+
+def beta_threshold(final_beta: float, threshold: float | None) -> dict[str, Any]:
+    """The finest order's distance to the reference lies below ``threshold``;
+    without a threshold the row records the distance and passes."""
+    if threshold is None:
+        return check("beta-threshold", True, 0.0, f"final beta {final_beta:.3g} (no threshold)")
+    return check("beta-threshold", final_beta < threshold, threshold - final_beta,
+                 f"final beta {final_beta:.3g} vs threshold {threshold:g}")
+
+
+def beta_nonincreasing(betas, slack: float) -> dict[str, Any]:
+    """No distance to the reference exceeds ``slack`` times the one of the
+    order before it; the slack absorbs sampling noise at the finest orders."""
+    passed = all(b2 <= slack * b1 for b1, b2 in zip(betas, betas[1:]))
+    return check("beta-nonincreasing", passed, 0.0, f"betas {[f'{b:.3g}' for b in betas]}")
+
+
+def tail_certificate(report, half_width: int) -> dict[str, Any]:
+    """Every level of a :class:`TailCertificateReport` holds; the detail names
+    the levels whose ``k`` lies beyond ``half_width``, where it is vacuous."""
+    vacuous = [r.eps for r in report.rows if r.vacuous]
+    return check("tail-certificate", report.ok, min(r.margin for r in report.rows),
+                 f"{len(report.rows)} tolerance levels"
+                 + (f"; vacuous at eps {vacuous}: k exceeds the cloud half-width {half_width}"
+                    if vacuous else ""))

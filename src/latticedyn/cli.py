@@ -454,13 +454,7 @@ def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, 
             )
             handle.write("\n")
         report["artifacts"].append(str(tail_path))
-        vacuous = [r.eps for r in tail.rows if r.vacuous]
-        report["checks"].append(
-            checks.check("tail-certificate", tail.ok, min(r.margin for r in tail.rows),
-                         f"{len(tail.rows)} tolerance levels"
-                         + (f"; vacuous at eps {vacuous}: k exceeds the cloud half-width "
-                            f"{cloud.half_width}" if vacuous else ""))
-        )
+        report["checks"].append(checks.tail_certificate(tail, cloud.half_width))
     else:
         log.info("check %-28s skipped: needs alpha > 0", "tail-certificate")
         report["skipped"] = [{"name": "tail-certificate", "reason": "needs alpha > 0"}]
@@ -477,8 +471,7 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
     log.info("converge: n_list=%s n_ref=%d", list(cfg.n_list), cfg.n_ref)
     study = convergence_study(
         cfg.forcing, cfg.nu, cfg.lam, nonlin, n_list=cfg.n_list, n_ref=cfg.n_ref,
-        threshold=cfg.threshold, seed=seed, boundary=cfg.boundary, step=cfg.h, rho=cfg.rho,
-        **cfg.sampling,
+        seed=seed, boundary=cfg.boundary, step=cfg.h, rho=cfg.rho, **cfg.sampling,
     )
     csv_path = out_dir / "convergence.csv"
     _write_table(
@@ -496,19 +489,8 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
         }
         for r in study.rows
     ]
-    report["checks"].append(
-        checks.check(
-            "beta-threshold",
-            study.passed,
-            (cfg.threshold - study.final_beta) if cfg.threshold is not None else 0.0,
-            f"final beta {study.final_beta:.3g}"
-            + (f" vs threshold {cfg.threshold:g}" if cfg.threshold is not None else " (no threshold)"),
-        )
-    )
-    report["checks"].append(
-        checks.check("beta-nonincreasing", study.nonincreasing_within_noise, 0.0,
-               f"betas {[f'{b:.3g}' for b in study.betas]}")
-    )
+    report["checks"] += [checks.beta_threshold(study.final_beta, cfg.threshold),
+                         checks.beta_nonincreasing(study.betas, slack=1.1)]
     return report
 
 

@@ -78,23 +78,15 @@ class Nonlinearity:
             raise NonlinearityConditionError(
                 f"{self.name}: zero fixed point violated, F(0) = {f0}"
             )
-        slack = _SIGN_SLACK * (1.0 + s * s)
-        if self.alpha > 0.0:
-            bad = s * fs > -self.alpha * s * s + slack
-            if np.any(bad):
-                worst = s[np.argmax(s * fs + self.alpha * s * s)]
-                raise NonlinearityConditionError(
-                    f"{self.name}: strict sign margin s*F(s) <= -alpha*s^2 "
-                    f"violated near s = {worst:.6g}"
-                )
-        else:
-            bad = s * fs > slack
-            if np.any(bad):
-                worst = s[np.argmax(s * fs)]
-                raise NonlinearityConditionError(
-                    f"{self.name}: weak sign condition s*F(s) <= 0 "
-                    f"violated near s = {worst:.6g}"
-                )
+        # at alpha = 0 the bound -alpha*s^2 + slack is exactly slack: the weak rule
+        bad = s * fs > -self.alpha * s * s + _SIGN_SLACK * (1.0 + s * s)
+        if np.any(bad):
+            worst = s[np.argmax(s * fs + self.alpha * s * s)]
+            condition = ("strict sign margin s*F(s) <= -alpha*s^2" if self.alpha > 0.0
+                         else "weak sign condition s*F(s) <= 0")
+            raise NonlinearityConditionError(
+                f"{self.name}: {condition} violated near s = {worst:.6g}"
+            )
         bound = self.lipschitz(rho_max)
         slopes = np.abs(np.diff(fs) / np.diff(s))
         if np.any(slopes > bound * (1.0 + 1e-9) + _SIGN_SLACK):
@@ -274,7 +266,9 @@ class Trajectory:
         if len(self.times) != len(self.states):
             raise DimensionError("times and states disagree in length")
         if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("sample times must be strictly increasing")
+            resolution = np.spacing(np.abs(self.times).max())
+            raise ParameterError("sample times must be strictly increasing; a step below the "
+                                 f"time resolution {resolution:.3g} repeats a sample time")
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory contains non-finite states")
 
@@ -301,8 +295,11 @@ def rk4_step(rhs, t, y: np.ndarray, h) -> np.ndarray:
 
 
 def _step_count(span: float, h: float) -> int:
+    count = span / h
+    if not math.isfinite(count):
+        raise ParameterError(f"step {h:g} is too small for the span {span:g}")
     # the relative slack absorbs the rounding of span / (span / N)
-    return max(1, math.ceil(span / h * (1.0 - 1e-12))) if span > 0.0 else 0
+    return max(1, math.ceil(count * (1.0 - 1e-12))) if span > 0.0 else 0
 
 
 def _row_schedule(y: np.ndarray, t0, t1: float, h: float):
@@ -346,6 +343,10 @@ def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
     """
     if not h > 0.0:
         raise ParameterError(f"step must be > 0, got {h}")
+    times = np.append(t0, t1)
+    if not np.isfinite(times).all():
+        bad = times[~np.isfinite(times)][0]
+        raise ParameterError(f"start and end times must be finite, got {bad}")
     if np.ndim(t0):
         t0, h, n_steps = _row_schedule(y, t0, t1, h)
     else:

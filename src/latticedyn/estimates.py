@@ -5,13 +5,11 @@ mass on states."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError, StrictModeRequiredError
-from .dynamics import Trajectory
 
 #: Slope bound of the unit cutoff profile; the cubic smoothstep attains
 #: its steepest slope 3/2 at the midpoint of the bridge.
@@ -26,7 +24,10 @@ def asymptotic_radius_sq(lam: float, alpha: float, forcing_bound: float) -> floa
         raise ParameterError(f"decay rate must be > 0, got {lam}")
     if alpha < 0.0:
         raise ParameterError(f"margin must be >= 0, got {alpha}")
-    return forcing_bound ** 2 / (lam * (lam + 2.0 * alpha))
+    rate_sq = lam * (lam + 2.0 * alpha)
+    if rate_sq == 0.0:
+        raise ParameterError(f"decay rate {lam} too small: lam * (lam + 2 alpha) underflows to 0")
+    return forcing_bound ** 2 / rate_sq
 
 
 def gronwall_bound(
@@ -141,47 +142,3 @@ def calibrate_tail_index(
         else:
             lo = mid + 1
     return lo
-
-
-@dataclass(frozen=True)
-class EnergyDecayReport:
-    """Outcome of checking the discrete energy envelope along a trajectory."""
-
-    violations: tuple[tuple[int, float], ...]
-    max_excess: float
-    samples_checked: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_energy_decay(
-    traj: Trajectory,
-    lam: float,
-    alpha: float,
-    forcing_bound: float,
-    margin: float = 0.05,
-) -> EnergyDecayReport:
-    """Check every consecutive sample pair against the discrete shadow of the
-    energy inequality:
-
-        y_{k+1} <= y_k * exp(-(lam + 2*alpha) * dt) + (C^2 / lam) * dt * (1 + margin).
-
-    The margin absorbs integration error; the report lists violating pairs
-    with their excess.
-    """
-    if lam <= 0.0:
-        raise ParameterError(f"decay rate must be > 0, got {lam}")
-    y = traj.norms_sq()
-    dts = np.diff(traj.times)
-    rate = lam + 2.0 * alpha
-    allowed = y[:-1] * np.exp(-rate * dts) + (forcing_bound ** 2 / lam) * dts * (1.0 + margin)
-    excess = y[1:] - allowed
-    bad = np.nonzero(excess > 0.0)[0]
-    violations = tuple((int(k), float(excess[k])) for k in bad)
-    return EnergyDecayReport(
-        violations=violations,
-        max_excess=float(excess.max(initial=-math.inf)),
-        samples_checked=len(dts),
-    )

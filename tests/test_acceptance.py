@@ -166,7 +166,7 @@ def test_criterion_6_attractor_convergence():
         forcing, 1.0, 1.0, nonlin,
         n_list=(4, 8, 16), n_ref=64,
         eps=1e-2, ic_count=3, sample_count=6, seed=12,
-        burn_in=10.0, step=0.02, threshold=1e-5,
+        burn_in=10.0, step=0.02,
     )
     passed = report.strictly_decreasing and report.final_beta < 1e-5
     _report(

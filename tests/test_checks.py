@@ -15,6 +15,7 @@ from latticedyn import (
     project_forcing,
     wrap_forcing,
 )
+from latticedyn.attractor import TailCertificateReport, TailCertificateRow
 from latticedyn.dynamics import Trajectory
 from latticedyn.operators import apply_laplacian
 
@@ -152,3 +153,32 @@ class TestEnvelopes:
         # the same trajectory credited with a smaller initial norm
         row = checks.absorbing_envelope([traj, traj], [v0_norm, 0.5 * v0_norm], 1.0, 1.0, c, 1.05)
         assert row["passed"] is False and row["margin"] < 0.0
+
+
+class TestBetaRows:
+    def test_no_threshold_passes_with_zero_margin(self):
+        row = _row_keys(checks.beta_threshold(0.5, None))
+        assert row == {"name": "beta-threshold", "passed": True, "margin": 0.0,
+                       "detail": "final beta 0.5 (no threshold)"}
+
+    def test_final_beta_above_threshold_fails(self):
+        row = checks.beta_threshold(2e-3, 1e-3)
+        assert row["passed"] is False and row["margin"] < 0.0
+        assert row["detail"] == "final beta 0.002 vs threshold 0.001"
+        assert checks.beta_threshold(5e-4, 1e-3)["margin"] == 1e-3 - 5e-4
+
+    @pytest.mark.parametrize("rise, passed", [(1.1, True), (1.11, False)])
+    def test_rise_within_slack(self, rise, passed):
+        row = _row_keys(checks.beta_nonincreasing([1.0, 0.5, 0.5 * rise], slack=1.1))
+        assert row["passed"] is passed and row["margin"] == 0.0
+        assert row["detail"] == f"betas {['1', '0.5', f'{0.5 * rise:.3g}']}"
+
+
+class TestTailCertificateRow:
+    def test_failing_level_sets_the_margin(self):
+        rows = (TailCertificateRow(eps=1e-2, k=3, worst_tail=0.0, margin=1e-2, vacuous=False),
+                TailCertificateRow(eps=1e-3, k=5, worst_tail=3e-3, margin=-2e-3, vacuous=False))
+        report = TailCertificateReport(rows=rows, ball_norm_sq=1.0, points_checked=4)
+        row = _row_keys(checks.tail_certificate(report, 8))
+        assert row["passed"] is False and row["margin"] == -2e-3
+        assert row["detail"] == "2 tolerance levels"

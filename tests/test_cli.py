@@ -329,6 +329,9 @@ class TestConverge:
         assert report["command"] == "converge" and report["seed"] == 99
 
 
+# BASE from the order to the forcing frequency: one span to edit both at once
+PERIOD_SPAN = BASE[BASE.index("n = 6"):BASE.index("phase_rule")]
+
 # finite geometric amplitudes whose energy sum a_i^2 overflows a float
 ENERGY_OVERFLOW = [(command, amplitude0) for command in ("simulate", "verify", "attractor", "converge")
                    for amplitude0 in ("1e200", "1e300")]
@@ -380,6 +383,19 @@ class TestConfigValidation:
               for command, amplitude0 in ENERGY_OVERFLOW],
             ("simulate", "amplitude0 = 1.0", "amplitude0 = 1e200", (),
              "forcing energy sum a_i^2 is not a finite float"),
+            ("attractor", "frequency_rule = 1.0", "frequency_rule = 1e-320", (),
+             "start and end times must be finite, got nan"),
+            ("converge", PERIOD_SPAN, PERIOD_SPAN.replace("n = 6", "n = 6\nn_list = 2 4\nn_ref = 8")
+             .replace("frequency_rule = 1.0", "frequency_rule = 1e-320"), (),
+             "start and end times must be finite, got nan"),
+            *[(command, "[simulate]", "[integrator]\nh = 1e-320\n\n[simulate]", (),
+               "is too small for the span") for command in ("simulate", "attractor")],
+            ("simulate", "[simulate]\nt0 = 0.0\nt1 = 4.0",
+             "[integrator]\nh = 1\n\n[simulate]\nt0 = 1e17\nt1 = 1.0000000000000016e17", (),
+             "a step below the time resolution 16 repeats a sample time"),
+            ("simulate", "lambda = 1.0\nn = 6\n\n[nonlinearity]\nname = linear\nalpha = 1.0",
+             "lambda = 1e-200\nn = 6\n\n[nonlinearity]\nname = zero\nalpha = 0", (),
+             "decay rate 1e-200 too small: lam * (lam + 2 alpha) underflows to 0"),
         ],
         ids=["h-nan", "t1-inf", "nu-auto", "tail_eps-empty", "tail_eps-negative", "window-inf",
              "sample_count-zero", "seed-negative", "seed-flag-negative", "window-negative",
@@ -389,7 +405,9 @@ class TestConfigValidation:
              "support_radius-geometric", "section-unknown", "forcing-key-unknown",
              "amplitude0-nan-geometric", "frequency_rule-geometric-per-site", "coeffs-nan",
              *[f"energy-{amplitude0}-geometric-{command}" for command, amplitude0 in ENERGY_OVERFLOW],
-             "energy-1e200-finite"],
+             "energy-1e200-finite", "period-overflow-attractor", "period-overflow-converge",
+             "step-underflow-simulate", "step-underflow-attractor", "time-resolution-simulate",
+             "radius-underflow-simulate"],
     )
     def test_bad_numbers_exit_2_without_traceback(self, tmp_path, capsys, command, old, new,
                                                   flags, message):

@@ -10,6 +10,7 @@ from latticedyn import (
     QuasiPeriodicForcing,
     burn_in_time,
     calibrate_tail_index,
+    checks,
     cutoff_eval,
     gronwall_bound,
     integrate,
@@ -17,7 +18,6 @@ from latticedyn import (
     make_nonlinearity,
     project_forcing,
     tail_mass,
-    verify_energy_decay,
 )
 from latticedyn.errors import ParameterError, StrictModeRequiredError
 from latticedyn.estimates import asymptotic_radius_sq
@@ -186,6 +186,9 @@ class TestTailCalibration:
 
 
 class TestEnergyDecay:
+    """The energy-envelope row of :mod:`latticedyn.checks` on trajectories
+    whose energy law is known."""
+
     def test_unforced_linear_trajectory(self, rng):
         params = LatticeParams(nu=1.0, lam=1.0, n=5)
         nl = make_nonlinearity("linear", 1.0)
@@ -193,8 +196,7 @@ class TestEnergyDecay:
         v0 = rng.standard_normal(params.dim)
         v0 /= np.linalg.norm(v0)
         traj = integrate(rhs, v0, 0.0, 4.0, 0.01)
-        report = verify_energy_decay(traj, 1.0, 1.0, 0.0)
-        assert report.ok
+        assert checks.energy_envelope([traj], 1.0, 1.0, 0.0, 0.05)["passed"]
         # pointwise exponential envelope, no margin needed for the exact law
         y = traj.norms_sq()
         assert np.all(y <= np.exp(-3.0 * traj.times) * (1.0 + 1e-8))
@@ -204,8 +206,7 @@ class TestEnergyDecay:
         nl = make_nonlinearity("cubic", 1.0)
         rhs = make_finite_rhs(params, nl, QuasiPeriodicForcing.zero())
         traj = integrate(rhs, np.zeros(params.dim), 0.0, 1.0, 0.05)
-        report = verify_energy_decay(traj, 1.0, 1.0, 0.0)
-        assert report.ok
+        assert checks.energy_envelope([traj], 1.0, 1.0, 0.0, 0.05)["passed"]
         assert np.all(traj.norms_sq() == 0.0)
 
     def test_forced_run_settles_into_radius(self, rng):
@@ -217,8 +218,7 @@ class TestEnergyDecay:
         v0 = rng.standard_normal(params.dim)
         v0 *= 2.0 / np.linalg.norm(v0)
         traj = integrate(rhs, v0, 0.0, 6.0, 0.01)
-        report = verify_energy_decay(traj, 1.0, 1.0, 1.0)
-        assert report.ok
+        assert checks.energy_envelope([traj], 1.0, 1.0, 1.0, 0.05)["passed"]
         late = traj.norms_sq()[traj.times >= 3.0]
         assert np.all(late <= (1.0 / 3.0) * 1.05 ** 2)
 
@@ -228,7 +228,6 @@ class TestEnergyDecay:
         times = np.array([0.0, 1.0])
         states = np.array([[0.1, 0.0], [5.0, 0.0]])
         traj = Trajectory(times=times, states=states, steps=1)
-        report = verify_energy_decay(traj, 1.0, 1.0, 0.5)
-        assert not report.ok
-        assert report.violations[0][0] == 0
-        assert report.max_excess > 0.0
+        row = checks.energy_envelope([traj], 1.0, 1.0, 0.5, 0.05)
+        assert row["passed"] is False and row["margin"] < 0.0
+        assert row["detail"].startswith("1 sample pairs")
