@@ -150,7 +150,11 @@ def _low_discrepancy_ball(count: int, dim: int, radius: float, seed: int) -> np.
 
 def _dominant_period(f: QuasiPeriodicForcing) -> float:
     w = abs(f.dominant_frequency())
-    return 2.0 * math.pi / w if w > 0.0 else 1.0
+    period = 2.0 * math.pi / w if w > 0.0 else 1.0
+    if not math.isfinite(period):
+        raise ParameterError(f"dominant frequency {w:g} is too small for a default window: "
+                             f"its period 2 pi / w is not finite; set [attractor] window")
+    return period
 
 
 def sample_attractor(

@@ -3,6 +3,7 @@ system, the nonlinearity contract, and a fixed-step RK4 integrator."""
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,6 +21,11 @@ from .forcing import QuasiPeriodicForcing
 from .operators import apply_laplacian
 
 STABILITY_SAFETY = 0.5
+#: Largest integration a run may ask for, in site-steps (rows x sites x RK4
+#: steps): over 700x the widest run in the tests and the benchmark (192 rows
+#: x 257 sites x 271 steps).  At the 24 ns per site-step of that batch on a
+#: 2-core Xeon this is about 4 minutes; one narrow row costs ~1 us per site-step.
+WORK_CAP = 10 ** 10
 _SIGN_SLACK = 1e-12  # absorbs 1-ulp rounding in the sampled sign checks
 _REGISTRATION_SAMPLES = 10_000
 
@@ -54,10 +60,14 @@ class Nonlinearity:
     ``s*F(s) <= -alpha*s**2``, ``alpha == 0`` the weak one ``s*F(s) <= 0``.
     The declared condition is checked by dense sampling at registration
     time; see :meth:`verify`.
+
+    ``func(s)`` returns a fresh array.  The right-hand sides call the catalog
+    form ``func(s, out, work)``: the same values written into ``out``, with
+    three arrays shaped like ``s`` in ``work`` as scratch.
     """
 
     name: str
-    func: Callable[[np.ndarray], np.ndarray]
+    func: Callable[..., np.ndarray]
     alpha: float
     lipschitz: Callable[[float], float]
 
@@ -117,23 +127,38 @@ def make_nonlinearity(
     if name == "linear":
         nl = Nonlinearity(
             name="linear",
-            func=lambda s, a=alpha: -a * s,
+            func=lambda s, out=None, work=None, a=alpha: np.multiply(-a, s, out),
             alpha=alpha,
             lipschitz=lambda rho, a=alpha: a,
         )
     elif name == "cubic":
+        def _cubic(s, out=None, work=None, a=alpha):
+            # -a * s - s * s * s
+            cube = np.multiply(s, s, None if work is None else work[0])
+            cube *= s
+            out = np.multiply(-a, s, out)
+            out -= cube
+            return out
+
         nl = Nonlinearity(
             name="cubic",
-            func=lambda s, a=alpha: -a * s - s * s * s,
+            func=_cubic,
             alpha=alpha,
             lipschitz=lambda rho, a=alpha: a + 3.0 * rho * rho,
         )
     elif name == "zero":
         if alpha != 0.0:
             raise ParameterError("zero nonlinearity carries no margin; alpha must be 0")
+
+        def _zero(s, out=None, work=None):
+            if out is None:
+                return np.zeros_like(s)
+            out.fill(0.0)
+            return out
+
         nl = Nonlinearity(
             name="zero",
-            func=lambda s: np.zeros_like(s),
+            func=_zero,
             alpha=0.0,
             lipschitz=lambda rho: 0.0,
         )
@@ -142,14 +167,14 @@ def make_nonlinearity(
             raise ParameterError("poly nonlinearity needs odd-power coefficients")
         cs = tuple(float(c) for c in coeffs)
 
-        def _poly(s, cs=cs):
+        def _poly(s, out=None, work=None, cs=cs):
             # odd powers as repeated products: numpy's power is ~50x slower
-            s2 = s * s
-            power = s
-            out = cs[0] * s
-            for c in cs[1:]:
-                power = power * s2
-                out += c * power
+            s2, power, term = (None, None, None) if work is None else work[:3]
+            s2 = np.multiply(s, s, s2)
+            out = np.multiply(cs[0], s, out)
+            for k, c in enumerate(cs[1:]):
+                power = np.multiply(power if k else s, s2, power)
+                out += np.multiply(c, power, term)
             return out
 
         nl = Nonlinearity(
@@ -181,9 +206,10 @@ def _compile_rhs(
     with ``A`` the periodic or the zero-ghost second difference.
 
     The forcing table is read once and kept to the columns between the first
-    and the last nonzero amplitude.  The closure acts on the last axis of a
-    state or a stack of rows; ``t`` is a scalar or a column with one time per
-    row.
+    and the last nonzero amplitude.  The closure ``rhs(t, u, out=None)`` acts
+    on the last axis of a state or a stack of rows; ``t`` is a scalar or a
+    column with one time per row.  It writes into ``out`` (shaped like ``u``,
+    not ``u``) or a fresh array, with scratch arrays it keeps per shape.
     """
     nu, lam, func = params.nu, params.lam, nonlin.func
     amps, freqs, phases = forcing.mode_table(half_width)
@@ -192,16 +218,26 @@ def _compile_rhs(
     if cols is not None:
         amps, freqs, phases = amps[cols], freqs[cols], phases[cols]
     offset = forcing.time_offset
+    # per state shape: F(u), F's scratch (lam * u goes first), forcing columns.
+    # ufuncs here and in the loop take ``out`` as the third positional
+    # argument: the keyword costs ~20 ns a call, ~2% of a one-row step
+    held: dict[tuple, tuple] = {}
 
-    def rhs(t, u):
-        out = apply_laplacian(u, half_width, periodic)
+    def rhs(t, u, out=None):
+        out = apply_laplacian(u, half_width, periodic, out)
+        bufs = held.get(out.shape)
+        if bufs is None:
+            shape = out.shape
+            bufs = held[shape] = (np.empty(shape), (np.empty(shape), np.empty(shape),
+                                  np.empty(shape)), np.empty((*shape[:-1], len(freqs))))
+        fu, work, drive = bufs
         out *= -nu
-        out -= lam * u
-        out += func(u)
+        out -= np.multiply(lam, u, work[0])
+        out += func(u, fu, work)
         if cols is not None:
-            drive = freqs * (t + offset)
+            np.multiply(freqs, t + offset, drive)
             drive += phases
-            np.sin(drive, out=drive)
+            np.sin(drive, drive)
             drive *= amps
             out[..., cols] += drive
         return out
@@ -280,18 +316,47 @@ class Trajectory:
         return np.einsum("ij,ij->i", self.states, self.states)
 
 
-def rk4_step(rhs, t, y: np.ndarray, h) -> np.ndarray:
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
+def rk4_step(rhs, t, y: np.ndarray, h, out: np.ndarray, work) -> np.ndarray:
+    """One classical RK4 step of ``rhs(t, u, out)`` from ``y`` at ``t``, written
+    into ``out``, which holds k1 and then the running sum; ``work`` holds the
+    current k and the stage state.  These three are arrays shaped like ``y``,
+    and no two of the four share memory."""
+    k, stage = work
+    half = 0.5 * h
+    rhs(t, y, out)
+    # each stage is y + 0.5 * h * k: the product first, then y added
+    np.multiply(half, out, stage)
+    stage += y
+    rhs(t + half, stage, k)
+    np.multiply(half, k, stage)
+    stage += y
     # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in place in that order
-    acc = k1 + 2.0 * k2
-    acc += 2.0 * k3
-    acc += k4
-    acc *= h / 6.0
-    acc += y
-    return acc
+    k *= 2.0
+    out += k
+    rhs(t + half, stage, k)
+    np.multiply(h, k, stage)
+    stage += y
+    k *= 2.0
+    out += k
+    rhs(t + h, stage, k)
+    out += k
+    out *= h / 6.0
+    out += y
+    return out
+
+
+def _with_out(rhs):
+    """``rhs`` in the ``rhs(t, u, out)`` form the loop calls.  A plain
+    ``rhs(t, u)`` has its result copied into ``out``, so one that returns its
+    own input cannot alias the state."""
+    if "out" in inspect.signature(rhs).parameters:
+        return rhs
+
+    def buffered(t, u, out):
+        np.copyto(out, rhs(t, u))
+        return out
+
+    return buffered
 
 
 def _step_count(span: float, h: float) -> int:
@@ -332,14 +397,16 @@ def _check_edges(y: np.ndarray, t, floor: float) -> None:
 
 
 def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
-    """The one RK4 loop: yields ``(t, y)`` after each accepted step.
+    """The one RK4 loop: yields ``(t, y)`` after each accepted step, with
+    ``y`` one of two arrays the loop writes in turn (copy it to keep it).
 
     ``t0`` is a scalar or holds one start time per row of a stacked ``y``;
     ``h`` is the largest step.  With a scalar ``t0`` the steps before the
     last are ``h``; with per-row ``t0`` row ``j`` steps ``span_j / N`` (see
     :func:`_row_schedule`).  The last step is ``t1 - t``, so every row ends
     on ``t1`` (exactly so for ``t1 = 0``).  With ``boundary_floor`` set, the
-    edge sites are checked at the start and after every step.
+    edge sites are checked at the start and after every step.  A run of more
+    than :data:`WORK_CAP` site-steps is refused before the first step.
     """
     if not h > 0.0:
         raise ParameterError(f"step must be > 0, got {h}")
@@ -353,12 +420,20 @@ def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
         if t1 < t0:
             raise ParameterError(f"t1 = {t1} precedes t0 = {t0}")
         n_steps = _step_count(t1 - t0, h)
+    site_steps = float(y.size) * n_steps
+    if site_steps > WORK_CAP:
+        raise ParameterError(f"integration needs {site_steps:.3g} site-steps (rows x sites x "
+                             f"steps), above the cap of {WORK_CAP:.0e}")
     if boundary_floor is not None:
         _check_edges(y, t0, boundary_floor)
+    rhs = _with_out(rhs)
+    # the loop's own arrays: RK4 scratch, and two states written in turn
+    work = (np.empty_like(y), np.empty_like(y))
+    states = (np.empty_like(y), np.empty_like(y))
     for k in range(n_steps):
         t = t0 + k * h
         step = h if k < n_steps - 1 else t1 - t
-        y = rk4_step(rhs, t, y, step)
+        y = rk4_step(rhs, t, y, step, states[k % 2], work)
         if not np.isfinite(y).all():
             bad = "state"
             row = 0
@@ -398,7 +473,7 @@ def integrate(
     for k, (t, y) in enumerate(_march(rhs, y, t0, t1, h, None), 1):
         if k % sample_stride == 0:
             times.append(t)
-            states.append(y)
+            states.append(y.copy())
     if times[-1] != t1:
         times.append(t1)
         states.append(y)

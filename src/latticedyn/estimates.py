@@ -27,7 +27,11 @@ def asymptotic_radius_sq(lam: float, alpha: float, forcing_bound: float) -> floa
     rate_sq = lam * (lam + 2.0 * alpha)
     if rate_sq == 0.0:
         raise ParameterError(f"decay rate {lam} too small: lam * (lam + 2 alpha) underflows to 0")
-    return forcing_bound ** 2 / rate_sq
+    radius_sq = forcing_bound ** 2 / rate_sq
+    if not math.isfinite(radius_sq):
+        raise ParameterError(f"decay rate {lam} too small: the absorbing radius "
+                             f"C**2 / (lam * (lam + 2 alpha)) = {radius_sq} is not finite")
+    return radius_sq
 
 
 def gronwall_bound(

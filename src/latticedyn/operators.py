@@ -39,8 +39,9 @@ def apply_difference(v, n: int):
     return np.roll(v, -1, axis=-1) - v
 
 
-def apply_laplacian(v, n: int, periodic: bool = True):
-    """Second difference ``(Av)_i = 2 v_i - v_{i-1} - v_{i+1}`` on a fresh array.
+def apply_laplacian(v, n: int, periodic: bool = True, out=None):
+    """Second difference ``(Av)_i = 2 v_i - v_{i-1} - v_{i+1}``, written into
+    ``out`` (an array shaped like ``v`` that is not ``v``) or a fresh array.
 
     ``periodic`` wraps the neighbours of the edge sites; otherwise they are
     zero ghost cells.  The periodic form satisfies ``<Av, v> = ||Bv||**2`` to
@@ -48,7 +49,7 @@ def apply_laplacian(v, n: int, periodic: bool = True):
     """
     _check_order(n)
     v = _check_width(v, n)
-    out = 2.0 * v
+    out = np.multiply(v, 2.0, out)
     out[..., 1:] -= v[..., :-1]
     if periodic:
         out[..., 0] -= v[..., -1]

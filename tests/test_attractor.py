@@ -151,6 +151,12 @@ class TestDominantPeriod:
     def test_unit_period_without_an_oscillating_mode(self, f):
         assert attractor._dominant_period(f) == 1.0
 
+    def test_infinite_period_names_the_frequency(self):
+        # 2 pi / 1e-320 overflows: no default window exists
+        f = QuasiPeriodicForcing.geometric(1.0, 0.5, 1e-320)
+        with pytest.raises(ParameterError, match="dominant frequency 9.99989e-321"):
+            attractor._dominant_period(f)
+
 
 class TestScrambledHalton:
     @pytest.mark.parametrize(

@@ -384,10 +384,10 @@ class TestConfigValidation:
             ("simulate", "amplitude0 = 1.0", "amplitude0 = 1e200", (),
              "forcing energy sum a_i^2 is not a finite float"),
             ("attractor", "frequency_rule = 1.0", "frequency_rule = 1e-320", (),
-             "start and end times must be finite, got nan"),
+             "dominant frequency 9.99989e-321 is too small for a default window"),
             ("converge", PERIOD_SPAN, PERIOD_SPAN.replace("n = 6", "n = 6\nn_list = 2 4\nn_ref = 8")
              .replace("frequency_rule = 1.0", "frequency_rule = 1e-320"), (),
-             "start and end times must be finite, got nan"),
+             "dominant frequency 9.99989e-321 is too small for a default window"),
             *[(command, "[simulate]", "[integrator]\nh = 1e-320\n\n[simulate]", (),
                "is too small for the span") for command in ("simulate", "attractor")],
             ("simulate", "[simulate]\nt0 = 0.0\nt1 = 4.0",
@@ -396,6 +396,17 @@ class TestConfigValidation:
             ("simulate", "lambda = 1.0\nn = 6\n\n[nonlinearity]\nname = linear\nalpha = 1.0",
              "lambda = 1e-200\nn = 6\n\n[nonlinearity]\nname = zero\nalpha = 0", (),
              "decay rate 1e-200 too small: lam * (lam + 2 alpha) underflows to 0"),
+            *[(command, "lambda = 1.0\nn = 6\n\n[nonlinearity]\nname = linear\nalpha = 1.0",
+               "lambda = 1e-160\nn = 6\n\n[nonlinearity]\nname = zero\nalpha = 0", (),
+               "decay rate 1e-160 too small: the absorbing radius") for command in ("attractor", "verify")],
+            # finite energy, but the absorbing radius 7.5e149 sets an automatic
+            # step of 1.3e-301: about 1.5e301 steps, refused before any is taken
+            *[(command, "n = 6\n\n[nonlinearity]\nname = linear\nalpha = 1.0\n\n[forcing]\n"
+               "support = finite\namplitude0 = 1.0\ndecay_rate = 0.5\nsupport_radius = 2",
+               "n = 4\n\n[nonlinearity]\nname = cubic\nalpha = 1.0\n\n[forcing]\n"
+               "support = geometric\namplitude0 = 1e150\ndecay_rate = 0.5", (),
+               "site-steps (rows x sites x steps), above the cap of 1e+10")
+              for command in ("simulate", "attractor")],
         ],
         ids=["h-nan", "t1-inf", "nu-auto", "tail_eps-empty", "tail_eps-negative", "window-inf",
              "sample_count-zero", "seed-negative", "seed-flag-negative", "window-negative",
@@ -407,7 +418,8 @@ class TestConfigValidation:
              *[f"energy-{amplitude0}-geometric-{command}" for command, amplitude0 in ENERGY_OVERFLOW],
              "energy-1e200-finite", "period-overflow-attractor", "period-overflow-converge",
              "step-underflow-simulate", "step-underflow-attractor", "time-resolution-simulate",
-             "radius-underflow-simulate"],
+             "radius-underflow-simulate", "radius-infinite-attractor", "radius-infinite-verify",
+             "work-cap-simulate", "work-cap-attractor"],
     )
     def test_bad_numbers_exit_2_without_traceback(self, tmp_path, capsys, command, old, new,
                                                   flags, message):
@@ -467,8 +479,8 @@ class TestConfigValidation:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
-# the fuzzed keys and the menu of values drawn for them; huge magnitudes such
-# as t1 = 1e300 are left out: they are valid and would only run for a long time
+# the fuzzed keys and the menu of values drawn for them; a huge magnitude such
+# as t1 = 1e200 is valid, and the integrator's work cap refuses it before any step
 FUZZ_BASE = {
     "params": {"nu": "1.0", "lambda": "1.0", "n": "3", "n_list": "1 2", "n_ref": "3"},
     "nonlinearity": {"name": "cubic", "alpha": "1.0"},
@@ -492,7 +504,8 @@ FUZZ_KEYS = [
     }.items()
     for key in keys
 ]
-FUZZ_VALUES = ["nan", "inf", "-1", "0", "auto", "", "x", "0.5", "1", "2", "3"]
+FUZZ_VALUES = ["nan", "inf", "-1", "0", "auto", "", "x", "0.5", "1", "2", "3",
+               "1e200", "1e-320", "-0.0"]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None,

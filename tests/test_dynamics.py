@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from latticedyn import (
     max_stable_step,
     project_forcing,
 )
-from latticedyn.dynamics import Nonlinearity, Trajectory, auto_step, integrate_final
+from latticedyn.dynamics import (
+    WORK_CAP,
+    Nonlinearity,
+    Trajectory,
+    auto_step,
+    integrate_final,
+    rk4_step,
+)
 from latticedyn.errors import (
     BoundaryContaminationError,
     DimensionError,
@@ -366,6 +374,126 @@ class TestIntegrate:
         for row in range(4):
             single = integrate_final(rhs, v0[row], 0.0, 2.0, 0.01)
             assert np.allclose(batch[row], single, atol=1e-13)
+
+
+CATALOG = [("linear", 0.7, None), ("cubic", 1.0, None), ("zero", 0.0, None),
+           ("poly", 0.5, (-0.5, -1.0, -0.25))]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _batches(rng, dim):
+    """(t, u): one state, a batch at one time, a batch with per-row times."""
+    return [(0.3, rng.standard_normal(dim)),
+            (0.3, rng.standard_normal((3, dim))),
+            (np.array([[-1.5], [0.0], [2.25]]), rng.standard_normal((3, dim)))]
+
+
+class TestBufferedStepping:
+    """The forms that write into caller buffers give the same bits as the
+    allocating expressions they replace."""
+
+    @pytest.mark.parametrize("name, alpha, coeffs", CATALOG)
+    def test_func_out_form_matches_allocating_form(self, rng, name, alpha, coeffs):
+        nl = make_nonlinearity(name, alpha, coeffs)
+        s = 3.0 * rng.standard_normal((5, 9))
+        out, work = np.full_like(s, np.nan), np.full((3, *s.shape), np.nan)
+        assert nl.func(s, out, work) is out
+        assert np.array_equal(_bits(out), _bits(nl.func(s)))
+
+    @pytest.mark.parametrize("name, alpha, coeffs", CATALOG)
+    @pytest.mark.parametrize("periodic", [True, False], ids=["wrap", "zero-ghost"])
+    def test_rhs_out_form_matches_allocating_form(self, rng, make_random_forcing, periodic,
+                                                   name, alpha, coeffs):
+        params = LatticeParams(nu=0.8, lam=1.2, n=4)
+        nl = make_nonlinearity(name, alpha, coeffs)
+        f = make_random_forcing(rng, support=2).shift(0.37)
+        make = make_finite_rhs if periodic else make_reference_rhs
+        rhs = make(params, nl, project_forcing(f, params.n) if periodic else f)
+        # the second pass feeds new states through the scratch arrays the first left
+        for t, u in _batches(rng, params.dim) + _batches(rng, params.dim):
+            out = np.full_like(u, np.nan)
+            assert rhs(t, u, out) is out
+            assert np.array_equal(_bits(out), _bits(rhs(t, u)))
+            # reference: the same arithmetic on fresh arrays
+            expected = apply_laplacian(u, params.n, periodic)
+            expected *= -params.nu
+            expected -= params.lam * u
+            expected += nl.func(u)
+            drive = (np.stack([f.eval_window(float(r), params.n) for r in t[:, 0]])
+                     if np.ndim(t) else f.eval_window(t, params.n))
+            assert np.array_equal(out, expected + drive)
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar-step", "per-row-steps"])
+    def test_rk4_step_keeps_the_allocating_arithmetic(self, rng, make_random_forcing, per_row):
+        params = LatticeParams(nu=1.0, lam=1.0, n=5)
+        f = project_forcing(make_random_forcing(rng, support=3), params.n)
+        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
+        y = rng.standard_normal((4, params.dim))
+        t, h = (np.array([[-2.0], [-1.0], [-0.5], [0.0]]), np.array([[0.02], [0.01], [0.005], [0.0]])
+                ) if per_row else (0.3, 0.05)
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        expected = k1 + 2.0 * k2
+        expected += 2.0 * k3
+        expected += k4
+        expected *= h / 6.0
+        expected += y
+        out, work = np.full_like(y, np.nan), np.full((2, *y.shape), np.nan)
+        assert rk4_step(rhs, t, y, h, out, work) is out
+        assert np.array_equal(_bits(out), _bits(expected))
+
+    def test_integrate_stores_distinct_samples(self):
+        traj = integrate(lambda t, y: -y, np.array([1.0, 2.0]), 0.0, 1.0, 0.1)
+        # a sample stored as the loop's buffer would read as a later state
+        assert len(np.unique(traj.states, axis=0)) == len(traj.times) == 11
+        assert np.all(np.diff(traj.states[:, 0]) < 0.0)
+        assert np.allclose(traj.states, np.exp(-traj.times)[:, None] * [1.0, 2.0],
+                           rtol=1e-6, atol=0.0)
+
+    def test_plain_rhs_returning_its_input_cannot_alias_the_state(self):
+        # u' = u, with the state itself handed back as the derivative
+        traj = integrate(lambda t, y: y, np.array([1.0]), 0.0, 0.1, 0.1)
+        h = 0.1
+        assert traj.final_state[0] == pytest.approx(1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24,
+                                                    rel=1e-15)
+
+    def test_buffered_step_allocates_less_than_a_state(self, rng, make_random_forcing):
+        # numpy's ufunc iterator may take up to getbufsize() = 8192 elements
+        # per operand for the strided stencil slices, whatever the batch: on
+        # 192 x 257 sites three such buffers still stay below one state
+        params = LatticeParams(nu=1.0, lam=1.0, n=128)
+        f = project_forcing(make_random_forcing(rng, support=128), params.n)
+        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
+        y = rng.standard_normal((192, params.dim))
+        t, h = np.linspace(-3.0, -2.0, 192)[:, None], np.full((192, 1), 0.01)
+        out, work = np.empty_like(y), np.empty((2, *y.shape))
+        rk4_step(rhs, t, y, h, out, work)  # warm-up: the rhs makes its scratch arrays
+        tracemalloc.start()
+        try:
+            rk4_step(rhs, t, y, h, out, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 3 * 8 * np.getbufsize() < y.nbytes
+        assert peak < y.nbytes
+
+    def test_work_cap_refuses_before_the_first_step(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y
+
+        # 4 rows x 3 sites x 1e9 steps, over the cap
+        assert 12 * 10 ** 9 > WORK_CAP
+        with pytest.raises(ParameterError, match="1.2e[+]10 site-steps"):
+            integrate_final(rhs, np.ones((4, 3)), 0.0, 1.0, 1e-9)
+        assert not calls
 
 
 def _cocycle_setup():

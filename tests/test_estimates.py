@@ -49,6 +49,12 @@ class TestGronwallBound:
         assert radius == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
         assert gronwall_bound(1.0, 1.0, 1.0, 5.0, 100.0) == pytest.approx(radius, rel=1e-10)
 
+    @pytest.mark.parametrize("lam", [1e-160, 1e-200])
+    def test_radius_too_large_for_a_float_is_refused(self, lam):
+        # lam**2 is subnormal (C**2 / lam**2 overflows) or 0
+        with pytest.raises(ParameterError, match=f"decay rate {lam:g} too small"):
+            asymptotic_radius_sq(lam, 0.0, 1.0)
+
     def test_matches_energy_ode(self):
         # independent quadrature oracle for lam = alpha = C = 1, ||v0|| = 2, T = 1
         y1 = energy_ode_oracle(1.0, 1.0, 1.0, 4.0, 1.0)
