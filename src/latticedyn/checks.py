@@ -131,9 +131,12 @@ def beta_threshold(final_beta: float, threshold: float | None) -> dict[str, Any]
 
 def beta_nonincreasing(betas, slack: float) -> dict[str, Any]:
     """No distance to the reference exceeds ``slack`` times the one of the
-    order before it; the slack absorbs sampling noise at the finest orders."""
-    passed = all(b2 <= slack * b1 for b1, b2 in zip(betas, betas[1:]))
-    return check("beta-nonincreasing", passed, 0.0, f"betas {[f'{b:.3g}' for b in betas]}")
+    order before it; the slack absorbs sampling noise at the finest orders.
+    The margin is the least ``slack * b1 - b2`` over consecutive orders."""
+    pairs = list(zip(betas, betas[1:]))
+    passed = all(b2 <= slack * b1 for b1, b2 in pairs)
+    margin = min((slack * b1 - b2 for b1, b2 in pairs), default=0.0)
+    return check("beta-nonincreasing", passed, margin, f"betas {[f'{b:.3g}' for b in betas]}")
 
 
 def tail_certificate(report, half_width: int) -> dict[str, Any]:

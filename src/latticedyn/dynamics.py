@@ -209,7 +209,8 @@ def _compile_rhs(
     and the last nonzero amplitude.  The closure ``rhs(t, u, out=None)`` acts
     on the last axis of a state or a stack of rows; ``t`` is a scalar or a
     column with one time per row.  It writes into ``out`` (shaped like ``u``,
-    not ``u``) or a fresh array, with scratch arrays it keeps per shape.
+    not ``u``) or a fresh array, with scratch arrays it keeps per shape in the
+    memory layout of the first ``out`` of that shape.
     """
     nu, lam, func = params.nu, params.lam, nonlin.func
     amps, freqs, phases = forcing.mode_table(half_width)
@@ -227,9 +228,9 @@ def _compile_rhs(
         out = apply_laplacian(u, half_width, periodic, out)
         bufs = held.get(out.shape)
         if bufs is None:
-            shape = out.shape
-            bufs = held[shape] = (np.empty(shape), (np.empty(shape), np.empty(shape),
-                                  np.empty(shape)), np.empty((*shape[:-1], len(freqs))))
+            fu, *work = (np.empty_like(out) for _ in range(4))
+            drive = np.empty_like(out, shape=(*out.shape[:-1], len(freqs)))
+            bufs = held[out.shape] = (fu, tuple(work), drive)
         fu, work, drive = bufs
         out *= -nu
         out -= np.multiply(lam, u, work[0])
@@ -398,7 +399,8 @@ def _check_edges(y: np.ndarray, t, floor: float) -> None:
 
 def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
     """The one RK4 loop: yields ``(t, y)`` after each accepted step, with
-    ``y`` one of two arrays the loop writes in turn (copy it to keep it).
+    ``y`` one of two arrays the loop writes in turn (copy it to keep it),
+    laid out in memory like the ``y`` passed in.
 
     ``t0`` is a scalar or holds one start time per row of a stacked ``y``;
     ``h`` is the largest step.  With a scalar ``t0`` the steps before the
@@ -491,12 +493,14 @@ def integrate_final(
     stepping ``min((t1 - t0_j) / N, h)``, so every row lands on ``t1`` after
     the same ``N`` steps.  ``boundary_floor`` turns on the edge monitor of
     the padded reference system: :class:`BoundaryContaminationError` once an
-    edge site exceeds it.
+    edge site exceeds it.  A batch steps site-major (Fortran order); the
+    rows come back C-ordered.
     """
-    y = np.array(v0, dtype=float)
+    # site-major: each stencil slice of a row batch is one contiguous block
+    y = np.array(v0, dtype=float, order="F")
     for _, y in _march(rhs, y, t0, t1, h, boundary_floor):
         pass
-    return y
+    return np.ascontiguousarray(y)
 
 
 def cocycle_property_check(

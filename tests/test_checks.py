@@ -170,8 +170,15 @@ class TestBetaRows:
     @pytest.mark.parametrize("rise, passed", [(1.1, True), (1.11, False)])
     def test_rise_within_slack(self, rise, passed):
         row = _row_keys(checks.beta_nonincreasing([1.0, 0.5, 0.5 * rise], slack=1.1))
-        assert row["passed"] is passed and row["margin"] == 0.0
+        assert row["passed"] is passed
+        # the closer pair sets the margin: 1.1 * 0.5 - 0.5 * rise
+        assert row["margin"] == 1.1 * 0.5 - 0.5 * rise
+        assert (row["margin"] >= 0.0) is passed
         assert row["detail"] == f"betas {['1', '0.5', f'{0.5 * rise:.3g}']}"
+
+    def test_single_order_has_zero_margin(self):
+        row = checks.beta_nonincreasing([0.3], slack=1.1)
+        assert row["passed"] is True and row["margin"] == 0.0
 
 
 class TestTailCertificateRow:

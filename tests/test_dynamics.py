@@ -19,6 +19,8 @@ from latticedyn.dynamics import (
     WORK_CAP,
     Nonlinearity,
     Trajectory,
+    _row_schedule,
+    _step_count,
     auto_step,
     integrate_final,
     rk4_step,
@@ -482,6 +484,29 @@ class TestBufferedStepping:
         assert 3 * 8 * np.getbufsize() < y.nbytes
         assert peak < y.nbytes
 
+    def test_site_major_step_allocates_less_than_a_quarter_state(self, rng,
+                                                                make_random_forcing):
+        # in Fortran order every stencil slice is one contiguous block, which
+        # the ufunc iterator walks without buffering.  A broadcast operand (a
+        # per-row step column, the forcing table) still takes a getbufsize()
+        # buffer, 64 KB, in either layout; the forcing here is live on |i| <= 6
+        # as in the attractor-wide benchmark, since a forcing live on all 257
+        # sites would add a 2 x 64 KB peak for its columns
+        params = LatticeParams(nu=1.0, lam=1.0, n=128)
+        f = project_forcing(make_random_forcing(rng, support=6), params.n)
+        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
+        y = np.asfortranarray(rng.standard_normal((192, params.dim)))
+        t, h = np.linspace(-3.0, -2.0, 192)[:, None], np.full((192, 1), 0.01)
+        out, work = np.empty_like(y), (np.empty_like(y), np.empty_like(y))
+        rk4_step(rhs, t, y, h, out, work)  # warm-up: the rhs makes its scratch arrays
+        tracemalloc.start()
+        try:
+            rk4_step(rhs, t, y, h, out, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes / 4
+
     def test_work_cap_refuses_before_the_first_step(self):
         calls = []
 
@@ -494,6 +519,67 @@ class TestBufferedStepping:
         with pytest.raises(ParameterError, match="1.2e[+]10 site-steps"):
             integrate_final(rhs, np.ones((4, 3)), 0.0, 1.0, 1e-9)
         assert not calls
+
+
+class TestSiteMajorLayout:
+    """Batches step in Fortran order; each element sees the same operations
+    in the same order as in a C-ordered batch."""
+
+    @pytest.mark.parametrize("name, alpha, coeffs", CATALOG)
+    @pytest.mark.parametrize("periodic", [True, False], ids=["wrap", "zero-ghost"])
+    def test_rk4_step_matches_c_order(self, rng, make_random_forcing, periodic,
+                                      name, alpha, coeffs):
+        params = LatticeParams(nu=0.8, lam=1.2, n=4)
+        nl = make_nonlinearity(name, alpha, coeffs)
+        f = make_random_forcing(rng, support=2).shift(0.37)
+        make = make_finite_rhs if periodic else make_reference_rhs
+        forcing = project_forcing(f, params.n) if periodic else f
+        # one system per layout, so each keeps scratch arrays in its own layout
+        rhs_c, rhs_f = make(params, nl, forcing), make(params, nl, forcing)
+        for t, u in _batches(rng, params.dim):
+            h = 0.05 if np.ndim(t) == 0 else np.array([[0.05], [0.02], [0.0]])
+            results = []
+            for rhs, y in ((rhs_c, np.ascontiguousarray(u)), (rhs_f, np.asfortranarray(u))):
+                out, work = np.empty_like(y), (np.empty_like(y), np.empty_like(y))
+                results.append(rk4_step(rhs, t, y, h, out, work))
+            assert np.array_equal(_bits(results[0]), _bits(results[1]))
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar-start", "per-row-starts"])
+    def test_integrate_final_matches_a_c_ordered_loop(self, rng, make_random_forcing,
+                                                      per_row):
+        params = LatticeParams(nu=1.0, lam=1.0, n=6)
+        f = project_forcing(make_random_forcing(rng, support=3), params.n)
+        nl = make_nonlinearity("cubic", 1.0)
+        v0 = rng.standard_normal((5, params.dim))
+        t0 = np.array([-1.0, -0.7, -0.35, -0.1, 0.0]) if per_row else -1.0
+        t1, h = 0.0, 0.03
+        got = integrate_final(make_finite_rhs(params, nl, f), v0, t0, t1, h)
+        assert got.flags.c_contiguous
+        # the same schedule on C-ordered buffers, step by step
+        rhs = make_finite_rhs(params, nl, f)
+        if per_row:
+            t0, h, n_steps = _row_schedule(v0, t0, t1, h)
+        else:
+            n_steps = _step_count(t1 - t0, h)
+        y, work = v0.copy(), (np.empty_like(v0), np.empty_like(v0))
+        states = (np.empty_like(v0), np.empty_like(v0))
+        for k in range(n_steps):
+            t = t0 + k * h
+            y = rk4_step(rhs, t, y, h if k < n_steps - 1 else t1 - t, states[k % 2], work)
+        assert np.array_equal(_bits(got), _bits(y))
+        assert not np.array_equal(got, v0)
+
+    def test_integrate_final_steps_a_batch_site_major(self, rng):
+        seen = []
+
+        def rhs(t, u, out):
+            seen.append(u.flags.f_contiguous and out.flags.f_contiguous)
+            np.negative(u, out)
+            return out
+
+        # a C-ordered batch goes in; every stage the loop hands out is Fortran
+        integrate_final(rhs, rng.standard_normal((4, 7)), 0.0, 0.3, 0.1)
+        assert len(seen) == 12 and all(seen)
 
 
 def _cocycle_setup():
