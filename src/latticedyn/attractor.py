@@ -3,7 +3,6 @@ semi-distance between point clouds, and the truncation convergence study."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -19,7 +18,6 @@ from .dynamics import (
     make_reference_rhs,
 )
 from .errors import (
-    CapacityError,
     EmptyCloudError,
     ParameterError,
     StrictModeRequiredError,
@@ -75,8 +73,6 @@ class AttractorCloud:
 def _pad_to_width(values: np.ndarray, half_width: int, target: int) -> np.ndarray:
     """Zero-pad a state (or the rows of a stack) centred on site 0 from
     ``half_width`` to the wider ``target``; the padding is an isometry."""
-    if target < half_width:
-        raise CapacityError(f"cannot narrow from half_width {half_width} to {target}")
     pad = target - half_width
     widths = [(0, 0)] * (np.ndim(values) - 1) + [(pad, pad)]
     return np.pad(np.asarray(values, dtype=float), widths)
@@ -96,56 +92,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff *= diff
         total += diff
     return np.sqrt(total, out=total)
-
-
-def _primes(count: int) -> list[int]:
-    """The first ``count`` primes, by trial division."""
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < count:
-        root = math.isqrt(candidate)
-        if all(candidate % p for p in itertools.takewhile(lambda p: p <= root, primes)):
-            primes.append(candidate)
-        candidate += 1
-    return primes
-
-
-def _scrambled_halton(count: int, dim: int, seed: int) -> np.ndarray:
-    """The first ``count`` points of the ``dim``-dimensional Halton sequence
-    with Owen's random digit permutations ("A randomized Halton algorithm in
-    R", arXiv:1706.02808, 2017), in ``[0, 1)^dim``.
-
-    Coordinate ``j`` of point ``i`` is ``sum_k perm_k[digit_k(i)] * b^-(k+1)``
-    with ``b`` the ``j``-th prime, ``digit_k(i)`` the base-``b`` digits of
-    ``i`` (lowest first) and one random permutation of ``0..b-1`` per digit
-    position, ``ceil(54 / log2(b)) - 1`` positions in all.  The permutations
-    are drawn base after base, lowest position first, from
-    ``default_rng(seed)``; the digits are summed in the same order with the
-    scale ``1/b`` divided by ``b`` per position.  That order is part of the
-    output: the tests pin the points bit for bit to a reference
-    implementation of the same sequence.
-    """
-    rng = np.random.default_rng(seed)
-    index = np.arange(count)
-    cube = np.empty((count, dim))
-    for j, base in enumerate(_primes(dim)):
-        rest, scale, column = index, 1.0 / base, np.zeros(count)
-        for _ in range(math.ceil(54 / math.log2(base)) - 1):
-            perm = rng.permutation(base)
-            rest, digit = np.divmod(rest, base)
-            column += perm[digit] * scale
-            scale /= base
-        cube[:, j] = column
-    return cube
-
-
-def _low_discrepancy_ball(count: int, dim: int, radius: float, seed: int) -> np.ndarray:
-    """Deterministic low-discrepancy points inside the ball of given radius
-    (cube inscribed in the ball, so norms never exceed ``radius``)."""
-    if count < 1:
-        raise ParameterError("need at least one initial condition")
-    cube = _scrambled_halton(count, dim, seed)
-    return (2.0 * cube - 1.0) * (radius / math.sqrt(dim))
 
 
 def _dominant_period(f: QuasiPeriodicForcing) -> float:
@@ -178,8 +124,9 @@ def sample_attractor(
     """Pullback sample of the fiber attractor at the driver ``f``.
 
     Each of ``sample_count`` start offsets launches the full set of
-    ``ic_count`` initial conditions from the ball of radius ``ic_radius``
-    (by default the absorbing radius) at time ``-(burn_in + offset)`` and
+    ``ic_count`` initial conditions, drawn by ``default_rng(seed)``
+    uniformly from the cube inscribed in the ball of radius ``ic_radius``
+    (by default the absorbing radius), at time ``-(burn_in + offset)`` and
     integrates them to time 0, so every collected state sits on the
     requested fiber.  All ``sample_count * ic_count`` rows (offset-major) go
     to :func:`integrate_final` as one batch with per-row start times and the
@@ -229,7 +176,10 @@ def sample_attractor(
     if step is None:
         step = auto_step(params, nonlin, max(ic_radius, radius), rho)
 
-    ics = _low_discrepancy_ball(ic_count, 2 * ic_half + 1, ic_radius, seed)
+    dim = 2 * ic_half + 1
+    ics = (2.0 * np.random.default_rng(seed).random((ic_count, dim)) - 1.0) * (
+        ic_radius / math.sqrt(dim)
+    )
     ics = _pad_to_width(ics, ic_half, params.n)
     offsets = window * np.arange(sample_count) / sample_count
     states = integrate_final(

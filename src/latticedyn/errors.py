@@ -17,10 +17,6 @@ class DimensionError(LatticeError, ValueError):
     """A state vector does not match the expected lattice width."""
 
 
-class CapacityError(LatticeError, ValueError):
-    """A padded container is too narrow for the requested content."""
-
-
 class NonlinearityConditionError(LatticeError, ValueError):
     """A declared nonlinearity contract failed its registration check."""
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
-from scipy.stats import qmc
 
 from latticedyn import (
     AttractorCloud,
@@ -17,10 +16,9 @@ from latticedyn import (
     wrap_forcing,
 )
 from latticedyn import attractor, checks
-from latticedyn.attractor import _low_discrepancy_ball, _pad_to_width
+from latticedyn.attractor import _pad_to_width
 from latticedyn.dynamics import integrate_final, make_finite_rhs, make_reference_rhs
 from latticedyn.errors import (
-    CapacityError,
     DivergenceError,
     EmptyCloudError,
     ParameterError,
@@ -60,10 +58,6 @@ class TestPadToWidth:
         v = rng.standard_normal(5)
         assert np.array_equal(_pad_to_width(v, 2, 11)[9:14], v)
 
-    def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            _pad_to_width(np.zeros(7), 3, 2)
-
     def test_sites_outside_storage_are_zero(self):
         # site j of a half-width-n state sits at index j + n
         out = _pad_to_width(np.array([1.0, 2.0, 3.0]), 1, 7)
@@ -77,10 +71,6 @@ class TestPadToWidth:
         wide = _pad_to_width(v, 1, 3)
         assert np.array_equal(wide, [0, 0, 1.0, 2.0, 3.0, 0, 0])
         assert np.linalg.norm(wide) == np.linalg.norm(v)
-
-    def test_refuses_to_narrow(self):
-        with pytest.raises(CapacityError):
-            _pad_to_width(np.zeros(5), 2, 1)
 
     def test_stack_padding(self):
         rows = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -158,21 +148,42 @@ class TestDominantPeriod:
             attractor._dominant_period(f)
 
 
-class TestScrambledHalton:
-    @pytest.mark.parametrize(
-        "count, dim, seed",
-        [(16, 257, 1), (3, 129, 7), (18, 33, 0), (512, 9, 3), (1, 1, 0), (5, 2, 12345)],
-    )
-    def test_equals_scipy_halton_bit_for_bit(self, count, dim, seed):
-        expected = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
-        assert np.array_equal(attractor._scrambled_halton(count, dim, seed), expected)
-
-
 LINEAR_BENCH = dict(
     nu=1.0,
     lam=1.0,
     forcing=QuasiPeriodicForcing.finite([0.25, 0.5, 1.0, 0.5, 0.25], 1.0, 0.0),
 )
+
+
+def _initial_conditions(params, nl, kind, seed, ic_count, ic_radius):
+    # no burn-in and one offset: every row spans 0 and takes no step, so the
+    # cloud is exactly its initial conditions
+    return sample_attractor(
+        LINEAR_BENCH["forcing"], params, nl, eps=1e-2, ic_count=ic_count, sample_count=1,
+        seed=seed, burn_in=0.0, step=0.03, ic_radius=ic_radius, kind=kind,
+    ).states
+
+
+class TestInitialBall:
+    @pytest.mark.parametrize("kind", ["finite", "reference"])
+    def test_initial_conditions_fill_the_inscribed_cube(self, kind):
+        params = LatticeParams(nu=1.0, lam=1.0, n=8 if kind == "finite" else 10)
+        nl = make_nonlinearity("cubic", 1.0)
+        ic_radius, seed = 2.0, 7
+        ics = _initial_conditions(params, nl, kind, seed, 16, ic_radius)
+        assert ics.shape == (16, params.dim)
+        assert np.all(np.linalg.norm(ics, axis=1) <= ic_radius)
+        half = params.n if kind == "finite" else params.n // 2
+        sites = np.abs(np.arange(-params.n, params.n + 1))
+        inner = ics[:, sites <= half]
+        assert np.all(np.abs(inner) <= ic_radius / math.sqrt(2 * half + 1))
+        assert np.all(ics[:, sites > half] == 0.0)
+        # the draw fills the cube, not a corner of it
+        assert np.any(inner > 0.0) and np.any(inner < 0.0)
+        again = _initial_conditions(params, nl, kind, seed, 16, ic_radius)
+        assert ics.tobytes() == again.tobytes()
+        other = _initial_conditions(params, nl, kind, seed + 1, 16, ic_radius)
+        assert not np.array_equal(ics, other)
 
 
 class TestSampleAttractor:
@@ -239,12 +250,9 @@ class TestSampleAttractor:
         )
         if kind == "finite":
             rhs = make_finite_rhs(params, nl, wrap_forcing(f, params.n))
-            ics = _low_discrepancy_ball(ic_count, params.dim, 1.0, seed)
         else:
             rhs = make_reference_rhs(params, nl, f)
-            ics = _pad_to_width(
-                _low_discrepancy_ball(ic_count, params.n + 1, 1.0, seed), params.n // 2, params.n
-            )
+        ics = _initial_conditions(params, nl, kind, seed, ic_count, 1.0)
         spans = burn_in + window * np.arange(sample_count) / sample_count
         n_steps = math.ceil(spans.max() / step)
         singles = [
