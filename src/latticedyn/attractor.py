@@ -16,6 +16,7 @@ from .dynamics import (
     integrate_final,
     make_finite_rhs,
     make_reference_rhs,
+    run_bytes,
 )
 from .errors import (
     EmptyCloudError,
@@ -147,6 +148,7 @@ def sample_attractor(
         raise ParameterError(
             f"requested {ic_count * sample_count} points exceeds cap {POINT_CAP}"
         )
+    run_bytes(ic_count * sample_count, params.dim)
     forcing_bound = f.uniform_bound()
     radius = math.sqrt(asymptotic_radius_sq(params.lam, nonlin.alpha, forcing_bound))
     if ic_radius is None:

@@ -31,6 +31,7 @@ from .dynamics import (
     integrate,
     make_finite_rhs,
     make_nonlinearity,
+    run_bytes,
 )
 from .errors import (
     BoundaryContaminationError,
@@ -344,6 +345,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
     report = _base_report("simulate", cfg, seed)
     nonlin = cfg.make_nonlinearity()
     params = cfg.make_params()
+    run_bytes(1, params.dim)
     forcing = cfg.system_forcing(params.n)
     radius = max(
         cfg.v0_norm,
@@ -373,6 +375,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any
     rows = report["checks"]
     rng = np.random.default_rng(seed)
     params = cfg.make_params(cfg.n if cfg.n is not None else 8)
+    run_bytes(1, params.dim)
     rows.append(checks.matrix_identity(min(max(params.n, 8), 32)))
 
     states = []

@@ -18,7 +18,7 @@ from .errors import (
     ParameterError,
 )
 from .forcing import QuasiPeriodicForcing
-from .operators import apply_laplacian
+from .operators import _TWO, _const, apply_laplacian
 
 STABILITY_SAFETY = 0.5
 #: Largest integration a run may ask for, in site-steps (rows x sites x RK4
@@ -26,8 +26,27 @@ STABILITY_SAFETY = 0.5
 #: x 257 sites x 271 steps).  At the 24 ns per site-step of that batch on a
 #: 2-core Xeon this is about 4 minutes; one narrow row costs ~1 us per site-step.
 WORK_CAP = 10 ** 10
+#: Largest memory a run may hold, in bytes: the state-sized float64 arrays of
+#: :func:`run_bytes`.  A run of a few steps on a very wide state passes
+#: :data:`WORK_CAP`; this refuses it before the first state-sized allocation.
+#: The widest run the point cap allows at n = 300 (512 rows x 601 sites) needs
+#: about 22 MB.
+MEMORY_CAP = 2 ** 30
+#: state-sized arrays a run holds: the input, two RK4 scratch arrays, two
+#: states written in turn, and the RHS's F(u) with its three scratch arrays
+_RUN_ARRAYS = 9
 _SIGN_SLACK = 1e-12  # absorbs 1-ulp rounding in the sampled sign checks
 _REGISTRATION_SAMPLES = 10_000
+
+
+def run_bytes(rows: int, sites: int) -> int:
+    """Bytes of the state-sized arrays a run of ``rows`` x ``sites`` holds;
+    refuses with :class:`ParameterError` above :data:`MEMORY_CAP`."""
+    need = _RUN_ARRAYS * 8 * rows * sites
+    if need > MEMORY_CAP:
+        raise ParameterError(f"a run of {rows} rows x {sites} sites needs {need:.3g} bytes, "
+                             f"above the cap of {MEMORY_CAP:.3g}")
+    return need
 
 
 @dataclass(frozen=True)
@@ -127,16 +146,16 @@ def make_nonlinearity(
     if name == "linear":
         nl = Nonlinearity(
             name="linear",
-            func=lambda s, out=None, work=None, a=alpha: np.multiply(-a, s, out),
+            func=lambda s, out=None, work=None, na=_const(-alpha): np.multiply(na, s, out),
             alpha=alpha,
             lipschitz=lambda rho, a=alpha: a,
         )
     elif name == "cubic":
-        def _cubic(s, out=None, work=None, a=alpha):
+        def _cubic(s, out=None, work=None, na=_const(-alpha)):
             # -a * s - s * s * s
             cube = np.multiply(s, s, None if work is None else work[0])
             cube *= s
-            out = np.multiply(-a, s, out)
+            out = np.multiply(na, s, out)
             out -= cube
             return out
 
@@ -167,7 +186,7 @@ def make_nonlinearity(
             raise ParameterError("poly nonlinearity needs odd-power coefficients")
         cs = tuple(float(c) for c in coeffs)
 
-        def _poly(s, out=None, work=None, cs=cs):
+        def _poly(s, out=None, work=None, cs=tuple(_const(c) for c in cs)):
             # odd powers as repeated products: numpy's power is ~50x slower
             s2, power, term = (None, None, None) if work is None else work[:3]
             s2 = np.multiply(s, s, s2)
@@ -210,19 +229,22 @@ def _compile_rhs(
     on the last axis of a state or a stack of rows; ``t`` is a scalar or a
     column with one time per row.  It writes into ``out`` (shaped like ``u``,
     not ``u``) or a fresh array, with scratch arrays it keeps per shape in the
-    memory layout of the first ``out`` of that shape.
+    memory layout of the first ``out`` of that shape.  With them it keeps the
+    last float time it evaluated the forcing at, and reuses those drive
+    columns for an equal nonzero float (RK4's two midpoint stages; often the
+    next step's start); a time column is always evaluated afresh.
     """
-    nu, lam, func = params.nu, params.lam, nonlin.func
+    neg_nu, lam, func = _const(-params.nu), _const(params.lam), nonlin.func
     amps, freqs, phases = forcing.mode_table(half_width)
     live = np.flatnonzero(amps)
     cols = slice(live[0], live[-1] + 1) if live.size else None
     if cols is not None:
         amps, freqs, phases = amps[cols], freqs[cols], phases[cols]
     offset = forcing.time_offset
-    # per state shape: F(u), F's scratch (lam * u goes first), forcing columns.
-    # ufuncs here and in the loop take ``out`` as the third positional
-    # argument: the keyword costs ~20 ns a call, ~2% of a one-row step
-    held: dict[tuple, tuple] = {}
+    # per state shape: F(u), F's scratch (lam * u goes first), forcing columns
+    # and the float time they hold.  ufuncs here and in the loop take ``out``
+    # as the third positional argument: the keyword costs ~20 ns a call
+    held: dict[tuple, list] = {}
 
     def rhs(t, u, out=None):
         out = apply_laplacian(u, half_width, periodic, out)
@@ -230,16 +252,20 @@ def _compile_rhs(
         if bufs is None:
             fu, *work = (np.empty_like(out) for _ in range(4))
             drive = np.empty_like(out, shape=(*out.shape[:-1], len(freqs)))
-            bufs = held[out.shape] = (fu, tuple(work), drive)
-        fu, work, drive = bufs
-        out *= -nu
+            bufs = held[out.shape] = [fu, tuple(work), drive, None]
+        fu, work, drive, drive_t = bufs
+        out *= neg_nu
         out -= np.multiply(lam, u, work[0])
         out += func(u, fu, work)
         if cols is not None:
-            np.multiply(freqs, t + offset, drive)
-            drive += phases
-            np.sin(drive, drive)
-            drive *= amps
+            # equal nonzero floats are one double; 0.0 and -0.0 are equal
+            # but may give drives that differ in the sign of a zero
+            if not (isinstance(t, float) and t == drive_t and t != 0.0):
+                np.multiply(freqs, t + offset, drive)
+                drive += phases
+                np.sin(drive, drive)
+                drive *= amps
+                bufs[3] = t if isinstance(t, float) else None
             out[..., cols] += drive
         return out
 
@@ -324,20 +350,21 @@ def rk4_step(rhs, t, y: np.ndarray, h, out: np.ndarray, work) -> np.ndarray:
     and no two of the four share memory."""
     k, stage = work
     half = 0.5 * h
+    mid = t + half
     rhs(t, y, out)
     # each stage is y + 0.5 * h * k: the product first, then y added
     np.multiply(half, out, stage)
     stage += y
-    rhs(t + half, stage, k)
+    rhs(mid, stage, k)
     np.multiply(half, k, stage)
     stage += y
     # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in place in that order
-    k *= 2.0
+    k *= _TWO
     out += k
-    rhs(t + half, stage, k)
+    rhs(mid, stage, k)
     np.multiply(h, k, stage)
     stage += y
-    k *= 2.0
+    k *= _TWO
     out += k
     rhs(t + h, stage, k)
     out += k
@@ -408,7 +435,8 @@ def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
     :func:`_row_schedule`).  The last step is ``t1 - t``, so every row ends
     on ``t1`` (exactly so for ``t1 = 0``).  With ``boundary_floor`` set, the
     edge sites are checked at the start and after every step.  A run of more
-    than :data:`WORK_CAP` site-steps is refused before the first step.
+    than :data:`WORK_CAP` site-steps or :data:`MEMORY_CAP` bytes is refused
+    before the first step.
     """
     if not h > 0.0:
         raise ParameterError(f"step must be > 0, got {h}")
@@ -426,6 +454,7 @@ def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
     if site_steps > WORK_CAP:
         raise ParameterError(f"integration needs {site_steps:.3g} site-steps (rows x sites x "
                              f"steps), above the cap of {WORK_CAP:.0e}")
+    run_bytes(*(y.shape if y.ndim == 2 else (1, y.size)))
     if boundary_floor is not None:
         _check_edges(y, t0, boundary_floor)
     rhs = _with_out(rhs)

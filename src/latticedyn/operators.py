@@ -14,6 +14,17 @@ from .errors import DimensionError, ParameterError
 from .forcing import QuasiPeriodicForcing
 
 
+def _const(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array: the same double as an
+    operand, without the ~240 ns a ufunc call spends converting a Python float."""
+    const = np.array(float(value))
+    const.flags.writeable = False
+    return const
+
+
+_TWO = _const(2.0)
+
+
 def _check_order(n: int) -> None:
     if n < 1:
         raise ParameterError(f"truncation order must be >= 1, got {n}")
@@ -49,13 +60,16 @@ def apply_laplacian(v, n: int, periodic: bool = True, out=None):
     """
     _check_order(n)
     v = _check_width(v, n)
-    out = np.multiply(v, 2.0, out)
+    # a row's edge sites are updated as scalars: the same subtraction as a
+    # 0-d view, without a full ufunc call
+    first, last = (0, -1) if v.ndim == 1 else ((..., 0), (..., -1))
+    out = np.multiply(v, _TWO, out)
     out[..., 1:] -= v[..., :-1]
     if periodic:
-        out[..., 0] -= v[..., -1]
+        out[first] -= v[last]
     out[..., :-1] -= v[..., 1:]
     if periodic:
-        out[..., -1] -= v[..., 0]
+        out[last] -= v[first]
     return out
 
 

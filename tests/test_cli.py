@@ -432,6 +432,24 @@ class TestConfigValidation:
         assert report["exit_code"] == 2 and report["passed"] is False
         assert message in report["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "attractor", "converge"])
+    def test_memory_cap_exits_2_before_any_forcing_table(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        # 9 arrays x 8 B x 33 sites = 2376 B for one row at n = 16
+        monkeypatch.setattr("latticedyn.dynamics.MEMORY_CAP", 2048)
+        tables = []
+        monkeypatch.setattr("latticedyn.forcing.FiniteForcing.mode_table",
+                            lambda self, window: tables.append(window))
+        text = CONVERGE.replace("n = 6", "n = 16\nn_list = 8 16\nn_ref = 16")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == 2 and report["error"]["type"] == "ParameterError"
+        assert "bytes, above the cap of 2.05e+03" in report["error"]["message"]
+        assert not tables
+
     def test_config_error_report(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace("seed = 99", "seed = -1"))
         out = tmp_path / "o"

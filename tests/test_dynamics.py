@@ -16,6 +16,7 @@ from latticedyn import (
     project_forcing,
 )
 from latticedyn.dynamics import (
+    MEMORY_CAP,
     WORK_CAP,
     Nonlinearity,
     Trajectory,
@@ -24,6 +25,7 @@ from latticedyn.dynamics import (
     auto_step,
     integrate_final,
     rk4_step,
+    run_bytes,
 )
 from latticedyn.errors import (
     BoundaryContaminationError,
@@ -428,12 +430,14 @@ class TestBufferedStepping:
                      if np.ndim(t) else f.eval_window(t, params.n))
             assert np.array_equal(out, expected + drive)
 
-    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar-step", "per-row-steps"])
-    def test_rk4_step_keeps_the_allocating_arithmetic(self, rng, make_random_forcing, per_row):
+    @pytest.mark.parametrize("rows, per_row", [(None, False), (4, False), (4, True)],
+                             ids=["one-row", "scalar-step", "per-row-steps"])
+    def test_rk4_step_keeps_the_allocating_arithmetic(self, rng, make_random_forcing, rows,
+                                                      per_row):
         params = LatticeParams(nu=1.0, lam=1.0, n=5)
         f = project_forcing(make_random_forcing(rng, support=3), params.n)
         rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
-        y = rng.standard_normal((4, params.dim))
+        y = rng.standard_normal(params.dim if rows is None else (rows, params.dim))
         t, h = (np.array([[-2.0], [-1.0], [-0.5], [0.0]]), np.array([[0.02], [0.01], [0.005], [0.0]])
                 ) if per_row else (0.3, 0.05)
         k1 = rhs(t, y)
@@ -448,6 +452,45 @@ class TestBufferedStepping:
         out, work = np.full_like(y, np.nan), np.full((2, *y.shape), np.nan)
         assert rk4_step(rhs, t, y, h, out, work) is out
         assert np.array_equal(_bits(out), _bits(expected))
+
+    def test_drive_reuse_matches_a_fresh_system(self, rng, make_random_forcing):
+        params = LatticeParams(nu=0.8, lam=1.2, n=4)
+        nl = make_nonlinearity("cubic", 1.0)
+        f = project_forcing(make_random_forcing(rng, support=2).shift(0.37), params.n)
+        rhs = make_finite_rhs(params, nl, f)
+        t = 0.25 + 0.5
+        # equal floats from other expressions, then new times; the drive
+        # columns depend on t alone, so the state changes between calls
+        for time in (t, 1.5 / 2.0, np.float64(t), 0.7, t, 0.0, -0.0):
+            u = rng.standard_normal(params.dim)
+            got = rhs(time, u, np.empty_like(u))
+            fresh = make_finite_rhs(params, nl, f)(time, u)
+            assert np.array_equal(_bits(got), _bits(fresh))
+
+    def test_signed_zero_times_are_evaluated_afresh(self):
+        # 0.0 == -0.0, but with phase and offset -0.0 the drive at u = 0
+        # keeps the sign of t: sin(+-0) * a added to F(0) = -0.0
+        params = LatticeParams(nu=1.0, lam=1.0, n=1)
+        f = QuasiPeriodicForcing.finite([1.0, 1.0, 1.0], 1.0, -0.0, time_offset=-0.0)
+        rhs = make_finite_rhs(params, make_nonlinearity("linear", 1.0), f)
+        u = np.zeros(params.dim)
+        assert np.all(np.signbit(rhs(-0.0, u, np.empty_like(u))))
+        assert not np.any(np.signbit(rhs(0.0, u, np.empty_like(u))))
+        assert np.all(np.signbit(rhs(-0.0, u, np.empty_like(u))))
+
+    @pytest.mark.parametrize("column", [True, False], ids=["column", "0-d"])
+    def test_time_array_written_in_place_gives_the_new_forcing(self, rng,
+                                                               make_random_forcing, column):
+        params = LatticeParams(nu=0.8, lam=1.2, n=4)
+        nl = make_nonlinearity("linear", 1.0)
+        f = project_forcing(make_random_forcing(rng, support=2), params.n)
+        rhs = make_finite_rhs(params, nl, f)
+        t = np.array([[0.3], [-1.1]]) if column else np.array(0.3)
+        u = rng.standard_normal((2, params.dim))
+        rhs(t, u, np.empty_like(u))
+        t += 0.5
+        got = rhs(t, u, np.empty_like(u))
+        assert np.array_equal(_bits(got), _bits(make_finite_rhs(params, nl, f)(t.copy(), u)))
 
     def test_integrate_stores_distinct_samples(self):
         traj = integrate(lambda t, y: -y, np.array([1.0, 2.0]), 0.0, 1.0, 0.1)
@@ -518,6 +561,34 @@ class TestBufferedStepping:
         assert 12 * 10 ** 9 > WORK_CAP
         with pytest.raises(ParameterError, match="1.2e[+]10 site-steps"):
             integrate_final(rhs, np.ones((4, 3)), 0.0, 1.0, 1e-9)
+        assert not calls
+
+
+class TestMemoryCap:
+    def test_run_bytes_counts_nine_state_arrays(self):
+        assert run_bytes(1, 33) == 9 * 8 * 33
+        assert run_bytes(192, 257) == 9 * 8 * 192 * 257
+        # the widest run the point cap allows at n = 300 fits well below the cap
+        assert run_bytes(512, 601) < MEMORY_CAP / 40
+
+    def test_refuses_above_the_cap(self, monkeypatch):
+        monkeypatch.setattr("latticedyn.dynamics.MEMORY_CAP", 2048)
+        assert run_bytes(1, 28) == 2016
+        with pytest.raises(ParameterError, match="1 rows x 29 sites needs 2.09e[+]03 bytes"):
+            run_bytes(1, 29)
+
+    def test_march_refuses_before_the_first_step(self, monkeypatch):
+        monkeypatch.setattr("latticedyn.dynamics.MEMORY_CAP", 2048)
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y
+
+        with pytest.raises(ParameterError, match="4 rows x 9 sites"):
+            integrate_final(rhs, np.ones((4, 9)), 0.0, 0.1, 0.05)
+        with pytest.raises(ParameterError, match="1 rows x 33 sites"):
+            integrate(rhs, np.ones(33), 0.0, 0.1, 0.05)
         assert not calls
 
 

@@ -95,6 +95,29 @@ class TestApply:
             apply_difference(np.zeros(6), 2)
 
 
+class TestRowEdges:
+    """A row updates its edge sites as scalars; a batch goes through the
+    slice stencil.  Both give the same bits."""
+
+    @pytest.mark.parametrize("periodic", [True, False], ids=["wrap", "zero-ghost"])
+    @pytest.mark.parametrize("n", [1, 2, 16, 128])
+    def test_row_matches_the_batch_path_bit_for_bit(self, rng, n, periodic):
+        v = rng.standard_normal(2 * n + 1)
+        row = apply_laplacian(v, n, periodic)
+        batch = apply_laplacian(v[None], n, periodic)
+        assert np.array_equal(row.view(np.uint64), batch[0].view(np.uint64))
+        out = np.full_like(v, np.nan)
+        assert apply_laplacian(v, n, periodic, out) is out
+        assert np.array_equal(out.view(np.uint64), row.view(np.uint64))
+        # small integers: exact, against the materialized matrix
+        matrix = laplacian_matrix(n)
+        if not periodic:  # zero ghost cells: no wrapped neighbours
+            matrix[0, -1] += 1
+            matrix[-1, 0] += 1
+        w = rng.integers(-1000, 1000, 2 * n + 1)
+        assert np.array_equal(apply_laplacian(w.astype(float), n, periodic), matrix @ w)
+
+
 def _dyadic_forcing(support=8, frequency=1.0, phase=0.0):
     sites = np.abs(np.arange(-support, support + 1))
     return QuasiPeriodicForcing.finite(0.5 ** sites, frequency, phase)
