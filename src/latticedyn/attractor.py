@@ -12,11 +12,12 @@ import numpy as np
 from .dynamics import (
     LatticeParams,
     Nonlinearity,
+    _compile_rhs,
     auto_step,
     integrate_final,
     make_finite_rhs,
     make_reference_rhs,
-    run_bytes,
+    plan_run,
 )
 from .errors import (
     EmptyCloudError,
@@ -43,13 +44,17 @@ class AttractorCloud:
     """Finite point-cloud sample of one fiber attractor.
 
     ``states`` rows live over logical sites ``-half_width .. half_width``;
-    all rows were produced by pullback integrations ending on one fiber.
+    all rows were produced by pullback integrations ending on one fiber,
+    in a march of ``steps`` RK4 steps of at most ``step`` (both 0 for a
+    cloud that no march produced).
     """
 
     label: str
     half_width: int
     states: np.ndarray
     burn_in: float
+    step: float = 0.0
+    steps: int = 0
 
     def __post_init__(self) -> None:
         states = np.asarray(self.states, dtype=float)
@@ -109,20 +114,15 @@ def sample_attractor(
     params: LatticeParams,
     nonlin: Nonlinearity,
     *,
-    eps: float,
-    ic_count: int,
-    sample_count: int,
-    seed: int,
     kind: str = "finite",
-    boundary: str = "wrap",
-    burn_in: float | None = None,
-    window: float | None = None,
-    step: float | None = None,
-    rho: float | None = None,
-    ic_radius: float | None = None,
-    boundary_floor: float = 1e-8,
+    **sampling,
 ) -> AttractorCloud:
     """Pullback sample of the fiber attractor at the driver ``f``.
+
+    ``sampling`` holds the keyword arguments ``eps``, ``ic_count``,
+    ``sample_count`` and ``seed``, and optionally ``boundary``, ``burn_in``,
+    ``window``, ``step``, ``rho``, ``ic_radius`` and ``boundary_floor``
+    (default 1e-8).
 
     Each of ``sample_count`` start offsets launches the full set of
     ``ic_count`` initial conditions, drawn by ``default_rng(seed)``
@@ -137,18 +137,46 @@ def sample_attractor(
     ``kind`` selects the wrapped finite system of order ``params.n`` (forcing
     via ``boundary``: ``wrap`` or ``project``) or the padded ``reference``
     system of half-width ``params.n``, whose edge sites are monitored
-    against ``boundary_floor``.
+    against ``boundary_floor``.  This is the one-system case of the stacked
+    sampler behind :func:`convergence_study`.
 
     Raises :class:`UnsettledCloudError` when a point ends outside the
     Gronwall bound.
     """
+    (cloud,) = _sample_clouds(f, nonlin, ((kind, params),), **sampling)
+    return cloud
+
+
+def _sample_clouds(
+    f: QuasiPeriodicForcing,
+    nonlin: Nonlinearity,
+    systems,
+    *,
+    eps: float,
+    ic_count: int,
+    sample_count: int,
+    seed: int,
+    boundary: str = "wrap",
+    burn_in: float | None = None,
+    window: float | None = None,
+    step: float | None = None,
+    rho: float | None = None,
+    ic_radius: float | None = None,
+    boundary_floor: float = 1e-8,
+) -> list[AttractorCloud]:
+    """The clouds of :func:`sample_attractor` for each ``(kind, params)`` of
+    ``systems``, from one stacked march: the systems sit side by side on the
+    last axis and share ``nu``, ``lam``, the pullback schedule and the step.
+    The caps see the stacked width before any forcing table or draw."""
     if ic_count < 1 or sample_count < 1:
         raise ParameterError("ic_count and sample_count must be >= 1")
-    if ic_count * sample_count > POINT_CAP:
-        raise ParameterError(
-            f"requested {ic_count * sample_count} points exceeds cap {POINT_CAP}"
-        )
-    run_bytes(ic_count * sample_count, params.dim)
+    points = ic_count * sample_count
+    if points > POINT_CAP:
+        raise ParameterError(f"requested {points} points exceeds cap {POINT_CAP}")
+    for kind, _ in systems:
+        if kind not in ("finite", "reference"):
+            raise ParameterError(f"kind must be 'finite' or 'reference', got {kind!r}")
+    params = systems[0][1]
     forcing_bound = f.uniform_bound()
     radius = math.sqrt(asymptotic_radius_sq(params.lam, nonlin.alpha, forcing_bound))
     if ic_radius is None:
@@ -162,52 +190,56 @@ def sample_attractor(
         burn_in = burn_in_time(nonlin.alpha, ball_sq, eps) if ball_sq > 0.0 else 0.0
     if window is None:
         window = _dominant_period(f)
-
-    if kind == "finite":
-        rhs = make_finite_rhs(params, nonlin, boundary_forcing(f, params.n, boundary))
-        ic_half = params.n
-        label = f"n={params.n}"
-    elif kind == "reference":
-        rhs = make_reference_rhs(params, nonlin, f)
-        # keep initial mass away from the monitored edges
-        ic_half = max(1, params.n // 2)
-        label = f"reference(n={params.n})"
-    else:
-        raise ParameterError(f"kind must be 'finite' or 'reference', got {kind!r}")
-
     if step is None:
         step = auto_step(params, nonlin, max(ic_radius, radius), rho)
-
-    dim = 2 * ic_half + 1
-    ics = (2.0 * np.random.default_rng(seed).random((ic_count, dim)) - 1.0) * (
-        ic_radius / math.sqrt(dim)
-    )
-    ics = _pad_to_width(ics, ic_half, params.n)
     offsets = window * np.arange(sample_count) / sample_count
+    starts = np.repeat(-(burn_in + offsets), ic_count)
+    widths = [p.dim for _, p in systems]
+    _, _, steps = plan_run((points, sum(widths)), starts, 0.0, step)
+
+    blocks, ics = [], []
+    for kind, p in systems:
+        finite = kind == "finite"
+        blocks.append((p.n, finite, boundary_forcing(f, p.n, boundary) if finite else f))
+        # a reference keeps initial mass away from its monitored edges
+        ic_half = p.n if finite else max(1, p.n // 2)
+        dim = 2 * ic_half + 1
+        draw = (2.0 * np.random.default_rng(seed).random((ic_count, dim)) - 1.0) * (
+            ic_radius / math.sqrt(dim)
+        )
+        ics.append(_pad_to_width(draw, ic_half, p.n))
+    if len(blocks) == 1:
+        # one system goes through the public factories (perfbench hooks them)
+        make = make_finite_rhs if blocks[0][1] else make_reference_rhs
+        rhs = make(params, nonlin, blocks[0][2])
+    else:
+        rhs = _compile_rhs(params, nonlin, blocks)
+    monitored = any(not periodic for _, periodic, _ in blocks)
     states = integrate_final(
         rhs,
-        np.tile(ics, (sample_count, 1)),
-        np.repeat(-(burn_in + offsets), ic_count),
+        np.tile(np.hstack(ics), (sample_count, 1)),
+        starts,
         0.0,
         step,
-        boundary_floor if kind == "reference" else None,
+        boundary_floor if monitored else None,
     )
 
     bound = RADIUS_SLACK * gronwall_bound(
         params.lam, nonlin.alpha, forcing_bound, ic_radius, burn_in
     )
-    worst = float(np.linalg.norm(states, axis=1).max())
-    if worst > bound and worst > 1e-12:
-        raise UnsettledCloudError(
-            f"cloud point norm {worst:.6g} exceeds absorbing bound {bound:.6g}; "
-            "the run has not settled (step too large or burn-in too short)"
-        )
-    return AttractorCloud(
-        label=label,
-        half_width=params.n,
-        states=states,
-        burn_in=burn_in,
-    )
+    clouds = []
+    for (kind, p), end in zip(systems, np.cumsum(widths)):
+        cloud = np.ascontiguousarray(states[:, end - p.dim:end])
+        worst = float(np.linalg.norm(cloud, axis=1).max())
+        if worst > bound and worst > 1e-12:
+            raise UnsettledCloudError(
+                f"cloud point norm {worst:.6g} exceeds absorbing bound {bound:.6g}; "
+                "the run has not settled (step too large or burn-in too short)"
+            )
+        label = f"n={p.n}" if kind == "finite" else f"reference(n={p.n})"
+        clouds.append(AttractorCloud(label=label, half_width=p.n, states=cloud,
+                                     burn_in=burn_in, step=step, steps=steps))
+    return clouds
 
 
 def hausdorff_semidistance(a: AttractorCloud, b: AttractorCloud) -> float:
@@ -232,9 +264,12 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Distances from finite-order attractor clouds to the reference cloud."""
+    """Distances from finite-order attractor clouds to the reference cloud,
+    sampled in one march of ``steps`` RK4 steps of at most ``step``."""
 
     rows: tuple[ConvergenceRow, ...]
+    step: float
+    steps: int
 
     @property
     def betas(self) -> list[float]:
@@ -266,20 +301,20 @@ def convergence_study(
     holds the keyword arguments of :func:`sample_attractor` (all but
     ``kind``) and goes unchanged to every cloud, so the clouds share seed,
     initial ball, burn-in, offsets and step and are directly comparable.
+    The reference and every order are sampled in one stacked march (see
+    :func:`sample_attractor`); each cloud equals its own sample bit for bit.
+    A row's ``runtime_s`` is the time of its two Hausdorff distances.
     """
     if not n_list:
         raise ParameterError("n_list must be nonempty")
     if n_ref < max(n_list):
         raise ParameterError(f"n_ref = {n_ref} must be >= max(n_list) = {max(n_list)}")
-    ref_cloud = sample_attractor(
-        f, LatticeParams(nu=nu, lam=lam, n=n_ref), nonlin, kind="reference", **sampling
-    )
+    systems = [("reference", LatticeParams(nu=nu, lam=lam, n=n_ref))]
+    systems += [("finite", LatticeParams(nu=nu, lam=lam, n=n)) for n in n_list]
+    ref_cloud, *clouds = _sample_clouds(f, nonlin, systems, **sampling)
     rows = []
-    for n in n_list:
+    for n, cloud in zip(n_list, clouds):
         started = time.perf_counter()
-        cloud = sample_attractor(
-            f, LatticeParams(nu=nu, lam=lam, n=n), nonlin, kind="finite", **sampling
-        )
         rows.append(
             ConvergenceRow(
                 order=n,
@@ -289,7 +324,7 @@ def convergence_study(
                 cloud_size=len(cloud),
             )
         )
-    return ConvergenceReport(rows=tuple(rows))
+    return ConvergenceReport(rows=tuple(rows), step=ref_cloud.step, steps=ref_cloud.steps)
 
 
 @dataclass(frozen=True)

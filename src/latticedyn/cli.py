@@ -442,6 +442,8 @@ def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, 
         "diameter": cloud.diameter(),
         "max_norm": float(cloud.norms().max()),
         "burn_in": cloud.burn_in,
+        "step": cloud.step,
+        "steps": cloud.steps,
     }
     if certify:
         tail = tail_certificate([cloud], cfg.tail_eps, cfg.forcing, cfg.nu, cfg.lam, nonlin.alpha)
@@ -483,6 +485,7 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
         np.array([[r.order, r.beta_to_ref, r.beta_from_ref, r.runtime_s] for r in study.rows]),
     )
     report["artifacts"] = [str(csv_path)]
+    report["step"], report["steps"] = study.step, study.steps
     report["rows"] = [
         {
             "n": r.order,

@@ -27,8 +27,9 @@ STABILITY_SAFETY = 0.5
 #: 2-core Xeon this is about 4 minutes; one narrow row costs ~1 us per site-step.
 WORK_CAP = 10 ** 10
 #: Largest memory a run may hold, in bytes: the state-sized float64 arrays of
-#: :func:`run_bytes`.  A run of a few steps on a very wide state passes
-#: :data:`WORK_CAP`; this refuses it before the first state-sized allocation.
+#: :func:`run_bytes`, and the states :func:`integrate` keeps.  A run of a few
+#: steps on a very wide state passes :data:`WORK_CAP`; this refuses it before
+#: the first state-sized allocation.
 #: The widest run the point cap allows at n = 300 (512 rows x 601 sites) needs
 #: about 22 MB.
 MEMORY_CAP = 2 ** 30
@@ -39,13 +40,15 @@ _SIGN_SLACK = 1e-12  # absorbs 1-ulp rounding in the sampled sign checks
 _REGISTRATION_SAMPLES = 10_000
 
 
-def run_bytes(rows: int, sites: int) -> int:
-    """Bytes of the state-sized arrays a run of ``rows`` x ``sites`` holds;
-    refuses with :class:`ParameterError` above :data:`MEMORY_CAP`."""
-    need = _RUN_ARRAYS * 8 * rows * sites
+def run_bytes(rows: int, sites: int, samples: int = 0) -> int:
+    """Bytes of the state-sized arrays a run of ``rows`` x ``sites`` holds,
+    with ``samples`` kept rows of ``sites``; refuses with
+    :class:`ParameterError` above :data:`MEMORY_CAP`."""
+    need = 8 * sites * (_RUN_ARRAYS * rows + samples)
     if need > MEMORY_CAP:
-        raise ParameterError(f"a run of {rows} rows x {sites} sites needs {need:.3g} bytes, "
-                             f"above the cap of {MEMORY_CAP:.3g}")
+        kept = f" keeping {samples} sample rows" if samples else ""
+        raise ParameterError(f"a run of {rows} rows x {sites} sites{kept} needs {need:.3g} "
+                             f"bytes, above the cap of {MEMORY_CAP:.3g}")
     return need
 
 
@@ -214,50 +217,76 @@ def make_nonlinearity(
 # right-hand sides
 
 
-def _compile_rhs(
-    params: LatticeParams,
-    nonlin: Nonlinearity,
-    forcing: QuasiPeriodicForcing,
-    half_width: int,
-    periodic: bool,
-) -> Callable:
-    """``-nu*A u - lam*u + F(u) + f(t)`` on sites ``-half_width .. half_width``,
-    with ``A`` the periodic or the zero-ghost second difference.
+def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callable:
+    """``-nu*A u - lam*u + F(u) + f(t)`` on a stack of systems side by side on
+    the last axis.  Block ``(half_width, periodic, forcing)`` spans sites
+    ``-half_width .. half_width`` with ``A`` the periodic or the zero-ghost
+    second difference and its own forcing; all blocks share ``nu``, ``lam``,
+    the nonlinearity and, where their forcing is nonzero, its time offset.
 
-    The forcing table is read once and kept to the columns between the first
-    and the last nonzero amplitude.  The closure ``rhs(t, u, out=None)`` acts
-    on the last axis of a state or a stack of rows; ``t`` is a scalar or a
+    Each forcing table is read once and kept to the columns between the first
+    and the last nonzero amplitude; the drive is evaluated once over these
+    live columns of all blocks.  The closure ``rhs(t, u, out=None)`` acts on
+    the last axis of a state or a stack of rows; ``t`` is a scalar or a
     column with one time per row.  It writes into ``out`` (shaped like ``u``,
     not ``u``) or a fresh array, with scratch arrays it keeps per shape in the
     memory layout of the first ``out`` of that shape.  With them it keeps the
     last float time it evaluated the forcing at, and reuses those drive
     columns for an equal nonzero float (RK4's two midpoint stages; often the
-    next step's start); a time column is always evaluated afresh.
+    next step's start); a time column is always evaluated afresh.  Its
+    ``edges`` attribute lists the columns of the zero-ghost blocks' edge
+    sites, which the edge monitor of :func:`integrate_final` checks.
     """
     neg_nu, lam, func = _const(-params.nu), _const(params.lam), nonlin.func
-    amps, freqs, phases = forcing.mode_table(half_width)
-    live = np.flatnonzero(amps)
-    cols = slice(live[0], live[-1] + 1) if live.size else None
-    if cols is not None:
-        amps, freqs, phases = amps[cols], freqs[cols], phases[cols]
-    offset = forcing.time_offset
+    # per block: its columns and stencil; per live forcing range: its columns
+    # in the state and in the drive, its (amps, freqs, phases) and time offset
+    stencils, pieces, tables, edges, offsets = [], [], [], [], set()
+    start = live_width = 0
+    for half_width, periodic, forcing in blocks:
+        stencils.append((slice(start, start + 2 * half_width + 1), half_width, periodic))
+        if not periodic:
+            edges += [start, start + 2 * half_width]
+        table = forcing.mode_table(half_width)
+        live = np.flatnonzero(table[0])
+        if live.size:
+            lo, hi = live[0], live[-1] + 1
+            pieces.append((slice(start + lo, start + hi), slice(live_width, live_width + hi - lo)))
+            tables.append([arr[lo:hi] for arr in table])
+            offsets.add(forcing.time_offset)
+            live_width += hi - lo
+        start += 2 * half_width + 1
+    if len(offsets) > 1:
+        raise ParameterError("the blocks of one system must share one forcing time offset")
+    offset = offsets.pop() if offsets else 0.0
+    amps, freqs, phases = (np.concatenate(arrs) for arrs in zip(*tables)) if tables else [()] * 3
+    # one block steps the whole state with no slicing; several step per block
+    single = len(blocks) == 1
+    (_, half_width, periodic), cols = stencils[0], pieces[0][0] if pieces else None
     # per state shape: F(u), F's scratch (lam * u goes first), forcing columns
-    # and the float time they hold.  ufuncs here and in the loop take ``out``
-    # as the third positional argument: the keyword costs ~20 ns a call
+    # with each block's view of them, and the float time they hold.  ufuncs
+    # here and in the loop take ``out`` as the third positional argument: the
+    # keyword costs ~20 ns a call
     held: dict[tuple, list] = {}
 
     def rhs(t, u, out=None):
-        out = apply_laplacian(u, half_width, periodic, out)
+        if single:
+            out = apply_laplacian(u, half_width, periodic, out)
+        else:
+            if out is None:
+                out = np.empty_like(u)
+            for sites, n, wrap in stencils:
+                apply_laplacian(u[..., sites], n, wrap, out[..., sites])
         bufs = held.get(out.shape)
         if bufs is None:
             fu, *work = (np.empty_like(out) for _ in range(4))
-            drive = np.empty_like(out, shape=(*out.shape[:-1], len(freqs)))
-            bufs = held[out.shape] = [fu, tuple(work), drive, None]
-        fu, work, drive, drive_t = bufs
+            drive = np.empty_like(out, shape=(*out.shape[:-1], live_width))
+            parts = [(sites, drive[..., part]) for sites, part in pieces]
+            bufs = held[out.shape] = [fu, tuple(work), drive, parts, None]
+        fu, work, drive, parts, drive_t = bufs
         out *= neg_nu
         out -= np.multiply(lam, u, work[0])
         out += func(u, fu, work)
-        if cols is not None:
+        if pieces:
             # equal nonzero floats are one double; 0.0 and -0.0 are equal
             # but may give drives that differ in the sign of a zero
             if not (isinstance(t, float) and t == drive_t and t != 0.0):
@@ -265,10 +294,15 @@ def _compile_rhs(
                 drive += phases
                 np.sin(drive, drive)
                 drive *= amps
-                bufs[3] = t if isinstance(t, float) else None
-            out[..., cols] += drive
+                bufs[4] = t if isinstance(t, float) else None
+            if single:
+                out[..., cols] += drive
+            else:
+                for sites, part in parts:
+                    out[..., sites] += part
         return out
 
+    rhs.edges = np.array(edges, dtype=np.intp)
     return rhs
 
 
@@ -280,7 +314,7 @@ def make_finite_rhs(
     """Wrapped finite system of order ``params.n``: periodic stencil, forcing
     already truncated or wrapped to width ``2n + 1`` (modes beyond the window
     are ignored)."""
-    return _compile_rhs(params, nonlin, forcing, params.n, periodic=True)
+    return _compile_rhs(params, nonlin, ((params.n, True, forcing),))
 
 
 def make_reference_rhs(
@@ -291,7 +325,7 @@ def make_reference_rhs(
     """Padded stand-in for the full two-sided system on half-width
     ``params.n`` with zero ghost cells.  Pair it with ``boundary_floor`` in
     :func:`integrate_final` to detect mass reaching the edges."""
-    return _compile_rhs(params, nonlin, forcing, params.n, periodic=False)
+    return _compile_rhs(params, nonlin, ((params.n, False, forcing),))
 
 
 # ----------------------------------------------------------------------
@@ -395,48 +429,18 @@ def _step_count(span: float, h: float) -> int:
     return max(1, math.ceil(count * (1.0 - 1e-12))) if span > 0.0 else 0
 
 
-def _row_schedule(y: np.ndarray, t0, t1: float, h: float):
-    """Per-row start times and steps as ``(rows, 1)`` columns, and the step
-    count ``N`` the longest span takes at step ``h``.  Row ``j`` steps
-    ``min(span_j / N, h)``, so a row with ``t0 == t1`` gets step 0."""
-    if y.ndim != 2:
-        raise DimensionError("per-row start times need a stack of state rows")
-    try:
-        t0 = np.broadcast_to(np.reshape(np.asarray(t0, dtype=float), (-1, 1)), (len(y), 1))
-    except ValueError as exc:
-        raise DimensionError(f"need one start time per row: {exc}") from exc
-    span = t1 - t0
-    if np.any(span < 0.0):
-        raise ParameterError(f"t1 = {t1} precedes t0 = {t0.min()}")
-    n_steps = _step_count(float(span.max()), h)
-    # minimum() only trims the rounding of span / N past h
-    return t0, np.minimum(span / max(n_steps, 1), h), n_steps
+def plan_run(shape: tuple[int, ...], t0, t1: float, h, sample_stride: int = 0):
+    """The schedule of a run of a state shaped ``shape`` (one row, or a stack
+    of rows) from ``t0`` to ``t1`` at largest step ``h``: the start times,
+    the steps and the step count ``N``.  With a scalar ``t0`` these are
+    ``t0``, ``h`` and the count of steps of ``h`` (the last one shortened);
+    with one start time per row they are ``(rows, 1)`` columns, ``N`` is the
+    count the longest span takes at step ``h``, and row ``j`` steps
+    ``min(span_j / N, h)``, so a row with ``t0 == t1`` gets step 0.
 
-
-def _check_edges(y: np.ndarray, t, floor: float) -> None:
-    edges = np.maximum(np.abs(y[..., 0]), np.abs(y[..., -1]))
-    worst = int(np.argmax(edges))
-    if edges.flat[worst] > floor:
-        at = float(np.ravel(t)[worst if np.ndim(t) else 0])
-        raise BoundaryContaminationError(
-            f"edge amplitude {edges.flat[worst]:.3e} exceeds floor {floor:.3e} "
-            f"at t = {at:.6g}; increase the working half-width"
-        )
-
-
-def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
-    """The one RK4 loop: yields ``(t, y)`` after each accepted step, with
-    ``y`` one of two arrays the loop writes in turn (copy it to keep it),
-    laid out in memory like the ``y`` passed in.
-
-    ``t0`` is a scalar or holds one start time per row of a stacked ``y``;
-    ``h`` is the largest step.  With a scalar ``t0`` the steps before the
-    last are ``h``; with per-row ``t0`` row ``j`` steps ``span_j / N`` (see
-    :func:`_row_schedule`).  The last step is ``t1 - t``, so every row ends
-    on ``t1`` (exactly so for ``t1 = 0``).  With ``boundary_floor`` set, the
-    edge sites are checked at the start and after every step.  A run of more
-    than :data:`WORK_CAP` site-steps or :data:`MEMORY_CAP` bytes is refused
-    before the first step.
+    A run of more than :data:`WORK_CAP` site-steps, or whose arrays
+    (:func:`run_bytes`) exceed :data:`MEMORY_CAP`, is refused; with
+    ``sample_stride`` the states :func:`integrate` keeps count too.
     """
     if not h > 0.0:
         raise ParameterError(f"step must be > 0, got {h}")
@@ -445,18 +449,63 @@ def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
         bad = times[~np.isfinite(times)][0]
         raise ParameterError(f"start and end times must be finite, got {bad}")
     if np.ndim(t0):
-        t0, h, n_steps = _row_schedule(y, t0, t1, h)
+        if len(shape) != 2:
+            raise DimensionError("per-row start times need a stack of state rows")
+        try:
+            t0 = np.broadcast_to(np.reshape(np.asarray(t0, dtype=float), (-1, 1)),
+                                 (shape[0], 1))
+        except ValueError as exc:
+            raise DimensionError(f"need one start time per row: {exc}") from exc
+        span = t1 - t0
+        if np.any(span < 0.0):
+            raise ParameterError(f"t1 = {t1} precedes t0 = {t0.min()}")
+        n_steps = _step_count(float(span.max()), h)
+        # minimum() only trims the rounding of span / N past h
+        h = np.minimum(span / max(n_steps, 1), h)
     else:
         if t1 < t0:
             raise ParameterError(f"t1 = {t1} precedes t0 = {t0}")
         n_steps = _step_count(t1 - t0, h)
-    site_steps = float(y.size) * n_steps
+    rows, sites = shape if len(shape) == 2 else (1, math.prod(shape))
+    site_steps = float(rows * sites) * n_steps
     if site_steps > WORK_CAP:
         raise ParameterError(f"integration needs {site_steps:.3g} site-steps (rows x sites x "
                              f"steps), above the cap of {WORK_CAP:.0e}")
-    run_bytes(*(y.shape if y.ndim == 2 else (1, y.size)))
+    # integrate holds its samples as copies and again when it stacks them
+    run_bytes(rows, sites, 2 * (n_steps // sample_stride + 2) if sample_stride else 0)
+    return t0, h, n_steps
+
+
+def _check_edges(y: np.ndarray, t, floor: float, edges) -> None:
+    amplitude = np.abs(y[..., edges]).max(axis=-1, initial=0.0)
+    worst = int(np.argmax(amplitude))
+    if amplitude.flat[worst] > floor:
+        at = float(np.ravel(t)[worst if np.ndim(t) else 0])
+        raise BoundaryContaminationError(
+            f"edge amplitude {amplitude.flat[worst]:.3e} exceeds floor {floor:.3e} "
+            f"at t = {at:.6g}; increase the working half-width"
+        )
+
+
+def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None,
+           sample_stride: int = 0):
+    """The one RK4 loop: yields ``(t, y)`` after each accepted step, with
+    ``y`` one of two arrays the loop writes in turn (copy it to keep it),
+    laid out in memory like the ``y`` passed in.
+
+    ``t0`` is a scalar or holds one start time per row of a stacked ``y``;
+    ``h`` is the largest step (see :func:`plan_run`).  The last step is
+    ``t1 - t``, so every row ends on ``t1`` (exactly so for ``t1 = 0``).
+    With ``boundary_floor`` set, the edge sites are checked at the start and
+    after every step: the columns ``rhs.edges`` of a compiled RHS, the first
+    and the last site for any other callable.  A run :func:`plan_run` refuses
+    (``sample_stride``: the caller keeps every such state) stops before the
+    first step.
+    """
+    t0, h, n_steps = plan_run(y.shape, t0, t1, h, sample_stride)
+    edges = getattr(rhs, "edges", np.array([0, -1]))
     if boundary_floor is not None:
-        _check_edges(y, t0, boundary_floor)
+        _check_edges(y, t0, boundary_floor, edges)
     rhs = _with_out(rhs)
     # the loop's own arrays: RK4 scratch, and two states written in turn
     work = (np.empty_like(y), np.empty_like(y))
@@ -474,7 +523,7 @@ def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
             at = float(np.ravel(t + step)[row if np.ndim(t) else 0])
             raise DivergenceError(f"non-finite {bad} after step {k} (t = {at:.6g})")
         if boundary_floor is not None:
-            _check_edges(y, t + step, boundary_floor)
+            _check_edges(y, t + step, boundary_floor, edges)
         yield (t1 if k == n_steps - 1 else t + h), y
 
 
@@ -489,9 +538,9 @@ def integrate(
     """Classical fixed-step RK4 from ``t0`` to ``t1``.
 
     The final step is shortened to land exactly on ``t1``.  States are
-    recorded at ``t0``, every ``sample_stride``-th accepted step, and ``t1``.
-    Raises :class:`DivergenceError` naming the step index on a non-finite
-    state.
+    recorded at ``t0``, every ``sample_stride``-th accepted step, and ``t1``;
+    they count towards :data:`MEMORY_CAP` before the first step.  Raises
+    :class:`DivergenceError` naming the step index on a non-finite state.
     """
     if sample_stride < 1:
         raise ParameterError("sample_stride must be >= 1")
@@ -501,7 +550,7 @@ def integrate(
     times = [t0]
     states = [y]
     k = 0
-    for k, (t, y) in enumerate(_march(rhs, y, t0, t1, h, None), 1):
+    for k, (t, y) in enumerate(_march(rhs, y, t0, t1, h, None, sample_stride), 1):
         if k % sample_stride == 0:
             times.append(t)
             states.append(y.copy())
@@ -522,7 +571,8 @@ def integrate_final(
     stepping ``min((t1 - t0_j) / N, h)``, so every row lands on ``t1`` after
     the same ``N`` steps.  ``boundary_floor`` turns on the edge monitor of
     the padded reference system: :class:`BoundaryContaminationError` once an
-    edge site exceeds it.  A batch steps site-major (Fortran order); the
+    edge site exceeds it (for a stacked RHS, an edge site of one of its
+    zero-ghost blocks).  A batch steps site-major (Fortran order); the
     rows come back C-ordered.
     """
     # site-major: each stencil slice of a row batch is one contiguous block

@@ -17,8 +17,17 @@ from latticedyn import (
 )
 from latticedyn import attractor, checks
 from latticedyn.attractor import _pad_to_width
-from latticedyn.dynamics import integrate_final, make_finite_rhs, make_reference_rhs
+from latticedyn.dynamics import (
+    MEMORY_CAP,
+    WORK_CAP,
+    integrate_final,
+    make_finite_rhs,
+    make_reference_rhs,
+    plan_run,
+    run_bytes,
+)
 from latticedyn.errors import (
+    BoundaryContaminationError,
     DivergenceError,
     EmptyCloudError,
     ParameterError,
@@ -370,6 +379,119 @@ class TestConvergenceStudy:
                 LINEAR_BENCH["forcing"], 1.0, 1.0, nl, n_list=(8,), n_ref=4,
                 eps=1e-2, ic_count=2, sample_count=2, seed=0,
             )
+
+
+def _study_clouds(monkeypatch, f, nl, n_list, n_ref, **sampling):
+    """The report of one convergence study, its reference cloud and its
+    order clouds, read from the study's Hausdorff calls, and the number of
+    integrate_final calls it made."""
+    seen, calls = [], []
+    distance, march = attractor.hausdorff_semidistance, attractor.integrate_final
+
+    def spy_distance(a, b):
+        seen.append((a, b))
+        return distance(a, b)
+
+    def spy_march(*args, **kwargs):
+        calls.append(args)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(attractor, "hausdorff_semidistance", spy_distance)
+    monkeypatch.setattr(attractor, "integrate_final", spy_march)
+    report = convergence_study(f, 1.0, 1.0, nl, n_list=n_list, n_ref=n_ref, **sampling)
+    monkeypatch.undo()
+    return report, seen[1][0], [a for a, _ in seen[::2]], len(calls)
+
+
+class TestStackedStudy:
+    """The reference and every order step in one march, and each cloud is
+    bit-identical to sampling its system alone."""
+
+    @pytest.mark.parametrize("boundary", ["wrap", "project"])
+    @pytest.mark.parametrize("name", ["linear", "cubic"])
+    def test_clouds_equal_separate_samples(self, monkeypatch, boundary, name):
+        nl = make_nonlinearity(name, 1.0)
+        f = QuasiPeriodicForcing.finite([0.4, -0.7, 1.0, 0.3, 0.6], [0.9, 1.3, 1.0, 0.7, 1.6],
+                                        [0.1, 2.0, 0.5, 4.0, 1.2]).shift(0.37)
+        sampling = dict(eps=1e-2, ic_count=3, sample_count=4, seed=5, burn_in=3.0, window=1.3,
+                        step=0.03, boundary=boundary, boundary_floor=1e-3)
+        report, ref, clouds, marches = _study_clouds(monkeypatch, f, nl, (1, 3, 6), 20,
+                                                     **sampling)
+        assert marches == 1
+        alone = sample_attractor(f, LatticeParams(nu=1.0, lam=1.0, n=20), nl, kind="reference",
+                                 **sampling)
+        assert np.array_equal(ref.states, alone.states) and ref.label == alone.label
+        for n, cloud, row in zip((1, 3, 6), clouds, report.rows):
+            alone = sample_attractor(f, LatticeParams(nu=1.0, lam=1.0, n=n), nl, **sampling)
+            assert cloud.states.flags.c_contiguous and cloud.label == alone.label
+            assert np.array_equal(cloud.states, alone.states)
+            assert row.beta_to_ref == hausdorff_semidistance(alone, ref)
+        assert (report.step, report.steps) == (0.03, math.ceil((3.0 + 1.3 * 3 / 4) / 0.03))
+        assert (ref.step, ref.steps) == (report.step, report.steps)
+
+    def test_zero_forcing_has_no_drive_columns(self, monkeypatch):
+        nl = make_nonlinearity("cubic", 1.0)
+        sampling = dict(eps=1e-2, ic_count=2, sample_count=3, seed=8, burn_in=2.0, window=1.0,
+                        ic_radius=1.0, step=0.05, boundary_floor=1.0)
+        _, ref, clouds, _ = _study_clouds(monkeypatch, QuasiPeriodicForcing.zero(), nl,
+                                          (2, 4), 8, **sampling)
+        for n, cloud in zip((8, 2, 4), (ref, *clouds)):
+            kind = "reference" if cloud is ref else "finite"
+            alone = sample_attractor(QuasiPeriodicForcing.zero(), LatticeParams(1.0, 1.0, n),
+                                     nl, kind=kind, **sampling)
+            assert np.array_equal(cloud.states, alone.states)
+            assert 0.0 < np.abs(cloud.states).max() < 1.0
+
+    def test_edge_monitor_reads_the_reference_edges_only(self, monkeypatch):
+        # the n = 1 and n = 2 clouds carry the forcing on their edge sites,
+        # far above the floor the n_ref = 16 edges stay below
+        nl = make_nonlinearity("linear", 1.0)
+        sampling = dict(eps=1e-2, ic_count=3, sample_count=4, seed=4, burn_in=9.0, step=0.02,
+                        boundary_floor=1e-6)
+        _, ref, clouds, _ = _study_clouds(monkeypatch, LINEAR_BENCH["forcing"], nl, (1, 2), 16,
+                                          **sampling)
+        assert all(np.abs(c.states[:, [0, -1]]).min() > 1e-2 for c in clouds)
+        assert np.abs(ref.states[:, [0, -1]]).max() < 1e-6
+
+    def test_small_floor_raises_the_single_cloud_message(self):
+        nl = make_nonlinearity("linear", 1.0)
+        sampling = dict(eps=1e-2, ic_count=3, sample_count=4, seed=4, burn_in=9.0, step=0.02,
+                        boundary_floor=1e-9)
+        with pytest.raises(BoundaryContaminationError) as alone:
+            sample_attractor(LINEAR_BENCH["forcing"], LatticeParams(1.0, 1.0, 16), nl,
+                             kind="reference", **sampling)
+        with pytest.raises(BoundaryContaminationError) as stacked:
+            convergence_study(LINEAR_BENCH["forcing"], 1.0, 1.0, nl, n_list=(2, 8), n_ref=16,
+                              **sampling)
+        assert "edge amplitude" in str(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_memory_cap_sees_the_stacked_width(self, monkeypatch):
+        # each cloud alone needs 0.89 GB, under the cap; stacked, 1.77 GB
+        assert run_bytes(512, 24001) < MEMORY_CAP < 2 * run_bytes(512, 24001)
+        tables = []
+        monkeypatch.setattr("latticedyn.forcing.FiniteForcing.mode_table",
+                            lambda self, window: tables.append(window))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew"))
+        with pytest.raises(ParameterError, match="512 rows x 48002 sites needs 1.77e[+]09"):
+            convergence_study(LINEAR_BENCH["forcing"], 1.0, 1.0, make_nonlinearity("linear", 1.0),
+                              n_list=(12000,), n_ref=12000, eps=1e-2, ic_count=16,
+                              sample_count=32, seed=0, burn_in=1.0, step=0.1)
+        assert not tables
+
+    def test_work_cap_sees_the_stacked_width(self, monkeypatch):
+        # 512 rows x 601 sites x 25,049 steps is 7.7e9 site-steps per cloud
+        starts = np.repeat(-(250.0 + 0.5 * np.arange(32) / 32), 16)
+        steps = plan_run((512, 601), starts, 0.0, 0.01)[2]
+        assert 512 * 601 * steps < WORK_CAP < 512 * 1202 * steps
+        tables = []
+        monkeypatch.setattr("latticedyn.forcing.FiniteForcing.mode_table",
+                            lambda self, window: tables.append(window))
+        with pytest.raises(ParameterError, match="1.54e[+]10 site-steps"):
+            convergence_study(LINEAR_BENCH["forcing"], 1.0, 1.0, make_nonlinearity("linear", 1.0),
+                              n_list=(300,), n_ref=300, eps=1e-2, ic_count=16, sample_count=32,
+                              seed=0, burn_in=250.0, window=0.5, step=0.01)
+        assert not tables
 
 
 class TestTailCertificate:

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import latticedyn
 from latticedyn.cli import _write_table, main
+from latticedyn.dynamics import auto_step
+from latticedyn.estimates import asymptotic_radius_sq
 
 BASE = """
 [params]
@@ -263,6 +265,25 @@ class TestAttractor:
                     for r in json.loads((out / "report.json").read_text())["rows"]]
 
         assert artifact("a", "") != artifact("b", "ic_radius = 3.0")
+
+    @pytest.mark.parametrize("command", ["attractor", "converge"])
+    def test_report_carries_the_step_and_the_step_count(self, tmp_path, command):
+        # burn_in 9 and 4 offsets over one period 2 pi; converge sets h = 0.02,
+        # attractor takes the automatic step on the absorbing ball
+        text = BASE if command == "attractor" else CONVERGE.replace(
+            "n = 6", "n = 6\nn_list = 4 8\nn_ref = 32")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        block = report["cloud"] if command == "attractor" else report
+        forcing = latticedyn.QuasiPeriodicForcing.finite([0.25, 0.5, 1.0, 0.5, 0.25], 1.0)
+        radius = math.sqrt(asymptotic_radius_sq(1.0, 1.0, forcing.uniform_bound()))
+        step = 0.02 if command == "converge" else auto_step(
+            latticedyn.LatticeParams(nu=1.0, lam=1.0, n=6),
+            latticedyn.make_nonlinearity("linear", 1.0), radius)
+        assert block["step"] == step
+        assert block["steps"] == math.ceil((9.0 + 2.0 * math.pi * 3 / 4) / step)
 
     def test_byte_identical_cloud(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

@@ -20,10 +20,11 @@ from latticedyn.dynamics import (
     WORK_CAP,
     Nonlinearity,
     Trajectory,
-    _row_schedule,
+    _compile_rhs,
     _step_count,
     auto_step,
     integrate_final,
+    plan_run,
     rk4_step,
     run_bytes,
 )
@@ -591,6 +592,73 @@ class TestMemoryCap:
             integrate(rhs, np.ones(33), 0.0, 0.1, 0.05)
         assert not calls
 
+    def test_integrate_counts_its_samples(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y
+
+        # 5e6 steps of one 33-site row pass the work cap; the kept samples
+        # (held as copies and again stacked) need about 2.6 GB
+        assert 33 * 5 * 10 ** 6 < WORK_CAP and run_bytes(1, 33) < MEMORY_CAP
+        with pytest.raises(ParameterError,
+                           match="1 rows x 33 sites keeping 10000004 sample rows needs 2.64e[+]09"):
+            integrate(rhs, np.ones(33), 0.0, 5000.0, 1e-3, sample_stride=1)
+        # every 1000th state is 2.6 MB
+        assert run_bytes(1, 33, 2 * (5 * 10 ** 3 + 2)) < MEMORY_CAP
+        assert not calls
+
+
+class TestStackedRhs:
+    """Blocks side by side on the last axis step as each block alone."""
+
+    def _blocks(self, rng, make_random_forcing):
+        f = make_random_forcing(rng, support=3).shift(0.37)
+        return ((2, True, project_forcing(f, 2)), (5, False, f), (1, True, project_forcing(f, 1)),
+                (3, True, QuasiPeriodicForcing.zero()))
+
+    @pytest.mark.parametrize("name, alpha, coeffs", CATALOG)
+    def test_equals_each_block_alone(self, rng, make_random_forcing, name, alpha, coeffs):
+        params = LatticeParams(nu=0.8, lam=1.2, n=5)
+        nl = make_nonlinearity(name, alpha, coeffs)
+        blocks = self._blocks(rng, make_random_forcing)
+        alone = [_compile_rhs(params, nl, (block,)) for block in blocks]
+        widths = np.cumsum([0] + [2 * n + 1 for n, _, _ in blocks])
+        stacked = _compile_rhs(params, nl, blocks)
+        for t, u in _batches(rng, widths[-1]):
+            for order in ("C", "F"):
+                y = np.array(u, order=order)
+                # a float time twice: the second call reuses the drive columns
+                for _ in range(2 if np.ndim(t) == 0 else 1):
+                    got = stacked(t, y, np.empty_like(y))
+                    for rhs, a, b in zip(alone, widths, widths[1:]):
+                        part = np.array(y[..., a:b], order=order)
+                        want = rhs(t, part, np.empty_like(part))
+                        assert np.array_equal(_bits(got[..., a:b]), _bits(want))
+        assert stacked.edges.tolist() == [5, 15]
+        assert alone[0].edges.tolist() == [] and alone[1].edges.tolist() == [0, 10]
+
+    def test_blocks_share_one_time_offset(self, rng, make_random_forcing):
+        params = LatticeParams(nu=1.0, lam=1.0, n=2)
+        f = make_random_forcing(rng, support=2)
+        with pytest.raises(ParameterError, match="one forcing time offset"):
+            _compile_rhs(params, make_nonlinearity("linear", 1.0),
+                         ((2, True, f), (2, False, f.shift(1.0))))
+
+    def test_edge_monitor_checks_the_zero_ghost_edges(self):
+        params = LatticeParams(nu=1.0, lam=1.0, n=2)
+        rhs = _compile_rhs(params, make_nonlinearity("zero"),
+                           ((2, True, QuasiPeriodicForcing.zero()),
+                            (3, False, QuasiPeriodicForcing.zero())))
+        # the periodic block's edges hold 1.0; the zero-ghost block's edges stay 0
+        y = np.zeros((2, 12))
+        y[:, [0, 4]] = 1.0
+        assert np.all(np.isfinite(integrate_final(rhs, y, 0.0, 0.1, 0.05, boundary_floor=1e-8)))
+        y[1, 11] = 1e-3
+        with pytest.raises(BoundaryContaminationError, match="edge amplitude 1.000e-03"):
+            integrate_final(rhs, y, 0.0, 0.1, 0.05, boundary_floor=1e-8)
+
 
 class TestSiteMajorLayout:
     """Batches step in Fortran order; each element sees the same operations
@@ -629,7 +697,7 @@ class TestSiteMajorLayout:
         # the same schedule on C-ordered buffers, step by step
         rhs = make_finite_rhs(params, nl, f)
         if per_row:
-            t0, h, n_steps = _row_schedule(v0, t0, t1, h)
+            t0, h, n_steps = plan_run(v0.shape, t0, t1, h)
         else:
             n_steps = _step_count(t1 - t0, h)
         y, work = v0.copy(), (np.empty_like(v0), np.empty_like(v0))
