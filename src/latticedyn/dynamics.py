@@ -97,14 +97,22 @@ class Nonlinearity:
         if self.alpha < 0.0:
             raise ParameterError(f"margin alpha must be >= 0, got {self.alpha}")
 
+    # values too large for a double fail a check below instead of warning
+    @np.errstate(over="ignore", invalid="ignore")
     def verify(self, rho_max: float = 4.0) -> None:
         """Check the declared contract on a dense grid of ``[-rho_max, rho_max]``.
 
         Raises :class:`NonlinearityConditionError` naming the violated
-        condition: zero fixed point, sign margin, or Lipschitz witness.
+        condition: finite values, zero fixed point, sign margin, or a finite
+        Lipschitz witness that bounds the sampled slopes.
         """
         s = np.linspace(-rho_max, rho_max, _REGISTRATION_SAMPLES)
         fs = np.asarray(self.func(s), dtype=float)
+        if not np.isfinite(fs).all():
+            first = np.argmin(np.isfinite(fs))
+            raise NonlinearityConditionError(
+                f"{self.name}: finite values violated, F({s[first]:.6g}) = {fs[first]}"
+            )
         f0 = float(self.func(np.array([0.0]))[0])
         if f0 != 0.0:
             raise NonlinearityConditionError(
@@ -120,6 +128,10 @@ class Nonlinearity:
                 f"{self.name}: {condition} violated near s = {worst:.6g}"
             )
         bound = self.lipschitz(rho_max)
+        if not math.isfinite(bound):
+            raise NonlinearityConditionError(
+                f"{self.name}: finite Lipschitz witness violated, L({rho_max}) = {bound}"
+            )
         slopes = np.abs(np.diff(fs) / np.diff(s))
         if np.any(slopes > bound * (1.0 + 1e-9) + _SIGN_SLACK):
             raise NonlinearityConditionError(
@@ -133,82 +145,59 @@ def make_nonlinearity(
     alpha: float = 0.0,
     coeffs: tuple[float, ...] | None = None,
 ) -> Nonlinearity:
-    """Build and register a catalog nonlinearity.
+    """Build and register a catalog nonlinearity: one odd polynomial
+    ``F(s) = c0*s + c1*s**3 + ...``, each name a tuple of coefficients.
 
-    * ``linear``: ``F(s) = -alpha * s``
-    * ``cubic``:  ``F(s) = -alpha * s - s**3``
-    * ``zero``:   ``F = 0`` (requires ``alpha == 0``)
-    * ``poly``:   odd polynomial ``F(s) = c0*s + c1*s**3 + ...`` from
-      ``coeffs`` (any other name rejects ``coeffs``)
+    * ``linear``: ``(-alpha,)``, so ``F(s) = -alpha * s``
+    * ``cubic``:  ``(-alpha, -1)``, so ``F(s) = -alpha * s - s**3``
+    * ``zero``:   ``(0,)``, so ``F = 0`` (requires ``alpha == 0``)
+    * ``poly``:   ``coeffs`` (any other name rejects ``coeffs``)
 
-    Registration fails with the violated condition named if the sign
+    ``func`` computes ``c0*s``, then adds each ``c_k * s**(2k+1)``, the odd
+    powers built as repeated products with ``s*s`` (numpy's power is ~50x
+    slower); a coefficient of -1 subtracts its power.  The Lipschitz witness
+    on the ball of radius ``rho`` is ``sum (2k+1) |c_k| rho**(2k)``, each term
+    its coefficient product times ``rho`` 2k times.
+
+    Registration (:meth:`Nonlinearity.verify`) fails with the violated
+    condition named if the values or the witness overflow, or the sign
     condition declared by ``alpha`` does not hold on the sampling grid.
     """
     if coeffs is not None and name != "poly":
         raise ParameterError(f"coeffs apply to the poly nonlinearity only, not '{name}'")
-    if name == "linear":
-        nl = Nonlinearity(
-            name="linear",
-            func=lambda s, out=None, work=None, na=_const(-alpha): np.multiply(na, s, out),
-            alpha=alpha,
-            lipschitz=lambda rho, a=alpha: a,
-        )
-    elif name == "cubic":
-        def _cubic(s, out=None, work=None, na=_const(-alpha)):
-            # -a * s - s * s * s
-            cube = np.multiply(s, s, None if work is None else work[0])
-            cube *= s
-            out = np.multiply(na, s, out)
-            out -= cube
-            return out
-
-        nl = Nonlinearity(
-            name="cubic",
-            func=_cubic,
-            alpha=alpha,
-            lipschitz=lambda rho, a=alpha: a + 3.0 * rho * rho,
-        )
-    elif name == "zero":
-        if alpha != 0.0:
-            raise ParameterError("zero nonlinearity carries no margin; alpha must be 0")
-
-        def _zero(s, out=None, work=None):
-            if out is None:
-                return np.zeros_like(s)
-            out.fill(0.0)
-            return out
-
-        nl = Nonlinearity(
-            name="zero",
-            func=_zero,
-            alpha=0.0,
-            lipschitz=lambda rho: 0.0,
-        )
-    elif name == "poly":
-        if not coeffs:
-            raise ParameterError("poly nonlinearity needs odd-power coefficients")
-        cs = tuple(float(c) for c in coeffs)
-
-        def _poly(s, out=None, work=None, cs=tuple(_const(c) for c in cs)):
-            # odd powers as repeated products: numpy's power is ~50x slower
-            s2, power, term = (None, None, None) if work is None else work[:3]
-            s2 = np.multiply(s, s, s2)
-            out = np.multiply(cs[0], s, out)
-            for k, c in enumerate(cs[1:]):
-                power = np.multiply(power if k else s, s2, power)
-                out += np.multiply(c, power, term)
-            return out
-
-        nl = Nonlinearity(
-            name="poly",
-            func=_poly,
-            alpha=alpha,
-            lipschitz=lambda rho, cs=cs: sum(
-                (2 * k + 1) * abs(c) * rho ** (2 * k) for k, c in enumerate(cs)
-            ),
-        )
-    else:
+    if name == "zero" and alpha != 0.0:
+        raise ParameterError("zero nonlinearity carries no margin; alpha must be 0")
+    presets = {"linear": (-alpha,), "cubic": (-alpha, -1.0), "zero": (0.0,), "poly": coeffs}
+    if name not in presets:
         raise ParameterError(f"unknown nonlinearity '{name}'")
+    if not presets[name]:
+        raise ParameterError("poly nonlinearity needs odd-power coefficients")
+    cs = tuple(float(c) for c in presets[name])
+    # None: subtract the power, which gives the bits of adding -1 times it
+    c0, higher = _const(cs[0]), tuple(None if c == -1.0 else _const(c) for c in cs[1:])
+
+    def func(s, out=None, work=None):
+        s2, power, term = (None, None, None) if work is None else work[:3]
+        out = np.multiply(c0, s, out)
+        if higher:
+            s2 = np.multiply(s, s, s2)
+            for k, c in enumerate(higher, 1):
+                # the last power overwrites s2, which no later power needs
+                power = np.multiply(power if k > 1 else s, s2,
+                                    s2 if k == len(higher) else power)
+                if c is None:
+                    out -= power
+                else:
+                    out += np.multiply(c, power, term)
+        return out
+
+    nl = Nonlinearity(
+        name=name,
+        func=func,
+        alpha=alpha,
+        lipschitz=lambda rho: sum(math.prod([(2 * k + 1) * abs(c)] + [rho] * (2 * k))
+                                  for k, c in enumerate(cs)),
+    )
     nl.verify()
     return nl
 
@@ -471,8 +460,8 @@ def plan_run(shape: tuple[int, ...], t0, t1: float, h, sample_stride: int = 0):
     if site_steps > WORK_CAP:
         raise ParameterError(f"integration needs {site_steps:.3g} site-steps (rows x sites x "
                              f"steps), above the cap of {WORK_CAP:.0e}")
-    # integrate holds its samples as copies and again when it stacks them
-    run_bytes(rows, sites, 2 * (n_steps // sample_stride + 2) if sample_stride else 0)
+    # integrate keeps at most this many samples, in one array
+    run_bytes(rows, sites, n_steps // sample_stride + 2 if sample_stride else 0)
     return t0, h, n_steps
 
 
@@ -487,8 +476,7 @@ def _check_edges(y: np.ndarray, t, floor: float, edges) -> None:
         )
 
 
-def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None,
-           sample_stride: int = 0):
+def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
     """The one RK4 loop: yields ``(t, y)`` after each accepted step, with
     ``y`` one of two arrays the loop writes in turn (copy it to keep it),
     laid out in memory like the ``y`` passed in.
@@ -499,10 +487,9 @@ def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None,
     With ``boundary_floor`` set, the edge sites are checked at the start and
     after every step: the columns ``rhs.edges`` of a compiled RHS, the first
     and the last site for any other callable.  A run :func:`plan_run` refuses
-    (``sample_stride``: the caller keeps every such state) stops before the
-    first step.
+    stops before the first step.
     """
-    t0, h, n_steps = plan_run(y.shape, t0, t1, h, sample_stride)
+    t0, h, n_steps = plan_run(y.shape, t0, t1, h)
     edges = getattr(rhs, "edges", np.array([0, -1]))
     if boundary_floor is not None:
         _check_edges(y, t0, boundary_floor, edges)
@@ -538,26 +525,26 @@ def integrate(
     """Classical fixed-step RK4 from ``t0`` to ``t1``.
 
     The final step is shortened to land exactly on ``t1``.  States are
-    recorded at ``t0``, every ``sample_stride``-th accepted step, and ``t1``;
-    they count towards :data:`MEMORY_CAP` before the first step.  Raises
-    :class:`DivergenceError` naming the step index on a non-finite state.
+    recorded at ``t0``, every ``sample_stride``-th accepted step, and ``t1``,
+    into one array sized from the step count before the first step; they
+    count towards :data:`MEMORY_CAP`.  Raises :class:`DivergenceError` naming
+    the step index on a non-finite state.
     """
     if sample_stride < 1:
         raise ParameterError("sample_stride must be >= 1")
     y = np.array(v0, dtype=float)
     if y.ndim != 1:
         raise DimensionError("integrate expects a single state vector")
-    times = [t0]
-    states = [y]
-    k = 0
-    for k, (t, y) in enumerate(_march(rhs, y, t0, t1, h, None, sample_stride), 1):
-        if k % sample_stride == 0:
-            times.append(t)
-            states.append(y.copy())
-    if times[-1] != t1:
-        times.append(t1)
-        states.append(y)
-    return Trajectory(times=np.asarray(times), states=np.asarray(states), steps=k)
+    _, _, n_steps = plan_run(y.shape, t0, t1, h, sample_stride)
+    # t0, every sample_stride-th step, and t1 unless it is one of those
+    kept = n_steps // sample_stride + (2 if n_steps % sample_stride else 1)
+    times, states = np.empty(kept), np.empty((kept, y.size))
+    times[0], states[0] = t0, y
+    for k, (t, y) in enumerate(_march(rhs, y, t0, t1, h, None), 1):
+        if k % sample_stride == 0 or k == n_steps:
+            row = -(-k // sample_stride)  # rounded up: a short last stride fills the last row
+            times[row], states[row] = t, y
+    return Trajectory(times=times, states=states, steps=n_steps)
 
 
 def integrate_final(

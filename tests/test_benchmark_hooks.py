@@ -5,6 +5,8 @@ without failing the benchmark run.  This guard fails instead."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from latticedyn import attractor, cli, dynamics
 from latticedyn.forcing import QuasiPeriodicForcing
 
@@ -34,3 +36,21 @@ def test_every_hook_finds_its_target_and_is_restored():
         tracer.restore()
     assert [dict(vars(m)) for m in modules] + [dict(cli._COMMANDS)] == before
     assert all(getattr(cls, name) is original for cls, name, original in methods)
+
+
+def test_traced_nonlinearity_keeps_its_values():
+    # the tracer swaps a traced func into the registered nonlinearity
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    s = np.linspace(-4.0, 4.0, 101)
+    try:
+        tracing.install(tracer)
+        nl = cli.make_nonlinearity("cubic", 1.0)
+        got = [nl.func(s), nl.func(s, np.empty_like(s), np.empty((3, *s.shape)))]
+    finally:
+        tracer.restore()
+    assert isinstance(nl, dynamics.Nonlinearity)
+    assert tracer.totals()["dynamics.nonlinearity"][0] == 2
+    # -alpha*s - s**3 in the product form (-alpha*s) - (s*s)*s
+    want = -1.0 * s - s * s * s
+    assert all(np.array_equal(g.view(np.uint64), want.view(np.uint64)) for g in got)

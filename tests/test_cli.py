@@ -453,6 +453,28 @@ class TestConfigValidation:
         assert report["exit_code"] == 2 and report["passed"] is False
         assert message in report["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["verify", "simulate", "attractor", "converge"])
+    @pytest.mark.parametrize("coeffs, message",
+                             [("-1e308 -1e308", "finite values violated"),
+                              ("0 0 -1.5e305", "finite Lipschitz witness violated")],
+                             ids=["values", "witness"])
+    def test_overflowing_nonlinearity_named(self, tmp_path, capsys, command, coeffs, message):
+        text = CONVERGE.replace("n = 6", "n = 6\nn_list = 2 4\nn_ref = 8").replace(
+            "name = linear\nalpha = 1.0", f"name = poly\nalpha = 0.5\ncoeffs = {coeffs}")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        report = json.loads((out / "report.json").read_text())
+        if command == "verify":
+            assert code == 1
+            row = next(c for c in report["checks"] if c["name"] == "nonlinearity-registration")
+            assert not row["passed"] and message in row["detail"]
+        else:
+            assert code == report["exit_code"] == 2
+            assert message in report["error"]["message"]
+
     @pytest.mark.parametrize("command", ["simulate", "verify", "attractor", "converge"])
     def test_memory_cap_exits_2_before_any_forcing_table(self, tmp_path, capsys, monkeypatch,
                                                          command):

@@ -120,6 +120,40 @@ class TestNonlinearityContract:
     def test_cubic_sampled_lipschitz_within_witness(self):
         make_nonlinearity("cubic", 1.0).verify(rho_max=3.0)
 
+    @pytest.mark.parametrize("name, alpha, coeffs",
+                             [("linear", 0.7, (-0.7,)), ("cubic", 1.0, (-1.0, -1.0)),
+                              ("cubic", 0.0, (-0.0, -1.0)), ("zero", 0.0, (0.0,))])
+    def test_names_are_poly_presets_bit_for_bit(self, rng, name, alpha, coeffs):
+        named, poly = make_nonlinearity(name, alpha), make_nonlinearity("poly", alpha, coeffs)
+        row = np.array([0.0, -0.0, 1e-200, -1e-200, 4.0, -4.0, 0.5, -0.75, 3.0])
+        for s in (row, 3.0 * rng.standard_normal((5, 9)),
+                  np.asfortranarray(3.0 * rng.standard_normal((5, 9)))):
+            forms = []
+            for nl in (named, poly):
+                out, work = np.full_like(s, np.nan), np.full((3, *s.shape), np.nan)
+                forms += [nl.func(s), nl.func(s, out, work)]
+            assert all(np.array_equal(_bits(f), _bits(forms[0])) for f in forms)
+
+    def test_witnesses_are_the_closed_forms_bit_for_bit(self):
+        # criterion 3's rho and the attractor-wide benchmark's automatic rho among them
+        rhos = [2.2, 1.6179793959136726, *map(float, np.linspace(0.01, 10.0, 997))]
+        for alpha in (0.0, 0.7, 1.0):
+            linear = make_nonlinearity("linear", alpha)
+            cubic = make_nonlinearity("cubic", alpha)
+            poly = make_nonlinearity("poly", alpha, (-alpha, -1.0))
+            for rho in rhos:
+                assert linear.lipschitz(rho) == alpha
+                assert cubic.lipschitz(rho) == poly.lipschitz(rho) == alpha + 3.0 * rho * rho
+
+    @pytest.mark.parametrize("coeffs, message",
+                             [((-1e308, -1e308), "finite values violated, F[(]-4[)] = inf"),
+                              # F stays finite on |s| <= 4, its witness 1280 * 1.5e305 does not
+                              ((0.0, 0.0, -1.5e305), "finite Lipschitz witness violated")])
+    def test_overflow_named_without_a_warning(self, coeffs, message):
+        # any RuntimeWarning is an error here
+        with pytest.raises(NonlinearityConditionError, match=message):
+            make_nonlinearity("poly", 0.0, coeffs)
+
 
 class TestFiniteRhs:
     def setup_method(self):
@@ -318,6 +352,11 @@ class TestIntegrate:
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[-1] == 1.0
         assert traj.steps == 10 and len(traj.times) == 4
+        assert np.allclose(traj.times, [0.0, 0.4, 0.8, 1.0], rtol=0.0, atol=1e-15)
+        # a stride that divides the step count keeps no extra row for t1
+        traj = integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, 0.1, sample_stride=5)
+        assert traj.steps == 10 and np.allclose(traj.times, [0.0, 0.5, 1.0], rtol=0.0, atol=1e-15)
+        assert np.allclose(traj.states[:, 0], np.exp(-traj.times), rtol=1e-6, atol=0.0)
 
     def test_partial_final_step_lands_exactly(self):
         traj = integrate(lambda t, y: -y, np.array([1.0]), 0.0, 0.25, 0.1)
@@ -600,13 +639,13 @@ class TestMemoryCap:
             return -y
 
         # 5e6 steps of one 33-site row pass the work cap; the kept samples
-        # (held as copies and again stacked) need about 2.6 GB
+        # need about 1.3 GB
         assert 33 * 5 * 10 ** 6 < WORK_CAP and run_bytes(1, 33) < MEMORY_CAP
         with pytest.raises(ParameterError,
-                           match="1 rows x 33 sites keeping 10000004 sample rows needs 2.64e[+]09"):
+                           match="1 rows x 33 sites keeping 5000002 sample rows needs 1.32e[+]09"):
             integrate(rhs, np.ones(33), 0.0, 5000.0, 1e-3, sample_stride=1)
-        # every 1000th state is 2.6 MB
-        assert run_bytes(1, 33, 2 * (5 * 10 ** 3 + 2)) < MEMORY_CAP
+        # every 1000th state is 1.3 MB
+        assert run_bytes(1, 33, 5 * 10 ** 3 + 2) < MEMORY_CAP
         assert not calls
 
 
