@@ -100,15 +100,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _dominant_period(f: QuasiPeriodicForcing) -> float:
-    w = abs(f.dominant_frequency())
-    period = 2.0 * math.pi / w if w > 0.0 else 1.0
-    if not math.isfinite(period):
-        raise ParameterError(f"dominant frequency {w:g} is too small for a default window: "
-                             f"its period 2 pi / w is not finite; set [attractor] window")
-    return period
-
-
 def sample_attractor(
     f: QuasiPeriodicForcing,
     params: LatticeParams,
@@ -121,21 +112,17 @@ def sample_attractor(
 
     ``sampling`` holds the keyword arguments ``eps``, ``ic_count``,
     ``sample_count`` and ``seed``, and optionally ``boundary``, ``burn_in``,
-    ``window``, ``step``, ``rho``, ``ic_radius`` and ``boundary_floor``
-    (default 1e-8).
+    ``step``, ``rho``, ``ic_radius`` and ``boundary_floor`` (default 1e-8).
 
-    Each of ``sample_count`` start offsets launches the full set of
-    ``ic_count`` initial conditions, drawn by ``default_rng(seed)``
-    uniformly from the cube inscribed in the ball of radius ``ic_radius``
-    (by default the absorbing radius), at time ``-(burn_in + offset)`` and
-    integrates them to time 0, so every collected state sits on the
-    requested fiber.  All ``sample_count * ic_count`` rows (offset-major) go
-    to :func:`integrate_final` as one batch with per-row start times and the
-    largest step ``step``; it picks the step of each row so that all land
-    exactly on 0.  Without ``step``, :func:`auto_step` derives it from
-    ``rho`` or the larger of ``ic_radius`` and the absorbing radius.
-    ``kind`` selects the wrapped finite system of order ``params.n`` (forcing
-    via ``boundary``: ``wrap`` or ``project``) or the padded ``reference``
+    ``ic_count * sample_count`` initial conditions, drawn in one call of
+    ``default_rng(seed)`` uniformly from the cube inscribed in the ball of
+    radius ``ic_radius`` (by default the absorbing radius), are integrated
+    together by :func:`integrate_final` from time ``-burn_in`` to 0 in steps
+    of at most ``step``, so every collected state sits on the requested
+    fiber.  Without ``step``, :func:`auto_step` derives it from ``rho`` or
+    the larger of ``ic_radius`` and the absorbing radius.  ``kind`` selects
+    the wrapped finite system of order ``params.n`` (forcing via
+    ``boundary``: ``wrap`` or ``project``) or the padded ``reference``
     system of half-width ``params.n``, whose edge sites are monitored
     against ``boundary_floor``.  This is the one-system case of the stacked
     sampler behind :func:`convergence_study`.
@@ -158,7 +145,6 @@ def _sample_clouds(
     seed: int,
     boundary: str = "wrap",
     burn_in: float | None = None,
-    window: float | None = None,
     step: float | None = None,
     rho: float | None = None,
     ic_radius: float | None = None,
@@ -188,14 +174,10 @@ def _sample_clouds(
                 "default burn-in needs a strict margin; pass burn_in explicitly"
             )
         burn_in = burn_in_time(nonlin.alpha, ball_sq, eps) if ball_sq > 0.0 else 0.0
-    if window is None:
-        window = _dominant_period(f)
     if step is None:
         step = auto_step(params, nonlin, max(ic_radius, radius), rho)
-    offsets = window * np.arange(sample_count) / sample_count
-    starts = np.repeat(-(burn_in + offsets), ic_count)
     widths = [p.dim for _, p in systems]
-    _, _, steps = plan_run((points, sum(widths)), starts, 0.0, step)
+    steps = plan_run((points, sum(widths)), -burn_in, 0.0, step)
 
     blocks, ics = [], []
     for kind, p in systems:
@@ -204,9 +186,10 @@ def _sample_clouds(
         # a reference keeps initial mass away from its monitored edges
         ic_half = p.n if finite else max(1, p.n // 2)
         dim = 2 * ic_half + 1
-        draw = (2.0 * np.random.default_rng(seed).random((ic_count, dim)) - 1.0) * (
-            ic_radius / math.sqrt(dim)
-        )
+        draw = np.random.default_rng(seed).random((points, dim))
+        draw *= 2.0
+        draw -= 1.0
+        draw *= ic_radius / math.sqrt(dim)
         ics.append(_pad_to_width(draw, ic_half, p.n))
     if len(blocks) == 1:
         # one system goes through the public factories (perfbench hooks them)
@@ -215,14 +198,8 @@ def _sample_clouds(
     else:
         rhs = _compile_rhs(params, nonlin, blocks)
     monitored = any(not periodic for _, periodic, _ in blocks)
-    states = integrate_final(
-        rhs,
-        np.tile(np.hstack(ics), (sample_count, 1)),
-        starts,
-        0.0,
-        step,
-        boundary_floor if monitored else None,
-    )
+    states = integrate_final(rhs, np.hstack(ics), -burn_in, 0.0, step,
+                             boundary_floor if monitored else None)
 
     bound = RADIUS_SLACK * gronwall_bound(
         params.lam, nonlin.alpha, forcing_bound, ic_radius, burn_in
@@ -300,7 +277,7 @@ def convergence_study(
     The reference width must dominate every requested order.  ``sampling``
     holds the keyword arguments of :func:`sample_attractor` (all but
     ``kind``) and goes unchanged to every cloud, so the clouds share seed,
-    initial ball, burn-in, offsets and step and are directly comparable.
+    initial ball, burn-in and step and are directly comparable.
     The reference and every order are sampled in one stacked march (see
     :func:`sample_attractor`); each cloud equals its own sample bit for bit.
     A row's ``runtime_s`` is the time of its two Hausdorff distances.

@@ -269,7 +269,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
             ic_count=att.get_int("ic_count", "4"),
             sample_count=att.get_int("sample_count", "8"),
             burn_in=att.get_float("burn_in", "auto", ge=0.0),
-            window=att.get_float("window", "auto", gt=0.0),
             ic_radius=att.get_float("ic_radius", "auto", ge=0.0),
             boundary_floor=att.get_float("boundary_floor", "1e-8", gt=0.0),
         ),
@@ -306,12 +305,10 @@ def _site_header(half_width: int) -> list[str]:
     return [f"i={i}" for i in range(-half_width, half_width + 1)]
 
 
-def _write_report(out_dir: Path, report: dict[str, Any]) -> Path:
-    path = out_dir / "report.json"
+def _write_json(path: Path, obj: dict[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
+        json.dump(obj, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return path
 
 
 def _base_report(command: str, cfg: ExperimentConfig | None, seed: int | None) -> dict[str, Any]:
@@ -448,16 +445,9 @@ def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, 
     if certify:
         tail = tail_certificate([cloud], cfg.tail_eps, cfg.forcing, cfg.nu, cfg.lam, nonlin.alpha)
         tail_path = out_dir / "tail_report.json"
-        with open(tail_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "ball_norm_sq": tail.ball_norm_sq,
-                    "points_checked": tail.points_checked,
-                    "rows": [asdict(r) for r in tail.rows],
-                },
-                handle, indent=2, sort_keys=True,
-            )
-            handle.write("\n")
+        _write_json(tail_path, {"ball_norm_sq": tail.ball_norm_sq,
+                                "points_checked": tail.points_checked,
+                                "rows": [asdict(r) for r in tail.rows]})
         report["artifacts"].append(str(tail_path))
         report["checks"].append(checks.tail_certificate(tail, cloud.half_width))
     else:
@@ -564,7 +554,8 @@ def main(argv=None) -> int:
         report.update(error={"type": type(error).__name__, "message": str(error)},
                       exit_code=code, passed=False)
     report["timing_s"] = time.perf_counter() - started
-    path = _write_report(out_dir, report)
+    path = out_dir / "report.json"
+    _write_json(path, report)
     log.info("%s finished in %.2fs, report at %s", args.command, report["timing_s"], path)
     return code
 

@@ -22,8 +22,8 @@ from .operators import _TWO, _const, apply_laplacian
 
 STABILITY_SAFETY = 0.5
 #: Largest integration a run may ask for, in site-steps (rows x sites x RK4
-#: steps): over 700x the widest run in the tests and the benchmark (192 rows
-#: x 257 sites x 271 steps).  At the 24 ns per site-step of that batch on a
+#: steps): over 1,800x the widest run in the tests and the benchmark (192
+#: rows x 257 sites x 112 steps).  At the 24 ns per site-step of that batch on a
 #: 2-core Xeon this is about 4 minutes; one narrow row costs ~1 us per site-step.
 WORK_CAP = 10 ** 10
 #: Largest memory a run may hold, in bytes: the state-sized float64 arrays of
@@ -215,16 +215,16 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
 
     Each forcing table is read once and kept to the columns between the first
     and the last nonzero amplitude; the drive is evaluated once over these
-    live columns of all blocks.  The closure ``rhs(t, u, out=None)`` acts on
-    the last axis of a state or a stack of rows; ``t`` is a scalar or a
-    column with one time per row.  It writes into ``out`` (shaped like ``u``,
-    not ``u``) or a fresh array, with scratch arrays it keeps per shape in the
-    memory layout of the first ``out`` of that shape.  With them it keeps the
-    last float time it evaluated the forcing at, and reuses those drive
-    columns for an equal nonzero float (RK4's two midpoint stages; often the
-    next step's start); a time column is always evaluated afresh.  Its
-    ``edges`` attribute lists the columns of the zero-ghost blocks' edge
-    sites, which the edge monitor of :func:`integrate_final` checks.
+    live columns of all blocks, as one row added to every row of the state.
+    The closure ``rhs(t, u, out=None)`` acts on the last axis of a state or a
+    stack of rows, all at the one time ``t``.  It writes into ``out`` (shaped
+    like ``u``, not ``u``) or a fresh array, with scratch arrays it keeps per
+    shape in the memory layout of the first ``out`` of that shape.  It keeps
+    the last float time it evaluated the forcing at, and reuses the drive for
+    an equal nonzero float (RK4's two midpoint stages; often the next step's
+    start).  Its ``edges`` attribute lists the columns of the zero-ghost
+    blocks' edge sites, which the edge monitor of :func:`integrate_final`
+    checks.
     """
     neg_nu, lam, func = _const(-params.nu), _const(params.lam), nonlin.func
     # per block: its columns and stencil; per live forcing range: its columns
@@ -248,16 +248,19 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
         raise ParameterError("the blocks of one system must share one forcing time offset")
     offset = offsets.pop() if offsets else 0.0
     amps, freqs, phases = (np.concatenate(arrs) for arrs in zip(*tables)) if tables else [()] * 3
+    drive = np.empty(live_width)
+    parts = [(sites, drive[part]) for sites, part in pieces]
+    drive_t = None  # the float time the drive holds
     # one block steps the whole state with no slicing; several step per block
     single = len(blocks) == 1
     (_, half_width, periodic), cols = stencils[0], pieces[0][0] if pieces else None
-    # per state shape: F(u), F's scratch (lam * u goes first), forcing columns
-    # with each block's view of them, and the float time they hold.  ufuncs
-    # here and in the loop take ``out`` as the third positional argument: the
+    # per state shape: F(u) and F's scratch (lam * u goes first).  ufuncs here
+    # and in the loop take ``out`` as the third positional argument: the
     # keyword costs ~20 ns a call
-    held: dict[tuple, list] = {}
+    held: dict[tuple, tuple] = {}
 
     def rhs(t, u, out=None):
+        nonlocal drive_t
         if single:
             out = apply_laplacian(u, half_width, periodic, out)
         else:
@@ -267,11 +270,9 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
                 apply_laplacian(u[..., sites], n, wrap, out[..., sites])
         bufs = held.get(out.shape)
         if bufs is None:
-            fu, *work = (np.empty_like(out) for _ in range(4))
-            drive = np.empty_like(out, shape=(*out.shape[:-1], live_width))
-            parts = [(sites, drive[..., part]) for sites, part in pieces]
-            bufs = held[out.shape] = [fu, tuple(work), drive, parts, None]
-        fu, work, drive, parts, drive_t = bufs
+            bufs = held[out.shape] = (np.empty_like(out),
+                                      tuple(np.empty_like(out) for _ in range(3)))
+        fu, work = bufs
         out *= neg_nu
         out -= np.multiply(lam, u, work[0])
         out += func(u, fu, work)
@@ -280,10 +281,10 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
             # but may give drives that differ in the sign of a zero
             if not (isinstance(t, float) and t == drive_t and t != 0.0):
                 np.multiply(freqs, t + offset, drive)
-                drive += phases
+                np.add(drive, phases, drive)
                 np.sin(drive, drive)
-                drive *= amps
-                bufs[4] = t if isinstance(t, float) else None
+                np.multiply(drive, amps, drive)
+                drive_t = t if isinstance(t, float) else None
             if single:
                 out[..., cols] += drive
             else:
@@ -366,11 +367,12 @@ class Trajectory:
         return np.einsum("ij,ij->i", self.states, self.states)
 
 
-def rk4_step(rhs, t, y: np.ndarray, h, out: np.ndarray, work) -> np.ndarray:
-    """One classical RK4 step of ``rhs(t, u, out)`` from ``y`` at ``t``, written
-    into ``out``, which holds k1 and then the running sum; ``work`` holds the
-    current k and the stage state.  These three are arrays shaped like ``y``,
-    and no two of the four share memory."""
+def rk4_step(rhs, t: float, y: np.ndarray, h: float, out: np.ndarray, work) -> np.ndarray:
+    """One classical RK4 step of ``rhs(t, u, out)`` from ``y`` at ``t`` by ``h``
+    (one time and one step for every row), written into ``out``, which holds
+    k1 and then the running sum; ``work`` holds the current k and the stage
+    state.  These three are arrays shaped like ``y``, and no two of the four
+    share memory."""
     k, stage = work
     half = 0.5 * h
     mid = t + half
@@ -418,43 +420,27 @@ def _step_count(span: float, h: float) -> int:
     return max(1, math.ceil(count * (1.0 - 1e-12))) if span > 0.0 else 0
 
 
-def plan_run(shape: tuple[int, ...], t0, t1: float, h, sample_stride: int = 0):
-    """The schedule of a run of a state shaped ``shape`` (one row, or a stack
-    of rows) from ``t0`` to ``t1`` at largest step ``h``: the start times,
-    the steps and the step count ``N``.  With a scalar ``t0`` these are
-    ``t0``, ``h`` and the count of steps of ``h`` (the last one shortened);
-    with one start time per row they are ``(rows, 1)`` columns, ``N`` is the
-    count the longest span takes at step ``h``, and row ``j`` steps
-    ``min(span_j / N, h)``, so a row with ``t0 == t1`` gets step 0.
+def plan_run(shape: tuple[int, ...], t0: float, t1: float, h: float,
+             sample_stride: int = 0) -> int:
+    """The step count of a run of a state shaped ``shape`` (one row, or a
+    stack of rows) from ``t0`` to ``t1`` at largest step ``h``: steps of
+    ``h``, the last one shortened.  Every row shares the one start time
+    ``t0``; an array of start times is refused with :class:`DimensionError`.
 
     A run of more than :data:`WORK_CAP` site-steps, or whose arrays
     (:func:`run_bytes`) exceed :data:`MEMORY_CAP`, is refused; with
     ``sample_stride`` the states :func:`integrate` keeps count too.
     """
+    if np.ndim(t0):
+        raise DimensionError(f"one start time is shared by every row, got shape {np.shape(t0)}")
     if not h > 0.0:
         raise ParameterError(f"step must be > 0, got {h}")
-    times = np.append(t0, t1)
-    if not np.isfinite(times).all():
-        bad = times[~np.isfinite(times)][0]
-        raise ParameterError(f"start and end times must be finite, got {bad}")
-    if np.ndim(t0):
-        if len(shape) != 2:
-            raise DimensionError("per-row start times need a stack of state rows")
-        try:
-            t0 = np.broadcast_to(np.reshape(np.asarray(t0, dtype=float), (-1, 1)),
-                                 (shape[0], 1))
-        except ValueError as exc:
-            raise DimensionError(f"need one start time per row: {exc}") from exc
-        span = t1 - t0
-        if np.any(span < 0.0):
-            raise ParameterError(f"t1 = {t1} precedes t0 = {t0.min()}")
-        n_steps = _step_count(float(span.max()), h)
-        # minimum() only trims the rounding of span / N past h
-        h = np.minimum(span / max(n_steps, 1), h)
-    else:
-        if t1 < t0:
-            raise ParameterError(f"t1 = {t1} precedes t0 = {t0}")
-        n_steps = _step_count(t1 - t0, h)
+    for t in (t0, t1):
+        if not math.isfinite(t):
+            raise ParameterError(f"start and end times must be finite, got {t}")
+    if t1 < t0:
+        raise ParameterError(f"t1 = {t1} precedes t0 = {t0}")
+    n_steps = _step_count(t1 - t0, h)
     rows, sites = shape if len(shape) == 2 else (1, math.prod(shape))
     site_steps = float(rows * sites) * n_steps
     if site_steps > WORK_CAP:
@@ -462,34 +448,31 @@ def plan_run(shape: tuple[int, ...], t0, t1: float, h, sample_stride: int = 0):
                              f"steps), above the cap of {WORK_CAP:.0e}")
     # integrate keeps at most this many samples, in one array
     run_bytes(rows, sites, n_steps // sample_stride + 2 if sample_stride else 0)
-    return t0, h, n_steps
+    return n_steps
 
 
-def _check_edges(y: np.ndarray, t, floor: float, edges) -> None:
-    amplitude = np.abs(y[..., edges]).max(axis=-1, initial=0.0)
-    worst = int(np.argmax(amplitude))
-    if amplitude.flat[worst] > floor:
-        at = float(np.ravel(t)[worst if np.ndim(t) else 0])
+def _check_edges(y: np.ndarray, t: float, floor: float, edges) -> None:
+    amplitude = float(np.abs(y[..., edges]).max(initial=0.0))
+    if amplitude > floor:
         raise BoundaryContaminationError(
-            f"edge amplitude {amplitude.flat[worst]:.3e} exceeds floor {floor:.3e} "
-            f"at t = {at:.6g}; increase the working half-width"
+            f"edge amplitude {amplitude:.3e} exceeds floor {floor:.3e} "
+            f"at t = {t:.6g}; increase the working half-width"
         )
 
 
-def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
+def _march(rhs, y: np.ndarray, t0: float, t1: float, h: float, boundary_floor: float | None):
     """The one RK4 loop: yields ``(t, y)`` after each accepted step, with
     ``y`` one of two arrays the loop writes in turn (copy it to keep it),
     laid out in memory like the ``y`` passed in.
 
-    ``t0`` is a scalar or holds one start time per row of a stacked ``y``;
-    ``h`` is the largest step (see :func:`plan_run`).  The last step is
-    ``t1 - t``, so every row ends on ``t1`` (exactly so for ``t1 = 0``).
-    With ``boundary_floor`` set, the edge sites are checked at the start and
-    after every step: the columns ``rhs.edges`` of a compiled RHS, the first
-    and the last site for any other callable.  A run :func:`plan_run` refuses
-    stops before the first step.
+    Every row of a stacked ``y`` starts at ``t0`` and steps ``h`` (see
+    :func:`plan_run`); the last step is ``t1 - t``, so the run ends on
+    ``t1``.  With ``boundary_floor`` set, the edge sites are checked at the
+    start and after every step: the columns ``rhs.edges`` of a compiled RHS,
+    the first and the last site for any other callable.  A run
+    :func:`plan_run` refuses stops before the first step.
     """
-    t0, h, n_steps = plan_run(y.shape, t0, t1, h)
+    n_steps = plan_run(y.shape, t0, t1, h)
     edges = getattr(rhs, "edges", np.array([0, -1]))
     if boundary_floor is not None:
         _check_edges(y, t0, boundary_floor, edges)
@@ -503,12 +486,9 @@ def _march(rhs, y: np.ndarray, t0, t1: float, h, boundary_floor: float | None):
         y = rk4_step(rhs, t, y, step, states[k % 2], work)
         if not np.isfinite(y).all():
             bad = "state"
-            row = 0
             if y.ndim == 2:
-                row = int(np.nonzero(~np.all(np.isfinite(y), axis=-1))[0][0])
-                bad = f"row {row}"
-            at = float(np.ravel(t + step)[row if np.ndim(t) else 0])
-            raise DivergenceError(f"non-finite {bad} after step {k} (t = {at:.6g})")
+                bad = f"row {int(np.nonzero(~np.all(np.isfinite(y), axis=-1))[0][0])}"
+            raise DivergenceError(f"non-finite {bad} after step {k} (t = {t + step:.6g})")
         if boundary_floor is not None:
             _check_edges(y, t + step, boundary_floor, edges)
         yield (t1 if k == n_steps - 1 else t + h), y
@@ -535,37 +515,39 @@ def integrate(
     y = np.array(v0, dtype=float)
     if y.ndim != 1:
         raise DimensionError("integrate expects a single state vector")
-    _, _, n_steps = plan_run(y.shape, t0, t1, h, sample_stride)
+    n_steps = plan_run(y.shape, t0, t1, h, sample_stride)
     # t0, every sample_stride-th step, and t1 unless it is one of those
     kept = n_steps // sample_stride + (2 if n_steps % sample_stride else 1)
     times, states = np.empty(kept), np.empty((kept, y.size))
     times[0], states[0] = t0, y
-    for k, (t, y) in enumerate(_march(rhs, y, t0, t1, h, None), 1):
-        if k % sample_stride == 0 or k == n_steps:
-            row = -(-k // sample_stride)  # rounded up: a short last stride fills the last row
-            times[row], states[row] = t, y
+    # a diverging run overflows before the finiteness check names its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (t, y) in enumerate(_march(rhs, y, t0, t1, h, None), 1):
+            if k % sample_stride == 0 or k == n_steps:
+                row = -(-k // sample_stride)  # rounded up: a short last stride fills the last row
+                times[row], states[row] = t, y
     return Trajectory(times=times, states=states, steps=n_steps)
 
 
 def integrate_final(
-    rhs, v0, t0, t1: float, h: float, boundary_floor: float | None = None
+    rhs, v0, t0: float, t1: float, h: float, boundary_floor: float | None = None
 ) -> np.ndarray:
     """Endpoint-only RK4 for one state or a stack of rows stepped together.
 
-    ``t0`` is a scalar or holds one start time per row; ``h`` is the largest
-    step any row takes.  With per-row start times the integrator derives the
-    schedule: ``N`` steps from the longest span at step ``h``, and row ``j``
-    stepping ``min((t1 - t0_j) / N, h)``, so every row lands on ``t1`` after
-    the same ``N`` steps.  ``boundary_floor`` turns on the edge monitor of
-    the padded reference system: :class:`BoundaryContaminationError` once an
-    edge site exceeds it (for a stacked RHS, an edge site of one of its
-    zero-ghost blocks).  A batch steps site-major (Fortran order); the
-    rows come back C-ordered.
+    Every row starts at the one time ``t0`` (an array of start times raises
+    :class:`DimensionError`) and steps ``h``, the last step shortened to land
+    on ``t1``.  ``boundary_floor`` turns on the edge monitor of the padded
+    reference system: :class:`BoundaryContaminationError` once an edge site
+    exceeds it (for a stacked RHS, an edge site of one of its zero-ghost
+    blocks).  A batch steps site-major (Fortran order); the rows come back
+    C-ordered.
     """
     # site-major: each stencil slice of a row batch is one contiguous block
     y = np.array(v0, dtype=float, order="F")
-    for _, y in _march(rhs, y, t0, t1, h, boundary_floor):
-        pass
+    # a diverging run overflows before the finiteness check names its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, y in _march(rhs, y, t0, t1, h, boundary_floor):
+            pass
     return np.ascontiguousarray(y)
 
 

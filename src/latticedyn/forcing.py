@@ -133,11 +133,6 @@ class FiniteForcing(QuasiPeriodicForcing):
         """The support radius ``m``: the table has no tail to cut."""
         return (self.amplitudes.size - 1) // 2
 
-    def dominant_frequency(self) -> float:
-        """Frequency of the first largest amplitude; 0 for a zero forcing."""
-        k = int(np.argmax(np.abs(self.amplitudes)))
-        return float(self.frequencies[k]) if self.amplitudes[k] != 0.0 else 0.0
-
     def total_energy(self) -> float:
         """``sum_i a_i**2``, the square-summability certificate."""
         return float(np.dot(self.amplitudes, self.amplitudes))
@@ -174,11 +169,6 @@ class GeometricForcing(QuasiPeriodicForcing):
         sites = np.abs(np.arange(-window, window + 1))
         a = self.amplitude0 * self.decay_rate ** sites
         return a, np.full(width, self.frequency), np.full(width, self.phase)
-
-    def dominant_frequency(self) -> float:
-        """Frequency of site 0, which carries the largest amplitude; 0 for a
-        zero forcing."""
-        return self.frequency if self.amplitude0 > 0.0 else 0.0
 
     def total_energy(self) -> float:
         """``sum_i a_i**2``, the square-summability certificate."""

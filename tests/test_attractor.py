@@ -128,35 +128,6 @@ class TestHausdorff:
         assert _cloud(b, 32).diameter() == pytest.approx(cdist(b, b).max(), rel=1e-14, abs=0.0)
 
 
-class TestDominantPeriod:
-    def test_finite_takes_the_first_largest_amplitude(self):
-        f = QuasiPeriodicForcing.finite([0.5, -2.0, 1.0, 2.0, 0.1], [1.0, 4.0, 2.0, 8.0, 3.0])
-        assert attractor._dominant_period(f) == 2.0 * math.pi / 4.0
-
-    def test_negative_frequency_gives_a_positive_period(self):
-        f = QuasiPeriodicForcing.finite([1.0], -2.0)
-        assert attractor._dominant_period(f) == math.pi
-
-    @pytest.mark.parametrize("amplitude0", [1.0, 1e-200, 1e-320])
-    def test_geometric_reads_site_zero(self, amplitude0):
-        f = QuasiPeriodicForcing.geometric(amplitude0, 0.5, 0.5)
-        assert attractor._dominant_period(f) == 4.0 * math.pi
-
-    @pytest.mark.parametrize("f", [QuasiPeriodicForcing.zero(),
-                                   QuasiPeriodicForcing.finite([0.0, 0.0, 0.0], 3.0),
-                                   QuasiPeriodicForcing.geometric(0.0, 0.5, 3.0),
-                                   QuasiPeriodicForcing.finite([1.0], 0.0)],
-                             ids=["zero", "finite-zero-amplitudes", "geometric-zero", "constant"])
-    def test_unit_period_without_an_oscillating_mode(self, f):
-        assert attractor._dominant_period(f) == 1.0
-
-    def test_infinite_period_names_the_frequency(self):
-        # 2 pi / 1e-320 overflows: no default window exists
-        f = QuasiPeriodicForcing.geometric(1.0, 0.5, 1e-320)
-        with pytest.raises(ParameterError, match="dominant frequency 9.99989e-321"):
-            attractor._dominant_period(f)
-
-
 LINEAR_BENCH = dict(
     nu=1.0,
     lam=1.0,
@@ -165,8 +136,8 @@ LINEAR_BENCH = dict(
 
 
 def _initial_conditions(params, nl, kind, seed, ic_count, ic_radius):
-    # no burn-in and one offset: every row spans 0 and takes no step, so the
-    # cloud is exactly its initial conditions
+    # no burn-in: the run takes no step, so the cloud is exactly its initial
+    # conditions
     return sample_attractor(
         LINEAR_BENCH["forcing"], params, nl, eps=1e-2, ic_count=ic_count, sample_count=1,
         seed=seed, burn_in=0.0, step=0.03, ic_radius=ic_radius, kind=kind,
@@ -194,6 +165,19 @@ class TestInitialBall:
         other = _initial_conditions(params, nl, kind, seed + 1, 16, ic_radius)
         assert not np.array_equal(ics, other)
 
+    def test_every_point_is_its_own_draw(self):
+        # ic_count * sample_count initial conditions from one draw: none repeats
+        params = LatticeParams(nu=1.0, lam=1.0, n=3)
+        ic_radius, seed = 2.0, 7
+        cloud = sample_attractor(
+            LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0), eps=1e-2,
+            ic_count=3, sample_count=5, seed=seed, burn_in=0.0, step=0.03, ic_radius=ic_radius,
+        )
+        draw = np.random.default_rng(seed).random((15, params.dim))
+        draw = (2.0 * draw - 1.0) * (ic_radius / math.sqrt(params.dim))
+        assert cloud.states.tobytes() == draw.tobytes() and cloud.steps == 0
+        assert len(np.unique(cloud.states, axis=0)) == 15
+
 
 class TestSampleAttractor:
     def test_linear_fiber_collapses_to_a_point(self):
@@ -213,7 +197,7 @@ class TestSampleAttractor:
         cloud = sample_attractor(
             QuasiPeriodicForcing.zero(), params, nl,
             eps=1e-2, ic_count=5, sample_count=4, seed=3,
-            burn_in=8.0, ic_radius=1.0, window=1.0,
+            burn_in=8.0, ic_radius=1.0,
         )
         assert cloud.norms().max() < 1e-6
 
@@ -245,41 +229,34 @@ class TestSampleAttractor:
 
     @pytest.mark.parametrize("kind", ["finite", "reference"])
     def test_batched_cloud_matches_single_row_runs(self, kind):
-        # the one batched call equals integrating each (offset, initial
-        # condition) row alone with the same per-row step span_j / N
+        # the one batched call equals integrating each initial condition alone
         params = LatticeParams(nu=1.0, lam=1.0, n=4 if kind == "finite" else 10)
         nl = make_nonlinearity("cubic", 1.0)
         f = LINEAR_BENCH["forcing"]
-        step, burn_in, window, seed = 0.03, 2.0, 1.7, 2
+        step, burn_in, seed = 0.03, 2.0, 2
         ic_count, sample_count = 3, 5
         cloud = sample_attractor(
             f, params, nl, eps=1e-2, ic_count=ic_count, sample_count=sample_count,
-            seed=seed, burn_in=burn_in, window=window, step=step, ic_radius=1.0,
+            seed=seed, burn_in=burn_in, step=step, ic_radius=1.0,
             kind=kind, boundary_floor=1.0,
         )
         if kind == "finite":
             rhs = make_finite_rhs(params, nl, wrap_forcing(f, params.n))
         else:
             rhs = make_reference_rhs(params, nl, f)
-        ics = _initial_conditions(params, nl, kind, seed, ic_count, 1.0)
-        spans = burn_in + window * np.arange(sample_count) / sample_count
-        n_steps = math.ceil(spans.max() / step)
-        singles = [
-            integrate_final(rhs, ic, -span, 0.0, min(span / n_steps, step))
-            for span in spans
-            for ic in ics
-        ]
-        assert np.max(np.abs(cloud.states - np.array(singles))) <= 1e-12
+        ics = _initial_conditions(params, nl, kind, seed, ic_count * sample_count, 1.0)
+        singles = [integrate_final(rhs, ic, -burn_in, 0.0, step) for ic in ics]
+        assert np.array_equal(cloud.states, np.array(singles))
 
     def test_every_row_steps_at_most_h_and_ends_on_zero(self, monkeypatch):
         seen = {}
         real = attractor.integrate_final
 
         def spy(rhs, v0, t0, t1, h, boundary_floor=None):
-            seen["t0"], seen["h"], seen["t"] = np.asarray(t0), h, []
+            seen["t0"], seen["h"], seen["t"] = t0, h, []
 
             def recording(t, u):
-                seen["t"].append(np.broadcast_to(t, (len(u), 1)).copy())
+                seen["t"].append(t)
                 return rhs(t, u)
 
             return real(recording, v0, t0, t1, h, boundary_floor)
@@ -291,13 +268,12 @@ class TestSampleAttractor:
             LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
             eps=1e-2, ic_count=3, sample_count=7, seed=2, burn_in=2.0, step=step,
         )
-        assert seen["h"] == step and seen["t0"].shape == (21,)
-        assert len(set(seen["t0"])) == 7
-        # every step's first and last stages are one row step apart
-        row_steps = seen["t"][3] - seen["t"][0]
-        assert np.all(row_steps > 0.0) and np.all(row_steps <= step)
-        # the last stage of the last step is evaluated at t = 0 on every row
-        assert np.array_equal(seen["t"][-1], np.zeros((21, 1)))
+        assert seen["h"] == step and seen["t0"] == -2.0
+        # step k starts at t0 + k * step; its last stage is evaluated at t = 0
+        starts = seen["t"][::4]
+        assert starts == [-2.0 + k * step for k in range(len(starts))]
+        assert seen["t"][-1] == 0.0 and 0.0 < -starts[-1] <= step
+        assert len(seen["t"]) == 4 * cloud.steps == 4 * math.ceil(2.0 / step)
         assert len(cloud) == 21
 
     def test_unsettled_cloud_is_a_divergence(self):
@@ -309,7 +285,7 @@ class TestSampleAttractor:
             sample_attractor(
                 QuasiPeriodicForcing.zero(), params, nl,
                 eps=1e-2, ic_count=3, sample_count=2, seed=0,
-                burn_in=10.0, window=1.0, ic_radius=1.0, step=1.25,
+                burn_in=10.0, ic_radius=1.0, step=1.25,
             )
         assert issubclass(UnsettledCloudError, DivergenceError)
 
@@ -413,8 +389,8 @@ class TestStackedStudy:
         nl = make_nonlinearity(name, 1.0)
         f = QuasiPeriodicForcing.finite([0.4, -0.7, 1.0, 0.3, 0.6], [0.9, 1.3, 1.0, 0.7, 1.6],
                                         [0.1, 2.0, 0.5, 4.0, 1.2]).shift(0.37)
-        sampling = dict(eps=1e-2, ic_count=3, sample_count=4, seed=5, burn_in=3.0, window=1.3,
-                        step=0.03, boundary=boundary, boundary_floor=1e-3)
+        sampling = dict(eps=1e-2, ic_count=3, sample_count=4, seed=5, burn_in=3.0, step=0.03,
+                        boundary=boundary, boundary_floor=1e-3)
         report, ref, clouds, marches = _study_clouds(monkeypatch, f, nl, (1, 3, 6), 20,
                                                      **sampling)
         assert marches == 1
@@ -426,12 +402,12 @@ class TestStackedStudy:
             assert cloud.states.flags.c_contiguous and cloud.label == alone.label
             assert np.array_equal(cloud.states, alone.states)
             assert row.beta_to_ref == hausdorff_semidistance(alone, ref)
-        assert (report.step, report.steps) == (0.03, math.ceil((3.0 + 1.3 * 3 / 4) / 0.03))
+        assert (report.step, report.steps) == (0.03, 100)
         assert (ref.step, ref.steps) == (report.step, report.steps)
 
     def test_zero_forcing_has_no_drive_columns(self, monkeypatch):
         nl = make_nonlinearity("cubic", 1.0)
-        sampling = dict(eps=1e-2, ic_count=2, sample_count=3, seed=8, burn_in=2.0, window=1.0,
+        sampling = dict(eps=1e-2, ic_count=2, sample_count=3, seed=8, burn_in=2.0,
                         ic_radius=1.0, step=0.05, boundary_floor=1.0)
         _, ref, clouds, _ = _study_clouds(monkeypatch, QuasiPeriodicForcing.zero(), nl,
                                           (2, 4), 8, **sampling)
@@ -480,9 +456,8 @@ class TestStackedStudy:
         assert not tables
 
     def test_work_cap_sees_the_stacked_width(self, monkeypatch):
-        # 512 rows x 601 sites x 25,049 steps is 7.7e9 site-steps per cloud
-        starts = np.repeat(-(250.0 + 0.5 * np.arange(32) / 32), 16)
-        steps = plan_run((512, 601), starts, 0.0, 0.01)[2]
+        # 512 rows x 601 sites x 25,000 steps is 7.7e9 site-steps per cloud
+        steps = plan_run((512, 601), -250.0, 0.0, 0.01)
         assert 512 * 601 * steps < WORK_CAP < 512 * 1202 * steps
         tables = []
         monkeypatch.setattr("latticedyn.forcing.FiniteForcing.mode_table",
@@ -490,7 +465,7 @@ class TestStackedStudy:
         with pytest.raises(ParameterError, match="1.54e[+]10 site-steps"):
             convergence_study(LINEAR_BENCH["forcing"], 1.0, 1.0, make_nonlinearity("linear", 1.0),
                               n_list=(300,), n_ref=300, eps=1e-2, ic_count=16, sample_count=32,
-                              seed=0, burn_in=250.0, window=0.5, step=0.01)
+                              seed=0, burn_in=250.0, step=0.01)
         assert not tables
 
 
@@ -501,7 +476,7 @@ class TestTailCertificate:
         cloud = sample_attractor(
             QuasiPeriodicForcing.zero(), params, nl,
             eps=1e-2, ic_count=3, sample_count=3, seed=1,
-            burn_in=8.0, ic_radius=1.0, window=1.0,
+            burn_in=8.0, ic_radius=1.0,
         )
         forcing = QuasiPeriodicForcing.geometric(1.0, 0.5, 1.0)
         report = tail_certificate([cloud], [1e-2, 1e-3], forcing, 1.0, 1.0, 1.0)

@@ -21,7 +21,6 @@ from latticedyn.dynamics import (
     Nonlinearity,
     Trajectory,
     _compile_rhs,
-    _step_count,
     auto_step,
     integrate_final,
     plan_run,
@@ -185,15 +184,15 @@ class TestFiniteRhs:
 
     def test_forcing_matches_eval_window_per_row_time(self, rng, make_random_forcing):
         # the compiled table adds f(t) exactly as the forcing evaluates it,
-        # for a scalar time and for a column of per-row times
+        # at each time to one state and to every row of a batch
         nl = make_nonlinearity("zero")
         params = LatticeParams(nu=0.0, lam=1.0, n=4)
         f = make_random_forcing(rng, support=2).shift(0.37)
         rhs = make_finite_rhs(params, nl, project_forcing(f, 4))
-        times = np.array([[-1.5], [0.0], [2.25]])
-        out = rhs(times, np.zeros((3, params.dim)))
-        for row, t in enumerate(times[:, 0]):
-            assert np.array_equal(out[row], f.eval_window(t, 4))
+        for t in (-1.5, 0.0, 2.25):
+            out = rhs(t, np.zeros((3, params.dim)))
+            for row in out:
+                assert np.array_equal(row, f.eval_window(t, 4))
             assert np.array_equal(rhs(t, np.zeros(params.dim)), f.eval_window(t, 4))
 
     def test_dissipativity_identity(self, rng):
@@ -336,7 +335,7 @@ class TestIntegrate:
             assert e1 / e2 == pytest.approx(16.0, rel=0.2)
 
     def test_divergence_names_step(self):
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="step"):
+        with pytest.raises(DivergenceError, match="step"):
             integrate(lambda t, y: y * y, np.array([5.0]), 0.0, 10.0, 0.5)
 
     def test_degenerate_interval(self):
@@ -363,50 +362,30 @@ class TestIntegrate:
         assert traj.times[-1] == 0.25
         assert traj.final_state[0] == pytest.approx(math.exp(-0.25), abs=1e-6)
 
-    def test_per_row_start_times_land_exactly_on_zero(self, rng):
-        # N = 7 steps from the longest span at h = 2/7; each row steps
-        # (0 - t0_j) / N, and the last RK4 stage sits on t = 0
-        params = LatticeParams(nu=1.0, lam=1.0, n=3)
-        nl = make_nonlinearity("cubic", 1.0)
-        f = project_forcing(QuasiPeriodicForcing.geometric(0.5, 0.5, 1.3, 0.2), 3)
-        rhs = make_finite_rhs(params, nl, f)
-        seen = []
+    @pytest.mark.parametrize("make", [make_finite_rhs, make_reference_rhs],
+                             ids=["wrap", "zero-ghost"])
+    def test_batch_rows_equal_single_rows_bit_for_bit(self, rng, make_random_forcing, make):
+        params = LatticeParams(nu=1.0, lam=1.0, n=5)
+        f = make_random_forcing(rng, support=3).shift(0.37)
+        rhs = make(params, make_nonlinearity("cubic", 1.0), project_forcing(f, params.n))
+        v0 = rng.standard_normal((6, params.dim))
+        batch = integrate_final(rhs, v0, -1.0, 0.0, 0.03)
+        for row in range(6):
+            single = integrate_final(rhs, v0[row], -1.0, 0.0, 0.03)
+            assert np.array_equal(_bits(batch[row]), _bits(single))
 
-        def recording(t, u):
-            seen.append(np.broadcast_to(t, (len(u), 1)).copy())
-            return rhs(t, u)
-
-        t0 = np.array([-2.0, -1.3, -0.1 / 3.0, 0.0])
-        steps = -t0 / 7
-        v0 = rng.standard_normal((4, params.dim))
-        batch = integrate_final(recording, v0, t0, 0.0, 2.0 / 7)
-        assert len(seen) == 4 * 7
-        assert np.array_equal(seen[-1], np.zeros((4, 1)))
-        assert np.array_equal(batch[3], v0[3])  # a row with no span stays put
-        for row in range(3):
-            single = integrate_final(rhs, v0[row], t0[row], 0.0, steps[row])
-            assert np.allclose(batch[row], single, rtol=0.0, atol=1e-14)
-
-    def test_per_row_steps_need_one_step_count(self):
+    def test_start_time_arrays_are_refused(self):
         calls = []
 
         def rhs(t, y):
             calls.append(t)
             return -y
 
-        v0 = np.ones((2, 3))
-        # the longest span sets N = 10 at h = 0.1; the shorter row steps 0.05
-        batch = integrate_final(rhs, v0, np.array([-1.0, -0.5]), 0.0, 0.1)
-        assert len(calls) == 4 * 10
-        for row, (t0, h) in enumerate(((-1.0, 0.1), (-0.5, 0.05))):
-            single = integrate_final(lambda t, y: -y, v0[row], t0, 0.0, h)
-            assert np.allclose(batch[row], single, rtol=0.0, atol=1e-15)
-        with pytest.raises(ParameterError):
-            integrate_final(rhs, v0, np.array([-1.0, 0.5]), 0.0, 0.1)
-        with pytest.raises(DimensionError):
-            integrate_final(rhs, v0, np.array([-1.0, -1.0, -1.0]), 0.0, 0.1)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="one start time is shared by every row"):
+            integrate_final(rhs, np.ones((2, 3)), np.array([-1.0, -0.5]), 0.0, 0.1)
+        with pytest.raises(DimensionError, match="got shape [(]1,[)]"):
             integrate_final(rhs, np.ones(3), np.array([-1.0]), 0.0, 0.1)
+        assert not calls
 
     def test_ensemble_rows_match_single_runs(self, rng):
         params = LatticeParams(nu=1.0, lam=1.0, n=3)
@@ -429,10 +408,8 @@ def _bits(a):
 
 
 def _batches(rng, dim):
-    """(t, u): one state, a batch at one time, a batch with per-row times."""
-    return [(0.3, rng.standard_normal(dim)),
-            (0.3, rng.standard_normal((3, dim))),
-            (np.array([[-1.5], [0.0], [2.25]]), rng.standard_normal((3, dim)))]
+    """(t, u): one state and a batch of rows, each at one time."""
+    return [(0.3, rng.standard_normal(dim)), (-1.5, rng.standard_normal((3, dim)))]
 
 
 class TestBufferedStepping:
@@ -466,20 +443,15 @@ class TestBufferedStepping:
             expected *= -params.nu
             expected -= params.lam * u
             expected += nl.func(u)
-            drive = (np.stack([f.eval_window(float(r), params.n) for r in t[:, 0]])
-                     if np.ndim(t) else f.eval_window(t, params.n))
-            assert np.array_equal(out, expected + drive)
+            assert np.array_equal(out, expected + f.eval_window(t, params.n))
 
-    @pytest.mark.parametrize("rows, per_row", [(None, False), (4, False), (4, True)],
-                             ids=["one-row", "scalar-step", "per-row-steps"])
-    def test_rk4_step_keeps_the_allocating_arithmetic(self, rng, make_random_forcing, rows,
-                                                      per_row):
+    @pytest.mark.parametrize("rows", [None, 4], ids=["one-row", "scalar-step"])
+    def test_rk4_step_keeps_the_allocating_arithmetic(self, rng, make_random_forcing, rows):
         params = LatticeParams(nu=1.0, lam=1.0, n=5)
         f = project_forcing(make_random_forcing(rng, support=3), params.n)
         rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
         y = rng.standard_normal(params.dim if rows is None else (rows, params.dim))
-        t, h = (np.array([[-2.0], [-1.0], [-0.5], [0.0]]), np.array([[0.02], [0.01], [0.005], [0.0]])
-                ) if per_row else (0.3, 0.05)
+        t, h = 0.3, 0.05
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
@@ -518,14 +490,14 @@ class TestBufferedStepping:
         assert not np.any(np.signbit(rhs(0.0, u, np.empty_like(u))))
         assert np.all(np.signbit(rhs(-0.0, u, np.empty_like(u))))
 
-    @pytest.mark.parametrize("column", [True, False], ids=["column", "0-d"])
+    @pytest.mark.parametrize("shape", [()], ids=["0-d"])
     def test_time_array_written_in_place_gives_the_new_forcing(self, rng,
-                                                               make_random_forcing, column):
+                                                               make_random_forcing, shape):
         params = LatticeParams(nu=0.8, lam=1.2, n=4)
         nl = make_nonlinearity("linear", 1.0)
         f = project_forcing(make_random_forcing(rng, support=2), params.n)
         rhs = make_finite_rhs(params, nl, f)
-        t = np.array([[0.3], [-1.1]]) if column else np.array(0.3)
+        t = np.full(shape, 0.3)
         u = rng.standard_normal((2, params.dim))
         rhs(t, u, np.empty_like(u))
         t += 0.5
@@ -555,7 +527,7 @@ class TestBufferedStepping:
         f = project_forcing(make_random_forcing(rng, support=128), params.n)
         rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
         y = rng.standard_normal((192, params.dim))
-        t, h = np.linspace(-3.0, -2.0, 192)[:, None], np.full((192, 1), 0.01)
+        t, h = -3.0, 0.01
         out, work = np.empty_like(y), np.empty((2, *y.shape))
         rk4_step(rhs, t, y, h, out, work)  # warm-up: the rhs makes its scratch arrays
         tracemalloc.start()
@@ -570,16 +542,15 @@ class TestBufferedStepping:
     def test_site_major_step_allocates_less_than_a_quarter_state(self, rng,
                                                                 make_random_forcing):
         # in Fortran order every stencil slice is one contiguous block, which
-        # the ufunc iterator walks without buffering.  A broadcast operand (a
-        # per-row step column, the forcing table) still takes a getbufsize()
-        # buffer, 64 KB, in either layout; the forcing here is live on |i| <= 6
-        # as in the attractor-wide benchmark, since a forcing live on all 257
-        # sites would add a 2 x 64 KB peak for its columns
+        # the ufunc iterator walks without buffering.  The drive row added to
+        # every row of the batch may still take a getbufsize() buffer, 64 KB,
+        # in either layout; the forcing here is live on |i| <= 6 as in the
+        # attractor-wide benchmark
         params = LatticeParams(nu=1.0, lam=1.0, n=128)
         f = project_forcing(make_random_forcing(rng, support=6), params.n)
         rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
         y = np.asfortranarray(rng.standard_normal((192, params.dim)))
-        t, h = np.linspace(-3.0, -2.0, 192)[:, None], np.full((192, 1), 0.01)
+        t, h = -3.0, 0.01
         out, work = np.empty_like(y), (np.empty_like(y), np.empty_like(y))
         rk4_step(rhs, t, y, h, out, work)  # warm-up: the rhs makes its scratch arrays
         tracemalloc.start()
@@ -669,7 +640,7 @@ class TestStackedRhs:
             for order in ("C", "F"):
                 y = np.array(u, order=order)
                 # a float time twice: the second call reuses the drive columns
-                for _ in range(2 if np.ndim(t) == 0 else 1):
+                for _ in range(2):
                     got = stacked(t, y, np.empty_like(y))
                     for rhs, a, b in zip(alone, widths, widths[1:]):
                         part = np.array(y[..., a:b], order=order)
@@ -715,30 +686,25 @@ class TestSiteMajorLayout:
         # one system per layout, so each keeps scratch arrays in its own layout
         rhs_c, rhs_f = make(params, nl, forcing), make(params, nl, forcing)
         for t, u in _batches(rng, params.dim):
-            h = 0.05 if np.ndim(t) == 0 else np.array([[0.05], [0.02], [0.0]])
+            h = 0.05
             results = []
             for rhs, y in ((rhs_c, np.ascontiguousarray(u)), (rhs_f, np.asfortranarray(u))):
                 out, work = np.empty_like(y), (np.empty_like(y), np.empty_like(y))
                 results.append(rk4_step(rhs, t, y, h, out, work))
             assert np.array_equal(_bits(results[0]), _bits(results[1]))
 
-    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar-start", "per-row-starts"])
-    def test_integrate_final_matches_a_c_ordered_loop(self, rng, make_random_forcing,
-                                                      per_row):
+    @pytest.mark.parametrize("t0", [-1.0], ids=["scalar-start"])
+    def test_integrate_final_matches_a_c_ordered_loop(self, rng, make_random_forcing, t0):
         params = LatticeParams(nu=1.0, lam=1.0, n=6)
         f = project_forcing(make_random_forcing(rng, support=3), params.n)
         nl = make_nonlinearity("cubic", 1.0)
         v0 = rng.standard_normal((5, params.dim))
-        t0 = np.array([-1.0, -0.7, -0.35, -0.1, 0.0]) if per_row else -1.0
         t1, h = 0.0, 0.03
         got = integrate_final(make_finite_rhs(params, nl, f), v0, t0, t1, h)
         assert got.flags.c_contiguous
         # the same schedule on C-ordered buffers, step by step
         rhs = make_finite_rhs(params, nl, f)
-        if per_row:
-            t0, h, n_steps = plan_run(v0.shape, t0, t1, h)
-        else:
-            n_steps = _step_count(t1 - t0, h)
+        n_steps = plan_run(v0.shape, t0, t1, h)
         y, work = v0.copy(), (np.empty_like(v0), np.empty_like(v0))
         states = (np.empty_like(v0), np.empty_like(v0))
         for k in range(n_steps):
