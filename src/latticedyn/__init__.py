@@ -25,7 +25,6 @@ from .dynamics import (
 from .estimates import (
     burn_in_time,
     calibrate_tail_index,
-    cutoff_eval,
     gronwall_bound,
     tail_mass,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "calibrate_tail_index",
     "cocycle_property_check",
     "convergence_study",
-    "cutoff_eval",
     "difference_matrix",
     "gronwall_bound",
     "hausdorff_semidistance",

@@ -86,36 +86,36 @@ def cocycle_defect(v0, forcing, params, nonlin, h: float, tol: float,
                  f"two-path defect {defect:.3g} at h={h:.3g}")
 
 
-def energy_envelope(trajs, lam: float, alpha: float, forcing_bound: float,
+def energy_envelope(traj, lam: float, alpha: float, forcing_bound: float,
                     margin: float) -> dict[str, Any]:
-    """No sample pair of any trajectory exceeds the discrete shadow of the energy
-    inequality, ``y_{k+1} <= y_k exp(-(lam + 2 alpha) dt) + (C^2 / lam) dt (1 + margin)``,
+    """No sample pair of the trajectory (of every row of a stacked one) exceeds
+    the discrete shadow of the energy inequality,
+    ``y_{k+1} <= y_k exp(-(lam + 2 alpha) dt) + (C^2 / lam) dt (1 + margin)``,
     where ``margin`` absorbs integration error."""
     if lam <= 0.0:
         raise ParameterError(f"decay rate must be > 0, got {lam}")
-    excess = []
-    for traj in trajs:
-        y, dts = traj.norms_sq(), np.diff(traj.times)
-        allowed = (y[:-1] * np.exp(-(lam + 2.0 * alpha) * dts)
-                   + (forcing_bound ** 2 / lam) * dts * (1.0 + margin))
-        excess.append(y[1:] - allowed)
-    worst = max(float(e.max(initial=-math.inf)) for e in excess)
+    # rows first, samples on the last axis, where the time steps broadcast
+    y, dts = traj.norms_sq().T, np.diff(traj.times)
+    allowed = (y[..., :-1] * np.exp(-(lam + 2.0 * alpha) * dts)
+               + (forcing_bound ** 2 / lam) * dts * (1.0 + margin))
+    excess = y[..., 1:] - allowed
+    worst = float(excess.max(initial=-math.inf))
     return check("energy-envelope", worst <= 0.0, -worst,
-                 f"{sum(e.size for e in excess)} sample pairs, max excess {worst:.3g}")
+                 f"{excess.size} sample pairs, max excess {worst:.3g}")
 
 
-def absorbing_envelope(trajs, v0_norms, lam: float, alpha: float, forcing_bound: float,
+def absorbing_envelope(traj, v0_norms, lam: float, alpha: float, forcing_bound: float,
                        slack: float) -> dict[str, Any]:
     """Every norm sampled after the start stays within ``slack`` times the
-    Gronwall bound from its trajectory's initial norm ``v0_norms[j]``.  The
-    start is left out: the bound is built from the initial norm, so it holds
-    there by construction, and from outside the absorbing ball the ratio
-    would read exactly ``1 / slack``."""
-    worst = 0.0
-    for traj, v0_norm in zip(trajs, v0_norms, strict=True):
-        times, norms = traj.times[1:], np.sqrt(traj.norms_sq()[1:])
-        bound = np.array([gronwall_bound(lam, alpha, forcing_bound, v0_norm, t) for t in times])
-        worst = max(worst, float(np.max(norms / (bound * slack + 1e-30), initial=0.0)))
+    Gronwall bound from its row's initial norm: ``v0_norms`` is one number
+    for one row, one per row for a stacked trajectory.  The start is left
+    out: the bound is built from the initial norm, so it holds there by
+    construction, and from outside the absorbing ball the ratio would read
+    exactly ``1 / slack``."""
+    times, norms = traj.times[1:], np.sqrt(traj.norms_sq()[1:])
+    bound = np.reshape([gronwall_bound(lam, alpha, forcing_bound, v0_norm, t)
+                        for t in times for v0_norm in np.ravel(v0_norms).tolist()], norms.shape)
+    worst = float(np.max(norms / (bound * slack + 1e-30), initial=0.0))
     return check("absorbing-envelope", worst <= 1.0, 1.0 - worst,
                  f"worst norm / ({slack:g} * bound) after t0 = {worst:.6g}")
 

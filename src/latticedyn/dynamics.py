@@ -223,7 +223,7 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
     the last float time it evaluated the forcing at, and reuses the drive for
     an equal nonzero float (RK4's two midpoint stages; often the next step's
     start).  Its ``edges`` attribute lists the columns of the zero-ghost
-    blocks' edge sites, which the edge monitor of :func:`integrate_final`
+    blocks' edge sites, which the edge monitor of :func:`integrate`
     checks.
     """
     neg_nu, lam, func = _const(-params.nu), _const(params.lam), nonlin.func
@@ -314,7 +314,7 @@ def make_reference_rhs(
 ) -> Callable:
     """Padded stand-in for the full two-sided system on half-width
     ``params.n`` with zero ghost cells.  Pair it with ``boundary_floor`` in
-    :func:`integrate_final` to detect mass reaching the edges."""
+    :func:`integrate` to detect mass reaching the edges."""
     return _compile_rhs(params, nonlin, ((params.n, False, forcing),))
 
 
@@ -342,8 +342,8 @@ def auto_step(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped state samples from a single integration run of
-    ``steps`` RK4 steps."""
+    """Time-stamped samples from one integration run of ``steps`` RK4
+    steps: ``states[j]`` is the state, or the stack of rows, at ``times[j]``."""
 
     times: np.ndarray
     states: np.ndarray
@@ -364,7 +364,7 @@ class Trajectory:
         return self.states[-1]
 
     def norms_sq(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.states, self.states)
+        return np.einsum("...i,...i->...", self.states, self.states)
 
 
 def rk4_step(rhs, t: float, y: np.ndarray, h: float, out: np.ndarray, work) -> np.ndarray:
@@ -429,7 +429,8 @@ def plan_run(shape: tuple[int, ...], t0: float, t1: float, h: float,
 
     A run of more than :data:`WORK_CAP` site-steps, or whose arrays
     (:func:`run_bytes`) exceed :data:`MEMORY_CAP`, is refused; with
-    ``sample_stride`` the states :func:`integrate` keeps count too.
+    ``sample_stride`` the states :func:`integrate` keeps count too, one
+    sample row per row of the state.
     """
     if np.ndim(t0):
         raise DimensionError(f"one start time is shared by every row, got shape {np.shape(t0)}")
@@ -447,7 +448,7 @@ def plan_run(shape: tuple[int, ...], t0: float, t1: float, h: float,
         raise ParameterError(f"integration needs {site_steps:.3g} site-steps (rows x sites x "
                              f"steps), above the cap of {WORK_CAP:.0e}")
     # integrate keeps at most this many samples, in one array
-    run_bytes(rows, sites, n_steps // sample_stride + 2 if sample_stride else 0)
+    run_bytes(rows, sites, rows * (n_steps // sample_stride + 2) if sample_stride else 0)
     return n_steps
 
 
@@ -460,40 +461,6 @@ def _check_edges(y: np.ndarray, t: float, floor: float, edges) -> None:
         )
 
 
-def _march(rhs, y: np.ndarray, t0: float, t1: float, h: float, boundary_floor: float | None):
-    """The one RK4 loop: yields ``(t, y)`` after each accepted step, with
-    ``y`` one of two arrays the loop writes in turn (copy it to keep it),
-    laid out in memory like the ``y`` passed in.
-
-    Every row of a stacked ``y`` starts at ``t0`` and steps ``h`` (see
-    :func:`plan_run`); the last step is ``t1 - t``, so the run ends on
-    ``t1``.  With ``boundary_floor`` set, the edge sites are checked at the
-    start and after every step: the columns ``rhs.edges`` of a compiled RHS,
-    the first and the last site for any other callable.  A run
-    :func:`plan_run` refuses stops before the first step.
-    """
-    n_steps = plan_run(y.shape, t0, t1, h)
-    edges = getattr(rhs, "edges", np.array([0, -1]))
-    if boundary_floor is not None:
-        _check_edges(y, t0, boundary_floor, edges)
-    rhs = _with_out(rhs)
-    # the loop's own arrays: RK4 scratch, and two states written in turn
-    work = (np.empty_like(y), np.empty_like(y))
-    states = (np.empty_like(y), np.empty_like(y))
-    for k in range(n_steps):
-        t = t0 + k * h
-        step = h if k < n_steps - 1 else t1 - t
-        y = rk4_step(rhs, t, y, step, states[k % 2], work)
-        if not np.isfinite(y).all():
-            bad = "state"
-            if y.ndim == 2:
-                bad = f"row {int(np.nonzero(~np.all(np.isfinite(y), axis=-1))[0][0])}"
-            raise DivergenceError(f"non-finite {bad} after step {k} (t = {t + step:.6g})")
-        if boundary_floor is not None:
-            _check_edges(y, t + step, boundary_floor, edges)
-        yield (t1 if k == n_steps - 1 else t + h), y
-
-
 def integrate(
     rhs,
     v0,
@@ -501,54 +468,71 @@ def integrate(
     t1: float,
     h: float,
     sample_stride: int = 1,
+    boundary_floor: float | None = None,
 ) -> Trajectory:
-    """Classical fixed-step RK4 from ``t0`` to ``t1``.
+    """The one RK4 loop, for one state or a ``(rows, sites)`` stack of rows
+    stepped together.
 
-    The final step is shortened to land exactly on ``t1``.  States are
+    Every row starts at the one time ``t0`` (see :func:`plan_run`) and steps
+    ``h``, the last step shortened to land exactly on ``t1``.  States are
     recorded at ``t0``, every ``sample_stride``-th accepted step, and ``t1``,
-    into one array sized from the step count before the first step; they
-    count towards :data:`MEMORY_CAP`.  Raises :class:`DivergenceError` naming
-    the step index on a non-finite state.
+    C-ordered into one ``(samples, *v0.shape)`` array sized from the step
+    count before the first step; they count towards :data:`MEMORY_CAP`.
+    ``sample_stride = 0`` keeps ``t1`` only.  A stack steps site-major
+    (Fortran order, so each stencil slice is one contiguous block).
+
+    ``boundary_floor`` turns on the edge monitor of the padded reference
+    system: :class:`BoundaryContaminationError` once an edge site exceeds it,
+    checked at the start and after every step, on the columns ``rhs.edges``
+    of a compiled RHS (the edge sites of its zero-ghost blocks) or the first
+    and the last site of any other callable.  Raises :class:`DivergenceError`
+    naming the step index, and the row of a stack, on a non-finite state.  A
+    run :func:`plan_run` refuses stops before the first step.
     """
-    if sample_stride < 1:
-        raise ParameterError("sample_stride must be >= 1")
-    y = np.array(v0, dtype=float)
-    if y.ndim != 1:
-        raise DimensionError("integrate expects a single state vector")
+    if sample_stride < 0:
+        raise ParameterError(f"sample_stride must be >= 0, got {sample_stride}")
+    y = np.array(v0, dtype=float, order="F")
     n_steps = plan_run(y.shape, t0, t1, h, sample_stride)
+    edges = getattr(rhs, "edges", np.array([0, -1]))
+    if boundary_floor is not None:
+        _check_edges(y, t0, boundary_floor, edges)
+    rhs = _with_out(rhs)
     # t0, every sample_stride-th step, and t1 unless it is one of those
-    kept = n_steps // sample_stride + (2 if n_steps % sample_stride else 1)
-    times, states = np.empty(kept), np.empty((kept, y.size))
+    kept = -(-n_steps // sample_stride) + 1 if sample_stride else 1
+    times, states = np.empty(kept), np.empty((kept, *y.shape))
     times[0], states[0] = t0, y
+    # the loop's own arrays: RK4 scratch, and two states written in turn, the
+    # second of them the start state's copy
+    work = (np.empty_like(y), np.empty_like(y))
+    buffers = (np.empty_like(y), y)
     # a diverging run overflows before the finiteness check names its step
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (t, y) in enumerate(_march(rhs, y, t0, t1, h, None), 1):
-            if k % sample_stride == 0 or k == n_steps:
-                row = -(-k // sample_stride)  # rounded up: a short last stride fills the last row
-                times[row], states[row] = t, y
+        for k in range(n_steps):
+            t = t0 + k * h
+            last = k == n_steps - 1
+            step = t1 - t if last else h
+            y = rk4_step(rhs, t, y, step, buffers[k % 2], work)
+            if not np.isfinite(y).all():
+                bad = "state"
+                if y.ndim == 2:
+                    bad = f"row {int(np.nonzero(~np.all(np.isfinite(y), axis=-1))[0][0])}"
+                raise DivergenceError(f"non-finite {bad} after step {k} (t = {t + step:.6g})")
+            if boundary_floor is not None:
+                _check_edges(y, t + step, boundary_floor, edges)
+            if last:
+                times[-1], states[-1] = t1, y
+            elif sample_stride and (k + 1) % sample_stride == 0:
+                row = (k + 1) // sample_stride
+                times[row], states[row] = t + h, y
     return Trajectory(times=times, states=states, steps=n_steps)
 
 
 def integrate_final(
     rhs, v0, t0: float, t1: float, h: float, boundary_floor: float | None = None
 ) -> np.ndarray:
-    """Endpoint-only RK4 for one state or a stack of rows stepped together.
-
-    Every row starts at the one time ``t0`` (an array of start times raises
-    :class:`DimensionError`) and steps ``h``, the last step shortened to land
-    on ``t1``.  ``boundary_floor`` turns on the edge monitor of the padded
-    reference system: :class:`BoundaryContaminationError` once an edge site
-    exceeds it (for a stacked RHS, an edge site of one of its zero-ghost
-    blocks).  A batch steps site-major (Fortran order); the rows come back
-    C-ordered.
-    """
-    # site-major: each stencil slice of a row batch is one contiguous block
-    y = np.array(v0, dtype=float, order="F")
-    # a diverging run overflows before the finiteness check names its step
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, y in _march(rhs, y, t0, t1, h, boundary_floor):
-            pass
-    return np.ascontiguousarray(y)
+    """The state, or the C-ordered stack of rows, :func:`integrate` ends on
+    at ``t1``, keeping no other sample."""
+    return integrate(rhs, v0, t0, t1, h, 0, boundary_floor).final_state
 
 
 def cocycle_property_check(

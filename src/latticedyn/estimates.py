@@ -1,6 +1,6 @@
 """Closed-form constants from the a priori energy estimates: the Gronwall
-envelope, the absorbing radius, the smooth cutoff, burn-in times, and tail
-mass on states."""
+envelope, the absorbing radius, the slope bound of the smooth cutoff,
+burn-in times, and tail mass on states."""
 
 from __future__ import annotations
 
@@ -55,21 +55,6 @@ def gronwall_bound(
     base = asymptotic_radius_sq(lam, alpha, forcing_bound)
     decaying = math.exp(-(lam + 2.0 * alpha) * horizon) * (v0_norm ** 2 - base)
     return math.sqrt(max(decaying, 0.0) + base)
-
-
-def cutoff_eval(k: int, s: float) -> float:
-    """Smooth cutoff ``xi_k``: zero up to ``k``, one from ``2k`` on, with a
-    cubic smoothstep bridge in between; ``|xi_k'| <= 1.5 / k``."""
-    if k < 1:
-        raise ParameterError(f"cutoff scale must be >= 1, got {k}")
-    if s < 0.0:
-        raise ParameterError(f"cutoff argument must be >= 0, got {s}")
-    tau = s / k - 1.0
-    if tau <= 0.0:
-        return 0.0
-    if tau >= 1.0:
-        return 1.0
-    return tau * tau * (3.0 - 2.0 * tau)
 
 
 def burn_in_time(alpha: float, ball_norm_sq: float, eps: float) -> float:

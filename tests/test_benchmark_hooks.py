@@ -54,3 +54,22 @@ def test_traced_nonlinearity_keeps_its_values():
     # -alpha*s - s**3 in the product form (-alpha*s) - (s*s)*s
     want = -1.0 * s - s * s * s
     assert all(np.array_equal(g.view(np.uint64), want.view(np.uint64)) for g in got)
+
+
+def test_traced_sample_attractor_counts_one_march_and_every_step():
+    # a sampler that stepped past the hooked names would read 0 here
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    params = dynamics.LatticeParams(nu=1.0, lam=1.0, n=3)
+    nonlin = dynamics.make_nonlinearity("cubic", 1.0)
+    f = QuasiPeriodicForcing.finite([1.0], 1.0, 0.0)
+    try:
+        tracing.install(tracer)
+        cloud = attractor.sample_attractor(f, params, nonlin, eps=1e-2, ic_count=2,
+                                           sample_count=2, seed=1, burn_in=1.0)
+    finally:
+        tracer.restore()
+    metrics = tracing.layer_metrics(tracer, 0)
+    assert metrics["attractor.integrate_calls"] == 1
+    assert metrics["dynamics.rk4_steps"] == cloud.steps > 0
+    assert metrics["dynamics.rhs_evals"] == 4 * cloud.steps

@@ -127,15 +127,16 @@ class TestEnvelopes:
 
     def test_hold(self, run):
         traj, v0_norm, c = run
-        assert _row_keys(checks.energy_envelope([traj, traj], 1.0, 1.0, c, 0.05))["passed"]
-        assert _row_keys(checks.absorbing_envelope([traj], [v0_norm], 1.0, 1.0, c, 1.05))["passed"]
+        assert _row_keys(checks.energy_envelope(traj, 1.0, 1.0, c, 0.05))["passed"]
+        assert _row_keys(checks.absorbing_envelope(traj, v0_norm, 1.0, 1.0, c, 1.05))["passed"]
 
     def test_energy_jump_fails(self, run):
         traj, _, c = run
-        states = traj.states.copy()
-        states[len(states) // 2:] *= 1.5
+        # a stack of the trajectory and a copy whose second half jumps
+        states = np.stack([traj.states, traj.states], axis=1)
+        states[len(states) // 2:, 1] *= 1.5
         jumped = Trajectory(times=traj.times, states=states, steps=traj.steps)
-        row = checks.energy_envelope([traj, jumped], 1.0, 1.0, c, 0.05)
+        row = checks.energy_envelope(jumped, 1.0, 1.0, c, 0.05)
         assert row["passed"] is False and row["margin"] < 0.0
         assert row["detail"].startswith(f"{2 * (len(traj.times) - 1)} sample pairs")
 
@@ -143,15 +144,18 @@ class TestEnvelopes:
         # at t0 the norm equals the bound, so a ratio taken there would read
         # exactly 1 / slack whatever the trajectory did afterwards
         traj, v0_norm, c = run
-        row = checks.absorbing_envelope([traj], [v0_norm], 1.0, 1.0, c, 1.05)
+        row = checks.absorbing_envelope(traj, v0_norm, 1.0, 1.0, c, 1.05)
         worst = 1.0 - row["margin"]
         assert row["passed"] and worst < 1.0 / 1.05 - 1e-3
         assert row["detail"].endswith(f"after t0 = {worst:.6g}")
 
     def test_norm_above_the_gronwall_bound_fails(self, run):
         traj, v0_norm, c = run
-        # the same trajectory credited with a smaller initial norm
-        row = checks.absorbing_envelope([traj, traj], [v0_norm, 0.5 * v0_norm], 1.0, 1.0, c, 1.05)
+        # a stack of the trajectory twice, the second row credited with a
+        # smaller initial norm
+        stacked = Trajectory(times=traj.times, states=np.stack([traj.states] * 2, axis=1),
+                             steps=traj.steps)
+        row = checks.absorbing_envelope(stacked, [v0_norm, 0.5 * v0_norm], 1.0, 1.0, c, 1.05)
         assert row["passed"] is False and row["margin"] < 0.0
 
 

@@ -378,6 +378,11 @@ class TestConfigValidation:
              "unknown keys in [attractor]: ['window']"),
             ("verify", "[simulate]", "[verify]\ntriples = 0\n\n[simulate]", (), ""),
             ("verify", "[simulate]", "[verify]\ntriples = -3\n\n[simulate]", (), ""),
+            # refused before any of the 10^9 cases is drawn
+            ("verify", "[simulate]", "[verify]\ntriples = 1000000000\n\n[simulate]", (),
+             "[verify] triples 1000000000 exceeds cap 10000"),
+            ("simulate", "[simulate]", "[simulate]\nsample_stride = 0", (),
+             "[simulate] sample_stride must be >= 1, got 0"),
             ("simulate", "name = linear", "name = cubic\ncoeffs = 7 7 7", (), ""),
             ("simulate", "support = finite", "support = geometric", (), ""),
             ("simulate", "[simulate]", "[bogus]\nx = 1\n\n[simulate]", (),
@@ -423,7 +428,8 @@ class TestConfigValidation:
              "sample_count-zero", "seed-negative", "seed-flag-negative", "ic_radius-negative",
              "boundary_floor-negative", "boundary_floor-zero", "v0_norm-negative", "eps-zero",
              "burn_in-negative", "rho-negative", "n_work-unknown", "window-unknown",
-             "triples-zero", "triples-negative", "coeffs-not-poly",
+             "triples-zero", "triples-negative", "triples-over-cap", "sample_stride-zero",
+             "coeffs-not-poly",
              "support_radius-geometric", "section-unknown", "forcing-key-unknown",
              "amplitude0-nan-geometric", "frequency_rule-geometric-per-site", "coeffs-nan",
              *[f"energy-{amplitude0}-geometric-{command}" for command, amplitude0 in ENERGY_OVERFLOW],

@@ -374,6 +374,55 @@ class TestIntegrate:
             single = integrate_final(rhs, v0[row], -1.0, 0.0, 0.03)
             assert np.array_equal(_bits(batch[row]), _bits(single))
 
+    def test_stack_samples_equal_single_rows_bit_for_bit(self, rng, make_random_forcing):
+        params = LatticeParams(nu=1.0, lam=1.0, n=5)
+        f = project_forcing(make_random_forcing(rng, support=3), params.n)
+        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
+        v0 = rng.standard_normal((4, params.dim))
+        # 34 steps: samples at t0, every third step and t1
+        stack = integrate(rhs, v0, -1.0, 0.0, 0.03, sample_stride=3)
+        assert stack.states.shape == (13, 4, params.dim) and stack.states.flags.c_contiguous
+        assert stack.norms_sq().shape == (13, 4)
+        for row in range(4):
+            single = integrate(rhs, v0[row], -1.0, 0.0, 0.03, sample_stride=3)
+            assert np.array_equal(_bits(stack.times), _bits(single.times))
+            assert np.array_equal(_bits(stack.states[:, row]), _bits(single.states))
+            assert np.array_equal(_bits(stack.norms_sq()[:, row]), _bits(single.norms_sq()))
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7)], ids=["row", "stack"])
+    def test_stride_zero_keeps_only_the_end(self, rng, shape):
+        rhs = make_finite_rhs(LatticeParams(nu=1.0, lam=1.0, n=3), make_nonlinearity("cubic", 1.0),
+                              QuasiPeriodicForcing.finite([1.0], 1.0, 0.0))
+        v0 = rng.standard_normal(shape)
+        original = v0.copy()
+        end = integrate(rhs, v0, 0.0, 0.25, 0.1, sample_stride=0)
+        every = integrate(rhs, v0, 0.0, 0.25, 0.1)
+        assert end.times.tolist() == [0.25] and end.steps == every.steps == 3
+        assert np.array_equal(_bits(end.states), _bits(every.states[-1:]))
+        assert np.array_equal(_bits(integrate_final(rhs, v0, 0.0, 0.25, 0.1)),
+                              _bits(every.final_state))
+        # the loop steps its own copy of v0; a run of no steps ends where it starts
+        assert np.array_equal(_bits(v0), _bits(original))
+        assert np.array_equal(integrate(rhs, v0, 0.5, 0.5, 0.1, 0).final_state, v0)
+
+    def test_boundary_floor_raises_through_integrate(self):
+        rhs = make_reference_rhs(LatticeParams(nu=1.0, lam=1.0, n=4), make_nonlinearity("zero"),
+                                 QuasiPeriodicForcing.zero())
+        u = np.zeros((2, 9))
+        u[1, 4] = 1.0
+        with pytest.raises(BoundaryContaminationError, match="edge amplitude"):
+            integrate(rhs, u, 0.0, 0.1, 0.01, boundary_floor=1e-8)
+        assert integrate(rhs, u, 0.0, 0.1, 0.01).states.shape == (11, 2, 9)
+
+    def test_stack_divergence_names_its_row(self):
+        v0 = np.array([[0.1, 0.1], [0.1, 0.1], [0.1, 5.0]])
+        with pytest.raises(DivergenceError, match=r"non-finite row 2 after step \d+"):
+            integrate(lambda t, y: y * y, v0, 0.0, 10.0, 0.5)
+
+    def test_negative_stride_is_refused(self):
+        with pytest.raises(ParameterError, match="sample_stride must be >= 0"):
+            integrate(lambda t, y: -y, np.ones(3), 0.0, 1.0, 0.1, sample_stride=-1)
+
     def test_start_time_arrays_are_refused(self):
         calls = []
 
@@ -615,6 +664,10 @@ class TestMemoryCap:
         with pytest.raises(ParameterError,
                            match="1 rows x 33 sites keeping 5000002 sample rows needs 1.32e[+]09"):
             integrate(rhs, np.ones(33), 0.0, 5000.0, 1e-3, sample_stride=1)
+        # a stack keeps one sample row per row: 4 rows over a quarter of the steps
+        with pytest.raises(ParameterError,
+                           match="4 rows x 33 sites keeping 5000008 sample rows needs 1.32e[+]09"):
+            integrate(rhs, np.ones((4, 33)), 0.0, 1250.0, 1e-3, sample_stride=1)
         # every 1000th state is 1.3 MB
         assert run_bytes(1, 33, 5 * 10 ** 3 + 2) < MEMORY_CAP
         assert not calls

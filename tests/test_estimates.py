@@ -11,7 +11,6 @@ from latticedyn import (
     burn_in_time,
     calibrate_tail_index,
     checks,
-    cutoff_eval,
     gronwall_bound,
     integrate,
     make_finite_rhs,
@@ -20,7 +19,7 @@ from latticedyn import (
     tail_mass,
 )
 from latticedyn.errors import ParameterError, StrictModeRequiredError
-from latticedyn.estimates import asymptotic_radius_sq
+from latticedyn.estimates import CUTOFF_SLOPE_BOUND, asymptotic_radius_sq
 
 
 def energy_ode_oracle(lam, alpha, forcing_bound, y0, horizon, steps=200_000):
@@ -80,7 +79,21 @@ class TestGronwallBound:
             gronwall_bound(0.0, 1.0, 1.0, 1.0, 1.0)
 
 
+def cutoff_eval(k: int, s: float) -> float:
+    """Smooth cutoff ``xi_k`` of the tail estimate: zero up to ``k``, one
+    from ``2k`` on, with a cubic smoothstep bridge in between."""
+    tau = s / k - 1.0
+    if tau <= 0.0:
+        return 0.0
+    if tau >= 1.0:
+        return 1.0
+    return tau * tau * (3.0 - 2.0 * tau)
+
+
 class TestCutoff:
+    """The profile whose slope bound ``CUTOFF_SLOPE_BOUND / k`` enters
+    :func:`calibrate_tail_index`."""
+
     def test_plateau_ends(self):
         for k in (1, 2, 9):
             assert cutoff_eval(k, 0.0) == 0.0
@@ -97,7 +110,7 @@ class TestCutoff:
             s = np.linspace(k, 2 * k, 20_001)
             vals = np.array([cutoff_eval(k, x) for x in s])
             slopes = np.diff(vals) / np.diff(s)
-            assert slopes.max() == pytest.approx(1.5 / k, rel=1e-6)
+            assert slopes.max() == pytest.approx(CUTOFF_SLOPE_BOUND / k, rel=1e-6)
             peak = s[np.argmax(slopes)]
             assert peak == pytest.approx(1.5 * k, abs=2e-4 * k)
 
@@ -202,7 +215,7 @@ class TestEnergyDecay:
         v0 = rng.standard_normal(params.dim)
         v0 /= np.linalg.norm(v0)
         traj = integrate(rhs, v0, 0.0, 4.0, 0.01)
-        assert checks.energy_envelope([traj], 1.0, 1.0, 0.0, 0.05)["passed"]
+        assert checks.energy_envelope(traj, 1.0, 1.0, 0.0, 0.05)["passed"]
         # pointwise exponential envelope, no margin needed for the exact law
         y = traj.norms_sq()
         assert np.all(y <= np.exp(-3.0 * traj.times) * (1.0 + 1e-8))
@@ -212,7 +225,7 @@ class TestEnergyDecay:
         nl = make_nonlinearity("cubic", 1.0)
         rhs = make_finite_rhs(params, nl, QuasiPeriodicForcing.zero())
         traj = integrate(rhs, np.zeros(params.dim), 0.0, 1.0, 0.05)
-        assert checks.energy_envelope([traj], 1.0, 1.0, 0.0, 0.05)["passed"]
+        assert checks.energy_envelope(traj, 1.0, 1.0, 0.0, 0.05)["passed"]
         assert np.all(traj.norms_sq() == 0.0)
 
     def test_forced_run_settles_into_radius(self, rng):
@@ -224,7 +237,7 @@ class TestEnergyDecay:
         v0 = rng.standard_normal(params.dim)
         v0 *= 2.0 / np.linalg.norm(v0)
         traj = integrate(rhs, v0, 0.0, 6.0, 0.01)
-        assert checks.energy_envelope([traj], 1.0, 1.0, 1.0, 0.05)["passed"]
+        assert checks.energy_envelope(traj, 1.0, 1.0, 1.0, 0.05)["passed"]
         late = traj.norms_sq()[traj.times >= 3.0]
         assert np.all(late <= (1.0 / 3.0) * 1.05 ** 2)
 
@@ -234,6 +247,6 @@ class TestEnergyDecay:
         times = np.array([0.0, 1.0])
         states = np.array([[0.1, 0.0], [5.0, 0.0]])
         traj = Trajectory(times=times, states=states, steps=1)
-        row = checks.energy_envelope([traj], 1.0, 1.0, 0.5, 0.05)
+        row = checks.energy_envelope(traj, 1.0, 1.0, 0.5, 0.05)
         assert row["passed"] is False and row["margin"] < 0.0
         assert row["detail"].startswith("1 sample pairs")
