@@ -372,7 +372,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
     _write_table(norms_path, ["t", "norm_sq"], norms_sq[:, None], traj.times)
     report["artifacts"] = [str(traj_path), str(norms_path)]
     report["final_norm"] = float(math.sqrt(norms_sq[-1]))
-    report["steps"] = traj.steps
+    report["step"], report["steps"] = h, traj.steps
     return report
 
 

@@ -443,13 +443,15 @@ class TestStackedStudy:
         assert str(stacked.value) == str(alone.value)
 
     def test_memory_cap_sees_the_stacked_width(self, monkeypatch):
-        # each cloud alone needs 0.89 GB, under the cap; stacked, 1.77 GB
-        assert run_bytes(512, 24001) < MEMORY_CAP < 2 * run_bytes(512, 24001)
+        # each cloud alone, with its kept end state, needs 0.88 GB, under the
+        # cap; stacked, 1.77 GB
+        assert run_bytes(512, 24001, 512) < MEMORY_CAP < 2 * run_bytes(512, 24001, 512)
         tables = []
         monkeypatch.setattr("latticedyn.forcing.FiniteForcing.mode_table",
                             lambda self, window: tables.append(window))
         monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew"))
-        with pytest.raises(ParameterError, match="512 rows x 48002 sites needs 1.77e[+]09"):
+        with pytest.raises(ParameterError,
+                           match="512 rows x 48002 sites keeping 512 sample rows needs 1.77e[+]09"):
             convergence_study(LINEAR_BENCH["forcing"], 1.0, 1.0, make_nonlinearity("linear", 1.0),
                               n_list=(12000,), n_ref=12000, eps=1e-2, ic_count=16,
                               sample_count=32, seed=0, burn_in=1.0, step=0.1)

@@ -108,6 +108,24 @@ class TestSimulate:
         assert report["steps"] == 100
         assert len(rows) == 11
 
+    @pytest.mark.parametrize("integrator", ["", "[integrator]\nh = 0.01\n\n"],
+                             ids=["automatic", "given"])
+    def test_report_carries_the_step(self, tmp_path, integrator):
+        # the automatic step is the stable step on the ball holding v0 and the
+        # absorbing radius; every sample time is a multiple of it from t0 = 0
+        cfg = write_config(tmp_path, BASE.replace("[simulate]", integrator + "[simulate]"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        forcing = latticedyn.QuasiPeriodicForcing.finite([0.25, 0.5, 1.0, 0.5, 0.25], 1.0)
+        radius = max(1.0, math.sqrt(asymptotic_radius_sq(1.0, 1.0, forcing.uniform_bound())))
+        step = 0.01 if integrator else auto_step(
+            latticedyn.LatticeParams(nu=1.0, lam=1.0, n=6),
+            latticedyn.make_nonlinearity("linear", 1.0), radius)
+        assert report["step"] == step
+        _, rows = read_csv(out / "trajectory.csv")
+        assert float(rows[1][0]) == step
+
     def test_table_matches_per_value_formatting(self, tmp_path):
         rows = np.array([[-0.0, 1e-300, 0.1], [1.0 / 3.0, -2.5e17, 5e-324]])
         times = np.array([0.0, 0.1 + 0.2])

@@ -34,7 +34,7 @@ from latticedyn.errors import (
     NonlinearityConditionError,
     ParameterError,
 )
-from latticedyn.operators import apply_laplacian
+from latticedyn.operators import apply_laplacian, laplacian_matrix
 
 
 class TestParams:
@@ -88,6 +88,14 @@ class TestNonlinearityContract:
             lipschitz=lambda rho: 1.0,
         )
         with pytest.raises(NonlinearityConditionError, match="Lipschitz"):
+            nl.verify()
+
+    def test_func_disagreeing_with_its_coefficients_named(self):
+        # the right-hand sides would integrate +s while func samples as -s
+        nl = Nonlinearity(name="split", func=lambda s: -s, alpha=0.0,
+                          lipschitz=lambda rho: 1.0, coeffs=(1.0,))
+        with pytest.raises(NonlinearityConditionError,
+                           match=r"func disagrees with its coefficients \(1.0,\)"):
             nl.verify()
 
     @pytest.mark.parametrize(
@@ -181,6 +189,16 @@ class TestFiniteRhs:
         nl = make_nonlinearity("zero")
         with pytest.raises(DimensionError):
             self.rhs(nl)(0.0, np.zeros(5))
+
+    def test_dimension_mismatch_in_the_out_form(self):
+        with pytest.raises(DimensionError, match="state width 5 .* [(]expected 3[)]"):
+            self.rhs(make_nonlinearity("zero"))(0.0, np.zeros(5), np.empty(5))
+
+    def test_nonlinearity_without_coefficients_refused(self):
+        # the right-hand side compiles F's coefficients, never a bare func
+        nl = Nonlinearity(name="hand", func=lambda s: -s, alpha=0.0, lipschitz=lambda rho: 1.0)
+        with pytest.raises(ParameterError, match="'hand' has no odd-polynomial coefficients"):
+            self.rhs(nl)
 
     def test_forcing_matches_eval_window_per_row_time(self, rng, make_random_forcing):
         # the compiled table adds f(t) exactly as the forcing evaluates it,
@@ -461,6 +479,14 @@ def _batches(rng, dim):
     return [(0.3, rng.standard_normal(dim)), (-1.5, rng.standard_normal((3, dim)))]
 
 
+def _second_difference(n, periodic):
+    """The dense ``A`` of the periodic or the zero-ghost system."""
+    mat = laplacian_matrix(n)
+    if not periodic:
+        mat[0, -1] = mat[-1, 0] = 0
+    return mat.astype(float)
+
+
 class TestBufferedStepping:
     """The forms that write into caller buffers give the same bits as the
     allocating expressions they replace."""
@@ -487,12 +513,47 @@ class TestBufferedStepping:
             out = np.full_like(u, np.nan)
             assert rhs(t, u, out) is out
             assert np.array_equal(_bits(out), _bits(rhs(t, u)))
-            # reference: the same arithmetic on fresh arrays
-            expected = apply_laplacian(u, params.n, periodic)
-            expected *= -params.nu
-            expected -= params.lam * u
-            expected += nl.func(u)
+            # reference: the same arithmetic on fresh arrays, nu * S u plus
+            # the odd polynomial with -lam - 2 nu in its linear coefficient
+            padded = np.pad(u, [(0, 0)] * (u.ndim - 1) + [(1, 1)],
+                            mode="wrap" if periodic else "constant")
+            expected = params.nu * (padded[..., :-2] + padded[..., 2:])
+            c0, *higher = nl.coeffs
+            expected += (c0 - params.lam - 2.0 * params.nu) * u
+            power = u
+            for c in higher:
+                power = power * (u * u)
+                expected += c * power
             assert np.array_equal(out, expected + f.eval_window(t, params.n))
+
+    @pytest.mark.parametrize("name, alpha, coeffs", CATALOG)
+    @pytest.mark.parametrize("periodic", [True, False], ids=["wrap", "zero-ghost"])
+    def test_rhs_matches_the_dense_operator_form_within_ulps(self, rng, make_random_forcing,
+                                                            periodic, name, alpha, coeffs):
+        # -nu*M u - lam*u + F(u) + f(t) with the dense M; the error in ulps of
+        # the sum of the term magnitudes, the scale the sum is rounded at
+        params = LatticeParams(nu=0.8, lam=1.2, n=4)
+        nl = make_nonlinearity(name, alpha, coeffs)
+        f = make_random_forcing(rng, support=2).shift(0.37)
+        make = make_finite_rhs if periodic else make_reference_rhs
+        rhs = make(params, nl, project_forcing(f, params.n) if periodic else f)
+        mat = _second_difference(params.n, periodic)
+        worst = 0.0
+        for t, u in _batches(rng, params.dim) * 20:
+            u = 3.0 * u
+            for y in (u, np.asfortranarray(u)):
+                got = rhs(t, y, np.empty_like(y))
+                drive = f.eval_window(t, params.n)
+                terms = [-params.nu * (u @ mat.T), -params.lam * u, nl.func(u), drive + 0.0 * u]
+                scale = (params.nu * (np.abs(u) @ np.abs(mat).T) + params.lam * np.abs(u)
+                         + sum(abs(c) * np.abs(u) ** (2 * k + 1) for k, c in enumerate(nl.coeffs))
+                         + np.abs(drive))
+                ulps = np.abs(got - np.sum(terms, axis=0)) / np.spacing(scale)
+                worst = max(worst, float(ulps.max()))
+        # both sides round four to six partial sums; 3 ulp is the worst seen
+        # over 200 random (nu, lam, forcing) draws at amplitudes 0.1 to 3, and
+        # this data reads 1 to 2
+        assert worst <= 3.0
 
     @pytest.mark.parametrize("rows", [None, 4], ids=["one-row", "scalar-step"])
     def test_rk4_step_keeps_the_allocating_arithmetic(self, rng, make_random_forcing, rows):
@@ -529,15 +590,17 @@ class TestBufferedStepping:
             assert np.array_equal(_bits(got), _bits(fresh))
 
     def test_signed_zero_times_are_evaluated_afresh(self):
-        # 0.0 == -0.0, but with phase and offset -0.0 the drive at u = 0
-        # keeps the sign of t: sin(+-0) * a added to F(0) = -0.0
+        # 0.0 == -0.0, but with phase and offset -0.0 the drive keeps the
+        # sign of t: sin(+-0) * a.  The middle site of [-0, 0, -0] sums
+        # nu * (-0 + -0) and (c0 - lam - 2 nu) * 0 to -0, so the drive added
+        # to it sets its sign
         params = LatticeParams(nu=1.0, lam=1.0, n=1)
         f = QuasiPeriodicForcing.finite([1.0, 1.0, 1.0], 1.0, -0.0, time_offset=-0.0)
         rhs = make_finite_rhs(params, make_nonlinearity("linear", 1.0), f)
-        u = np.zeros(params.dim)
-        assert np.all(np.signbit(rhs(-0.0, u, np.empty_like(u))))
-        assert not np.any(np.signbit(rhs(0.0, u, np.empty_like(u))))
-        assert np.all(np.signbit(rhs(-0.0, u, np.empty_like(u))))
+        u = np.array([-0.0, 0.0, -0.0])
+        assert np.signbit(rhs(-0.0, u, np.empty_like(u))[1])
+        assert not np.signbit(rhs(0.0, u, np.empty_like(u))[1])
+        assert np.signbit(rhs(-0.0, u, np.empty_like(u))[1])
 
     @pytest.mark.parametrize("shape", [()], ids=["0-d"])
     def test_time_array_written_in_place_gives_the_new_forcing(self, rng,
@@ -625,17 +688,17 @@ class TestBufferedStepping:
 
 
 class TestMemoryCap:
-    def test_run_bytes_counts_nine_state_arrays(self):
-        assert run_bytes(1, 33) == 9 * 8 * 33
-        assert run_bytes(192, 257) == 9 * 8 * 192 * 257
+    def test_run_bytes_counts_eight_state_arrays(self):
+        assert run_bytes(1, 33) == 8 * 8 * 33
+        assert run_bytes(192, 257) == 8 * 8 * 192 * 257
         # the widest run the point cap allows at n = 300 fits well below the cap
         assert run_bytes(512, 601) < MEMORY_CAP / 40
 
     def test_refuses_above_the_cap(self, monkeypatch):
         monkeypatch.setattr("latticedyn.dynamics.MEMORY_CAP", 2048)
-        assert run_bytes(1, 28) == 2016
-        with pytest.raises(ParameterError, match="1 rows x 29 sites needs 2.09e[+]03 bytes"):
-            run_bytes(1, 29)
+        assert run_bytes(1, 32) == 2048
+        with pytest.raises(ParameterError, match="1 rows x 33 sites needs 2.11e[+]03 bytes"):
+            run_bytes(1, 33)
 
     def test_march_refuses_before_the_first_step(self, monkeypatch):
         monkeypatch.setattr("latticedyn.dynamics.MEMORY_CAP", 2048)
@@ -662,11 +725,11 @@ class TestMemoryCap:
         # need about 1.3 GB
         assert 33 * 5 * 10 ** 6 < WORK_CAP and run_bytes(1, 33) < MEMORY_CAP
         with pytest.raises(ParameterError,
-                           match="1 rows x 33 sites keeping 5000002 sample rows needs 1.32e[+]09"):
+                           match="1 rows x 33 sites keeping 5000001 sample rows needs 1.32e[+]09"):
             integrate(rhs, np.ones(33), 0.0, 5000.0, 1e-3, sample_stride=1)
         # a stack keeps one sample row per row: 4 rows over a quarter of the steps
         with pytest.raises(ParameterError,
-                           match="4 rows x 33 sites keeping 5000008 sample rows needs 1.32e[+]09"):
+                           match="4 rows x 33 sites keeping 5000004 sample rows needs 1.32e[+]09"):
             integrate(rhs, np.ones((4, 33)), 0.0, 1250.0, 1e-3, sample_stride=1)
         # every 1000th state is 1.3 MB
         assert run_bytes(1, 33, 5 * 10 ** 3 + 2) < MEMORY_CAP

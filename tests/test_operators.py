@@ -13,7 +13,7 @@ from latticedyn import (
     wrap_forcing,
 )
 from latticedyn.errors import DimensionError, ParameterError
-from latticedyn.operators import boundary_forcing
+from latticedyn.operators import _neighbour_sum, boundary_forcing
 
 
 B1 = np.array([[-1, 1, 0], [0, -1, 1], [1, 0, -1]])
@@ -116,6 +116,21 @@ class TestRowEdges:
             matrix[-1, 0] += 1
         w = rng.integers(-1000, 1000, 2 * n + 1)
         assert np.array_equal(apply_laplacian(w.astype(float), n, periodic), matrix @ w)
+
+    @pytest.mark.parametrize("periodic", [True, False], ids=["wrap", "zero-ghost"])
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_neighbour_sum_matches_the_padded_sum_bit_for_bit(self, rng, n, periodic):
+        # the one stencil, on rows and on C- and F-ordered stacks
+        v = rng.standard_normal((4, 2 * n + 1))
+        padded = np.pad(v, [(0, 0), (1, 1)], mode="wrap" if periodic else "constant")
+        expected = (padded[:, :-2] + padded[:, 2:]).view(np.uint64)
+        for stack in (v, np.asfortranarray(v)):
+            out = np.full_like(stack, np.nan)
+            assert _neighbour_sum(stack, periodic, out) is out
+            assert np.array_equal(np.ascontiguousarray(out).view(np.uint64), expected)
+        for row, want in zip(v, expected):
+            got = _neighbour_sum(row, periodic, np.full_like(row, np.nan))
+            assert np.array_equal(got.view(np.uint64), want)
 
 
 def _dyadic_forcing(support=8, frequency=1.0, phase=0.0):
