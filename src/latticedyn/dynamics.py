@@ -243,24 +243,32 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
 
     With ``A = 2 - S`` (:func:`~latticedyn.operators._neighbour_sum`) and
     ``F`` the odd polynomial ``nonlin.coeffs``, it evaluates the same
-    equation as ``nu*S u + (c0 - lam - 2 nu)*u + c1*u**3 + ... + f(t)``: per
-    block one neighbour sum, then ``*= nu`` and one polynomial whose linear
-    coefficient holds ``-lam`` and ``-2 nu``, added over the whole state.  A
-    stacked block gives the bits of that block alone.
+    equation as ``nu*S u + (c0 - lam - 2 nu)*u + c1*u**3 + ... + f(t)``: one
+    neighbour sum, then ``*= nu`` and one polynomial whose linear coefficient
+    holds ``-lam`` and ``-2 nu``, over the whole state.  One block's
+    neighbour sum is ``_neighbour_sum``; several blocks' is one slice add
+    over the whole width and one gather, add and scatter of every block's
+    edge sites (the inner neighbour, plus the wrapped one at a periodic edge,
+    in the operand order of ``_neighbour_sum``), so a stacked block gives the
+    bits of that block alone.  The gather reads ``u.T``, contiguous in a
+    site-major stack; ``take`` copies any other stack first.
 
     Each forcing table is read once and kept to the columns between the first
-    and the last nonzero amplitude; the drive is evaluated once over these
-    live columns of all blocks, as one row added to every row of the state.
-    The closure ``rhs(t, u, out=None)`` acts on the last axis of a state or a
-    stack of rows, all at the one time ``t``, and refuses a state of the wrong
-    width with :class:`DimensionError`.  It writes into ``out`` (shaped like
-    ``u``, not ``u``) or a fresh array, with three scratch arrays it keeps per
-    shape in the memory layout of the first ``out`` of that shape.  It keeps
-    the last float time it evaluated the forcing at, and reuses the drive for
-    an equal nonzero float (RK4's two midpoint stages; often the next step's
-    start).  Its ``edges`` attribute lists the columns of the zero-ghost
-    blocks' edge sites, which the edge monitor of :func:`integrate`
-    checks.
+    and the last nonzero amplitude of each block; the drive is evaluated once
+    over the span from the first to the last of these live columns, as one
+    row added to every row of the state.  A column without forcing inside the
+    span drives ``sin(0*t + pi/2) * -0.0 = -0.0`` at any finite time, and
+    ``x + -0.0`` has the bits of ``x``.  The closure ``rhs(t, u, out=None)``
+    acts on the last axis of a state or a stack of rows, all at the one time
+    ``t``, and refuses a state of the wrong width with
+    :class:`DimensionError`.  It writes into ``out`` (shaped like ``u``, not
+    ``u``) or a fresh array, with three scratch arrays and the gather it
+    keeps per shape, the first three in the memory layout of the first
+    ``out`` of that shape.  It keeps the last float time it evaluated the
+    forcing at, and reuses the drive for an equal nonzero float (RK4's two
+    midpoint stages; often the next step's start).  Its ``edges`` attribute
+    lists the columns of the zero-ghost blocks' edge sites, which the edge
+    monitor of :func:`integrate` checks.
     """
     if nonlin.coeffs is None:
         raise ParameterError(f"nonlinearity '{nonlin.name}' has no odd-polynomial "
@@ -268,36 +276,47 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
     nu = _const(params.nu)
     c0, *higher = nonlin.coeffs
     poly = _odd_poly((c0 - params.lam - 2.0 * params.nu, *higher), add=True)
-    # per block: its columns and boundary rule; per live forcing range: its
-    # columns in the state and in the drive, its (amps, freqs, phases) and
-    # time offset
-    stencils, pieces, tables, edges, offsets = [], [], [], [], set()
-    start = live_width = 0
+    width = sum(2 * half_width + 1 for half_width, _, _ in blocks)
+    # (amps, freqs, phases) per column; a column without forcing drives -0.0
+    table = np.array([[-0.0], [0.0], [0.5 * math.pi]]).repeat(width, axis=1)
+    # per edge site: its column, its first operand and, at a periodic edge,
+    # its second; per live forcing range: its first and its end column
+    terms, edges, live, offsets = [], [], [], set()
+    start = 0
     for half_width, periodic, forcing in blocks:
-        stencils.append((slice(start, start + 2 * half_width + 1), periodic))
-        if not periodic:
-            edges += [start, start + 2 * half_width]
-        table = forcing.mode_table(half_width)
-        live = np.flatnonzero(table[0])
-        if live.size:
-            lo, hi = live[0], live[-1] + 1
-            pieces.append((slice(start + lo, start + hi), slice(live_width, live_width + hi - lo)))
-            tables.append([arr[lo:hi] for arr in table])
+        left, right = start, start + 2 * half_width
+        if periodic:
+            terms += [(left, right, left + 1), (right, right - 1, left)]
+        else:
+            terms += [(left, left + 1, None), (right, right - 1, None)]
+            edges += [left, right]
+        modes = forcing.mode_table(half_width)
+        nonzero = np.flatnonzero(modes[0])
+        if nonzero.size:
+            lo, hi = nonzero[0], nonzero[-1] + 1
+            table[:, start + lo:start + hi] = [arr[lo:hi] for arr in modes]
+            live += [start + lo, start + hi]
             offsets.add(forcing.time_offset)
-            live_width += hi - lo
-        start += 2 * half_width + 1
+        start = right + 1
     if len(offsets) > 1:
         raise ParameterError("the blocks of one system must share one forcing time offset")
     offset = offsets.pop() if offsets else 0.0
-    amps, freqs, phases = (np.concatenate(arrs) for arrs in zip(*tables)) if tables else [()] * 3
-    drive = np.empty(live_width)
-    parts = [(sites, drive[part]) for sites, part in pieces]
+    span = slice(live[0], live[-1]) if live else slice(0, 0)
+    amps, freqs, phases = table[:, span]
+    drive = np.empty_like(amps)
     drive_t = None  # the float time the drive holds
-    # one block steps the whole state with no slicing; several step per block
+    # the periodic edges first: the gather holds every first operand, then
+    # the periodic edges' second ones
+    terms.sort(key=lambda term: term[2] is None)
+    cols = np.array([col for col, _, _ in terms], dtype=np.intp)
+    operands = np.array([a for _, a, _ in terms] + [b for _, _, b in terms if b is not None],
+                        dtype=np.intp)
+    wrapped = len(operands) - len(cols)
     single = len(blocks) == 1
-    width, periodic, cols = start, stencils[0][1], pieces[0][0] if pieces else None
-    # per state shape: the polynomial's scratch.  ufuncs here take ``out`` as
-    # the third positional argument: the keyword costs ~20 ns a call
+    periodic = blocks[0][1]
+    # per state shape: the polynomial's scratch and the edge gather, site-first
+    # like u.T.  ufuncs here take ``out`` as the third positional argument:
+    # the keyword costs ~20 ns a call
     held: dict[tuple, tuple] = {}
 
     def rhs(t, u, out=None):
@@ -308,17 +327,23 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
         if u.shape[-1] != width:
             raise DimensionError(f"state width {u.shape[-1]} does not match the system "
                                  f"(expected {width})")
+        scratch = held.get(out.shape)
+        if scratch is None:
+            gathered = np.empty((len(operands), *out.shape[-2::-1]))
+            scratch = held[out.shape] = (tuple(np.empty_like(out) for _ in range(3)), gathered,
+                                         gathered[:wrapped], gathered[len(cols):],
+                                         gathered[:len(cols)])
+        work, gathered, firsts, seconds, sums = scratch
         if single:
             _neighbour_sum(u, periodic, out)
         else:
-            for sites, wrap in stencils:
-                _neighbour_sum(u[..., sites], wrap, out[..., sites])
-        work = held.get(out.shape)
-        if work is None:
-            work = held[out.shape] = tuple(np.empty_like(out) for _ in range(3))
+            np.add(u[..., :-2], u[..., 2:], out[..., 1:-1])
+            u.T.take(operands, 0, gathered, "clip")
+            np.add(firsts, seconds, firsts)
+            out.T[cols] = sums
         out *= nu
         poly(u, out, work)
-        if pieces:
+        if live:
             # equal nonzero floats are one double; 0.0 and -0.0 are equal
             # but may give drives that differ in the sign of a zero
             if not (isinstance(t, float) and t == drive_t and t != 0.0):
@@ -327,11 +352,7 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
                 np.sin(drive, drive)
                 np.multiply(drive, amps, drive)
                 drive_t = t if isinstance(t, float) else None
-            if single:
-                out[..., cols] += drive
-            else:
-                for sites, part in parts:
-                    out[..., sites] += part
+            out[..., span] += drive
         return out
 
     rhs.edges = np.array(edges, dtype=np.intp)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latticedyn import (
     LatticeParams,
@@ -34,7 +36,7 @@ from latticedyn.errors import (
     NonlinearityConditionError,
     ParameterError,
 )
-from latticedyn.operators import apply_laplacian, laplacian_matrix
+from latticedyn.operators import apply_laplacian, laplacian_matrix, wrap_forcing
 
 
 class TestParams:
@@ -764,6 +766,71 @@ class TestStackedRhs:
                         assert np.array_equal(_bits(got[..., a:b]), _bits(want))
         assert stacked.edges.tolist() == [5, 15]
         assert alone[0].edges.tolist() == [] and alone[1].edges.tolist() == [0, 10]
+
+    @settings(max_examples=40, deadline=None)
+    @given(blocks=st.lists(st.tuples(st.integers(1, 6), st.booleans(), st.booleans()),
+                           min_size=1, max_size=5),
+           rows=st.sampled_from([None, 1, 3]), order=st.sampled_from("CF"),
+           t=st.floats(-20.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+    # blocks are (n, periodic, forced): a zero-ghost block first, as
+    # convergence_study stacks it; two n = 1 blocks side by side; an unforced
+    # block between two forced ones
+    @example(blocks=[(6, False, True), (1, True, True), (1, True, False), (2, True, True)],
+             rows=3, order="F", t=0.75, seed=1)
+    @example(blocks=[(1, False, True), (1, False, False), (1, True, True)],
+             rows=None, order="C", t=-1.5, seed=2)
+    @example(blocks=[(3, False, True), (1, True, True), (1, False, True), (4, True, False),
+                     (2, False, True)], rows=3, order="C", t=2.0, seed=3)
+    def test_random_stacks_give_each_block_alone_bit_for_bit(self, blocks, rows, order, t,
+                                                             seed):
+        rng = np.random.default_rng(seed)
+        params = LatticeParams(nu=0.8, lam=1.2, n=6)
+        nl = make_nonlinearity("cubic", 1.0)
+        # one forcing of support 3 with some zero amplitudes, one time offset
+        amps = np.where(rng.random(7) < 0.3, 0.0, rng.uniform(-1.0, 1.0, 7))
+        f = QuasiPeriodicForcing.finite(amps, rng.uniform(0.2, 3.0, 7),
+                                        rng.uniform(0.0, 2.0 * np.pi, 7)).shift(0.37)
+        stack = tuple((n, periodic, QuasiPeriodicForcing.zero() if not forced
+                       else wrap_forcing(f, n) if periodic else f)
+                      for n, periodic, forced in blocks)
+        widths = np.cumsum([0] + [2 * n + 1 for n, _, _ in blocks])
+        shape = (widths[-1],) if rows is None else (rows, widths[-1])
+        # half the sites signed zeros: at, next to and between the block edges
+        zeros = np.copysign(0.0, rng.standard_normal(shape))
+        y = np.array(np.where(rng.random(shape) < 0.5, zeros, 3.0 * rng.standard_normal(shape)),
+                     order=order)
+        stacked = _compile_rhs(params, nl, stack)
+        alone = [_compile_rhs(params, nl, (block,)) for block in stack]
+        # the second call at the same float time reuses the drive
+        for _ in range(2):
+            got = stacked(t, y, np.empty_like(y))
+            for rhs, a, b in zip(alone, widths, widths[1:]):
+                part = np.array(y[..., a:b], order=order)
+                want = rhs(t, part, np.empty_like(part))
+                assert np.array_equal(_bits(got[..., a:b]), _bits(want))
+
+    def test_stacked_step_allocates_less_than_a_quarter_state(self, rng):
+        # converge's layout: the zero-ghost reference n = 64 and the wrapped
+        # orders 4, 8 and 16, stepped site-major.  The edge gather holds a few
+        # values per row and the drive span may take one getbufsize() buffer,
+        # 64 KB; the state is over eight of those
+        f = QuasiPeriodicForcing.finite(0.5 ** np.abs(np.arange(-2, 3)), 1.0,
+                                        rng.uniform(0.0, 2.0 * np.pi, 5))
+        blocks = ((64, False, f),) + tuple((n, True, wrap_forcing(f, n)) for n in (4, 8, 16))
+        rhs = _compile_rhs(LatticeParams(nu=1.0, lam=1.0, n=64),
+                           make_nonlinearity("linear", 1.0), blocks)
+        y = np.asfortranarray(rng.standard_normal((384, 188)))
+        t, h = -3.0, 0.01
+        out, work = np.empty_like(y), (np.empty_like(y), np.empty_like(y))
+        rk4_step(rhs, t, y, h, out, work)  # warm-up: the rhs makes its scratch arrays
+        tracemalloc.start()
+        try:
+            rk4_step(rhs, t, y, h, out, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.nbytes > 8 * (8 * np.getbufsize())
+        assert peak < y.nbytes / 4
 
     def test_blocks_share_one_time_offset(self, rng, make_random_forcing):
         params = LatticeParams(nu=1.0, lam=1.0, n=2)
