@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__, checks
 from .attractor import convergence_study, sample_attractor, tail_certificate
 from .dynamics import (
+    MEMORY_CAP,
     LatticeParams,
     Nonlinearity,
     auto_step,
@@ -40,7 +41,7 @@ from .errors import (
     LatticeError,
     NonlinearityConditionError,
 )
-from .estimates import asymptotic_radius_sq
+from .estimates import asymptotic_radius_sq, initial_energy
 from .forcing import QuasiPeriodicForcing
 from .operators import boundary_forcing, project_forcing, wrap_forcing
 
@@ -198,6 +199,10 @@ def _load_forcing(view: _SectionView) -> QuasiPeriodicForcing:
     if radius < 0:
         raise ConfigError(f"[forcing] support_radius: must be >= 0, got {radius}")
     width = 2 * radius + 1
+    # amplitudes, frequencies and phases, each one float per site
+    if 24 * width > MEMORY_CAP:
+        raise ConfigError(f"[forcing] support_radius {radius}: a table of {width} sites needs "
+                          f"{24 * width:.3g} bytes, above the cap of {MEMORY_CAP:.3g}")
     rules = []
     for key in ("frequency_rule", "phase_rule"):
         rule = view.get_float_list(key, "0.0")
@@ -349,6 +354,7 @@ def _initial_state(cfg: ExperimentConfig, dim: int, seed: int) -> np.ndarray:
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any]:
     report = _base_report("simulate", cfg, seed)
+    initial_energy(cfg.v0_norm, "v0_norm")  # norms.csv holds squared norms
     nonlin = cfg.make_nonlinearity()
     params = cfg.make_params()
     run_bytes(1, params.dim)
@@ -378,6 +384,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any]:
     report = _base_report("verify", cfg, seed)
+    initial_energy(cfg.v0_norm, "v0_norm")  # the envelope checks square it
     rows = report["checks"]
     rng = np.random.default_rng(seed)
     params = cfg.make_params(cfg.n if cfg.n is not None else 8)
@@ -480,8 +487,8 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
     csv_path = out_dir / "convergence.csv"
     _write_table(
         csv_path,
-        ["n", "beta_n_to_ref", "beta_ref_to_n", "runtime_s"],
-        np.array([[r.order, r.beta_to_ref, r.beta_from_ref, r.runtime_s] for r in study.rows]),
+        ["n", "beta_n_to_ref", "beta_ref_to_n"],
+        np.array([[r.order, r.beta_to_ref, r.beta_from_ref] for r in study.rows]),
     )
     report["artifacts"] = [str(csv_path)]
     report["step"], report["steps"] = study.step, study.steps

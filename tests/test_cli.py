@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import latticedyn
@@ -326,12 +326,20 @@ class TestConverge:
         out = tmp_path / "out"
         assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
         header, rows = read_csv(out / "convergence.csv")
-        assert header == ["n", "beta_n_to_ref", "beta_ref_to_n", "runtime_s"]
+        assert header == ["n", "beta_n_to_ref", "beta_ref_to_n"]
         assert [r[0] for r in rows] == ["4", "8"]
         betas = [float(r[1]) for r in rows]
         assert betas[1] < betas[0] < 1e-1
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is True
+
+    def test_byte_identical_reruns(self, tmp_path):
+        cfg = write_config(tmp_path, CONVERGE.replace("n = 6", "n = 6\nn_list = 4 8\nn_ref = 32"))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["converge", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert main(["converge", "--config", str(cfg), "--out", str(out2)]) == 0
+        csv1, csv2 = (out / "convergence.csv" for out in (out1, out2))
+        assert csv1.read_bytes() == csv2.read_bytes()
 
     def test_missing_reference_order(self, tmp_path):
         text = CONVERGE.replace("n = 6", "n = 6\nn_list = 4 8")
@@ -370,6 +378,10 @@ class TestConverge:
 # finite geometric amplitudes whose energy sum a_i^2 overflows a float
 ENERGY_OVERFLOW = [(command, amplitude0) for command in ("simulate", "verify", "attractor", "converge")
                    for amplitude0 in ("1e200", "1e300")]
+# from n = 6 to the end of BASE: a converge case adds n_list and n_ref to it
+BASE_FROM_N = BASE[BASE.index("n = 6"):]
+# a forcing table of 2e12 + 1 sites, 48 TB: refused before numpy is asked for it
+HUGE_SUPPORT = "support_radius = 1000000000000"
 
 
 class TestConfigValidation:
@@ -441,6 +453,17 @@ class TestConfigValidation:
                "support = geometric\namplitude0 = 1e150\ndecay_rate = 0.5", (),
                "site-steps (rows x sites x steps), above the cap of 1e+10")
               for command in ("simulate", "attractor")],
+            ("attractor", "burn_in = 9.0", "burn_in = 9.0\nic_radius = 1e200", (),
+             "initial energy ic_radius**2 is not a finite float (ic_radius = 1e+200)"),
+            ("converge", BASE_FROM_N,
+             BASE_FROM_N.replace("n = 6", "n = 6\nn_list = 2 4\nn_ref = 16") + "ic_radius = 1e200\n",
+             (), "initial energy ic_radius**2 is not a finite float (ic_radius = 1e+200)"),
+            *[(command, "v0_norm = 1.0", "v0_norm = 1e200", (),
+               "initial energy v0_norm**2 is not a finite float (v0_norm = 1e+200)")
+              for command in ("simulate", "verify")],
+            *[(command, "support_radius = 2", HUGE_SUPPORT, (),
+               "[forcing] support_radius 1000000000000: a table of 2000000000001 sites needs")
+              for command in ("simulate", "verify", "attractor", "converge")],
         ],
         ids=["h-nan", "t1-inf", "nu-auto", "tail_eps-empty", "tail_eps-negative",
              "sample_count-zero", "seed-negative", "seed-flag-negative", "ic_radius-negative",
@@ -453,7 +476,11 @@ class TestConfigValidation:
              *[f"energy-{amplitude0}-geometric-{command}" for command, amplitude0 in ENERGY_OVERFLOW],
              "energy-1e200-finite", "step-underflow-simulate", "step-underflow-attractor", "time-resolution-simulate",
              "radius-underflow-simulate", "radius-infinite-attractor", "radius-infinite-verify",
-             "work-cap-simulate", "work-cap-attractor"],
+             "work-cap-simulate", "work-cap-attractor",
+             "ic_radius-energy-overflow-attractor", "ic_radius-energy-overflow-converge",
+             "v0_norm-energy-overflow-simulate", "v0_norm-energy-overflow-verify",
+             *[f"support_radius-table-over-cap-{command}"
+               for command in ("simulate", "verify", "attractor", "converge")]],
     )
     def test_bad_numbers_exit_2_without_traceback(self, tmp_path, capsys, command, old, new,
                                                   flags, message):
@@ -589,6 +616,16 @@ FUZZ_VALUES = ["nan", "inf", "-1", "0", "auto", "", "x", "0.5", "1", "2", "3",
     overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
                               max_size=3),
 )
+# the inputs whose energy or forcing table overflows; the base config is
+# cubic, which diverges from a huge initial norm before the energy checks,
+# so the v0_norm examples switch to linear
+@example(command="attractor", overrides={("attractor", "ic_radius"): "1e200"})
+@example(command="converge", overrides={("attractor", "ic_radius"): "1e200"})
+@example(command="verify", overrides={("nonlinearity", "name"): "linear",
+                                      ("simulate", "v0_norm"): "1e200"})
+@example(command="simulate", overrides={("nonlinearity", "name"): "linear",
+                                        ("simulate", "v0_norm"): "1e200"})
+@example(command="converge", overrides={("forcing", "support_radius"): "1000000000000"})
 def test_fuzzed_config_values_keep_the_exit_code_contract(capsys, command, overrides):
     sections = {name: dict(values) for name, values in FUZZ_BASE.items()}
     for (section, key), value in overrides.items():
