@@ -4,6 +4,7 @@ semi-distance between point clouds, and the truncation convergence study."""
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ from .estimates import (
     burn_in_time,
     calibrate_tail_index,
     gronwall_bound,
-    initial_energy,
     tail_mass,
 )
 from .forcing import QuasiPeriodicForcing
@@ -167,7 +167,7 @@ def _sample_clouds(
     radius = math.sqrt(asymptotic_radius_sq(params.lam, nonlin.alpha, forcing_bound))
     if ic_radius is None:
         ic_radius = radius
-    ball_sq = initial_energy(max(ic_radius, radius), "ic_radius")
+    ball_sq = max(ic_radius, radius) ** 2
     if burn_in is None:
         if nonlin.alpha <= 0.0:
             raise StrictModeRequiredError(
@@ -235,6 +235,7 @@ class ConvergenceRow:
     order: int
     beta_to_ref: float
     beta_from_ref: float
+    runtime_s: float
     cloud_size: int
 
 
@@ -279,6 +280,7 @@ def convergence_study(
     initial ball, burn-in and step and are directly comparable.
     The reference and every order are sampled in one stacked march (see
     :func:`sample_attractor`); each cloud equals its own sample bit for bit.
+    A row's ``runtime_s`` is the time of its two Hausdorff distances.
     """
     if not n_list:
         raise ParameterError("n_list must be nonempty")
@@ -287,15 +289,18 @@ def convergence_study(
     systems = [("reference", LatticeParams(nu=nu, lam=lam, n=n_ref))]
     systems += [("finite", LatticeParams(nu=nu, lam=lam, n=n)) for n in n_list]
     ref_cloud, *clouds = _sample_clouds(f, nonlin, systems, **sampling)
-    rows = [
-        ConvergenceRow(
-            order=n,
-            beta_to_ref=hausdorff_semidistance(cloud, ref_cloud),
-            beta_from_ref=hausdorff_semidistance(ref_cloud, cloud),
-            cloud_size=len(cloud),
+    rows = []
+    for n, cloud in zip(n_list, clouds):
+        started = time.perf_counter()
+        rows.append(
+            ConvergenceRow(
+                order=n,
+                beta_to_ref=hausdorff_semidistance(cloud, ref_cloud),
+                beta_from_ref=hausdorff_semidistance(ref_cloud, cloud),
+                runtime_s=time.perf_counter() - started,
+                cloud_size=len(cloud),
+            )
         )
-        for n, cloud in zip(n_list, clouds)
-    ]
     return ConvergenceReport(rows=tuple(rows), step=ref_cloud.step, steps=ref_cloud.steps)
 
 

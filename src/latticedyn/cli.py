@@ -41,7 +41,7 @@ from .errors import (
     LatticeError,
     NonlinearityConditionError,
 )
-from .estimates import asymptotic_radius_sq, initial_energy
+from .estimates import asymptotic_radius_sq
 from .forcing import QuasiPeriodicForcing
 from .operators import boundary_forcing, project_forcing, wrap_forcing
 
@@ -147,6 +147,14 @@ class _SectionView:
         if not math.isfinite(value):
             raise ConfigError(f"[{self.name}] {key}: expected a finite number, got {raw!r}")
         return self._bounded(key, value, raw, gt, ge)
+
+    def get_norm(self, key: str, default: str) -> float | None:
+        """A number >= 0 whose square, an energy the estimates use, is a
+        finite float."""
+        value = self.get_float(key, default, ge=0.0)
+        if value is not None and not math.isfinite(value * value):
+            raise ConfigError(f"[{self.name}] {key}: its square overflows a float, got {value:g}")
+        return value
 
     def get_int(self, key: str, default: str | None = None) -> int | None:
         raw = self._raw(key, default)
@@ -272,7 +280,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         t0=sim.get_float("t0", "0.0"),
         t1=sim.get_float("t1", "1.0"),
         v0_mode=v0_mode,
-        v0_norm=sim.get_float("v0_norm", "1.0", ge=0.0),
+        v0_norm=sim.get_norm("v0_norm", "1.0"),
         sample_stride=sample_stride,
         seed=att.get_int("seed", "0"),
         tail_eps=att.get_float_list("tail_eps", "1e-2 1e-3", gt=0.0),
@@ -283,7 +291,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             ic_count=att.get_int("ic_count", "4"),
             sample_count=att.get_int("sample_count", "8"),
             burn_in=att.get_float("burn_in", "auto", ge=0.0),
-            ic_radius=att.get_float("ic_radius", "auto", ge=0.0),
+            ic_radius=att.get_norm("ic_radius", "auto"),
             boundary_floor=att.get_float("boundary_floor", "1e-8", gt=0.0),
         ),
         echo=echo,
@@ -354,7 +362,6 @@ def _initial_state(cfg: ExperimentConfig, dim: int, seed: int) -> np.ndarray:
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any]:
     report = _base_report("simulate", cfg, seed)
-    initial_energy(cfg.v0_norm, "v0_norm")  # norms.csv holds squared norms
     nonlin = cfg.make_nonlinearity()
     params = cfg.make_params()
     run_bytes(1, params.dim)
@@ -384,7 +391,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any]:
     report = _base_report("verify", cfg, seed)
-    initial_energy(cfg.v0_norm, "v0_norm")  # the envelope checks square it
     rows = report["checks"]
     rng = np.random.default_rng(seed)
     params = cfg.make_params(cfg.n if cfg.n is not None else 8)
@@ -487,8 +493,8 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
     csv_path = out_dir / "convergence.csv"
     _write_table(
         csv_path,
-        ["n", "beta_n_to_ref", "beta_ref_to_n"],
-        np.array([[r.order, r.beta_to_ref, r.beta_from_ref] for r in study.rows]),
+        ["n", "beta_n_to_ref", "beta_ref_to_n", "runtime_s"],
+        np.array([[r.order, r.beta_to_ref, r.beta_from_ref, r.runtime_s] for r in study.rows]),
     )
     report["artifacts"] = [str(csv_path)]
     report["step"], report["steps"] = study.step, study.steps

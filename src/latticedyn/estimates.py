@@ -34,18 +34,6 @@ def asymptotic_radius_sq(lam: float, alpha: float, forcing_bound: float) -> floa
     return radius_sq
 
 
-def initial_energy(norm: float, name: str) -> float:
-    """``norm ** 2``; refused with :class:`ParameterError` naming ``name`` when
-    it overflows a float."""
-    # not norm * norm: the power rounds differently for about 1 in 1000
-    # inputs, and every bound and burn-in keeps its bits
-    try:
-        return norm ** 2
-    except OverflowError:
-        raise ParameterError(f"initial energy {name}**2 is not a finite float "
-                             f"({name} = {norm:g})") from None
-
-
 def gronwall_bound(
     lam: float,
     alpha: float,
@@ -65,8 +53,7 @@ def gronwall_bound(
     if horizon < 0.0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
     base = asymptotic_radius_sq(lam, alpha, forcing_bound)
-    decaying = (math.exp(-(lam + 2.0 * alpha) * horizon)
-                * (initial_energy(v0_norm, "v0_norm") - base))
+    decaying = math.exp(-(lam + 2.0 * alpha) * horizon) * (v0_norm ** 2 - base)
     return math.sqrt(max(decaying, 0.0) + base)
 
 

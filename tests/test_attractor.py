@@ -320,6 +320,7 @@ class TestConvergenceStudy:
         assert checks.beta_nonincreasing(report.betas, 1.1)["passed"]
         assert checks.beta_threshold(report.final_beta, 1e-3)["passed"]
         assert report.rows[0].beta_to_ref > report.final_beta
+        assert all(row.runtime_s >= 0.0 for row in report.rows)
 
     def test_self_comparison_at_reference_order(self):
         # wrap effects at the reference order are below the sampling floor;

@@ -72,11 +72,11 @@ class TestNonlinearityContract:
         with pytest.raises(NonlinearityConditionError, match="weak sign"):
             make_nonlinearity("poly", alpha=0.0, coeffs=(1.0,))
 
-    def test_zero_fixed_point_named(self):
-        # agrees with its coefficients on the registration grid, which misses 0
+    def test_func_disagreeing_only_at_zero_named(self):
+        # s = 0 is on the registration grid, so F(0) = 0 is part of agreement
         nl = Nonlinearity(name="offset", coeffs=(-1.0,), alpha=0.0,
                           func=lambda s: np.where(s == 0.0, 1.0, -s))
-        with pytest.raises(NonlinearityConditionError, match="zero fixed point"):
+        with pytest.raises(NonlinearityConditionError, match="func disagrees"):
             nl.verify()
 
     def test_func_disagreeing_with_its_coefficients_named(self):
