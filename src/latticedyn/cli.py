@@ -56,6 +56,10 @@ EXIT_DIVERGED = 3
 #: most random (n, h, t) triples per equivariance check of ``verify``: about
 #: 3 s at the 0.31 ms a triple costs on a 2-core Xeon
 TRIPLE_CAP = 10_000
+#: the peak of building a finite forcing table, in bytes a site: one float
+#: each for the amplitudes, QuasiPeriodicForcing.finite's three copies and the
+#: array it converts a per-site rule from
+_TABLE_SITE_BYTES = 40
 
 
 @dataclass
@@ -207,10 +211,10 @@ def _load_forcing(view: _SectionView) -> QuasiPeriodicForcing:
     if radius < 0:
         raise ConfigError(f"[forcing] support_radius: must be >= 0, got {radius}")
     width = 2 * radius + 1
-    # amplitudes, frequencies and phases, each one float per site
-    if 24 * width > MEMORY_CAP:
+    need = _TABLE_SITE_BYTES * width
+    if need > MEMORY_CAP:
         raise ConfigError(f"[forcing] support_radius {radius}: a table of {width} sites needs "
-                          f"{24 * width:.3g} bytes, above the cap of {MEMORY_CAP:.3g}")
+                          f"{need:.3g} bytes, above the cap of {MEMORY_CAP:.3g}")
     rules = []
     for key in ("frequency_rule", "phase_rule"):
         rule = view.get_float_list(key, "0.0")
@@ -366,8 +370,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
     params = cfg.make_params()
     run_bytes(1, params.dim)
     forcing = cfg.system_forcing(params.n)
+    # the norm the run starts from: v0_norm only when it draws a ball state
     radius = max(
-        cfg.v0_norm,
+        cfg.v0_norm if cfg.v0_mode == "ball" else 0.0,
         math.sqrt(asymptotic_radius_sq(cfg.lam, nonlin.alpha, cfg.forcing.uniform_bound())),
     )
     h = cfg.step_for(params, nonlin, radius)

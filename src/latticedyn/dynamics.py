@@ -35,8 +35,9 @@ WORK_CAP = 10 ** 10
 #: The widest run the point cap allows at n = 300 (512 rows x 601 sites) needs
 #: about 22 MB.
 MEMORY_CAP = 2 ** 30
-#: state-sized arrays a run holds: the input, two RK4 scratch arrays, two
-#: states written in turn, and the RHS's three polynomial scratch arrays
+#: state-sized arrays a run holds at most: the input, two RK4 scratch arrays,
+#: two states written in turn, and the RHS's polynomial scratch arrays (one
+#: for a linear or cubic nonlinearity, up to three above)
 _RUN_ARRAYS = 8
 _SIGN_SLACK = 1e-12  # absorbs 1-ulp rounding in the sampled sign checks
 _REGISTRATION_SAMPLES = 10_001  # odd, so that s = 0 is a sample
@@ -87,11 +88,11 @@ class Nonlinearity:
     time; see :meth:`verify`.
 
     ``func(s)`` returns a fresh array; ``func(s, out, work)`` writes the same
-    values into ``out``, with three arrays shaped like ``s`` in ``work`` as
-    scratch.  It is :func:`_odd_poly` of ``coeffs`` unless another evaluator
-    is given, which registration checks against ``coeffs``: the right-hand
-    sides compile the coefficients (folding ``c0`` into the linear terms) and
-    never call ``func``.
+    values into ``out``, with ``work`` the three scratch arrays of
+    :func:`_odd_poly` (one used up to the cubic).  It is ``_odd_poly`` of
+    ``coeffs`` unless another evaluator is given, which registration checks
+    against ``coeffs``: the right-hand sides compile the coefficients (folding
+    ``c0`` into the linear terms) and never call ``func``.
     """
 
     name: str
@@ -156,35 +157,41 @@ class Nonlinearity:
 
 
 def _odd_poly(coeffs: tuple[float, ...], add: bool = False) -> Callable[..., np.ndarray]:
-    """``c0*s + c1*s**3 + ...`` as ``poly(s, out=None, work=None)``: written
-    into ``out`` or a fresh array, or with ``add`` added to ``out``, which then
-    must be given.  ``work`` holds three arrays shaped like ``s`` as scratch.
+    """``c0*s + c1*s**3 + ...`` as ``poly(s, out=None, work=(None,) * 3)``:
+    written into ``out`` or a fresh array, or with ``add`` added to ``out``,
+    which then must be given.  ``work`` holds three scratch arrays shaped like
+    ``s``, ``None`` for one to allocate; only the first ``poly.scratch`` are
+    used, one up to the cubic.
 
     The odd powers are repeated products with ``s*s`` (numpy's power is ~50x
     slower), each term a product with its coefficient; a coefficient of -1
-    subtracts its power.
+    subtracts its power.  ``c0*s`` (when added), ``s*s`` and the last power
+    and term share the first scratch array.
     """
     # None: subtract the power, which gives the bits of adding -1 times it
     c0, higher = _const(coeffs[0]), tuple(None if c == -1.0 else _const(c) for c in coeffs[1:])
 
-    def poly(s, out=None, work=None):
-        s2, power, term = (None, None, None) if work is None else work[:3]
+    def poly(s, out=None, work=(None, None, None)):
+        s2, power, term = work
         if add:
-            out += np.multiply(c0, s, term)
+            # s2 is free until the powers start
+            out += np.multiply(c0, s, s2)
         else:
             out = np.multiply(c0, s, out)
         if higher:
             s2 = np.multiply(s, s, s2)
             for k, c in enumerate(higher, 1):
-                # the last power overwrites s2, which no later power needs
-                power = np.multiply(power if k > 1 else s, s2,
-                                    s2 if k == len(higher) else power)
+                # the last power and its term overwrite s2, which no later
+                # power needs
+                last = k == len(higher)
+                power = np.multiply(power if k > 1 else s, s2, s2 if last else power)
                 if c is None:
                     out -= power
                 else:
-                    out += np.multiply(c, power, term)
+                    out += np.multiply(c, power, s2 if last else term)
         return out
 
+    poly.scratch = 1 if len(higher) < 2 else 2 + any(c is not None for c in higher[:-1])
     return poly
 
 
@@ -249,13 +256,14 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
     acts on the last axis of a state or a stack of rows, all at the one time
     ``t``, and refuses a state of the wrong width with
     :class:`DimensionError`.  It writes into ``out`` (shaped like ``u``, not
-    ``u``) or a fresh array, with three scratch arrays and the gather it
-    keeps per shape, the first three in the memory layout of the first
-    ``out`` of that shape.  It keeps the last float time it evaluated the
-    forcing at, and reuses the drive for an equal nonzero float (RK4's two
-    midpoint stages; often the next step's start).  Its ``edges`` attribute
-    lists the columns of the zero-ghost blocks' edge sites, which the edge
-    monitor of :func:`integrate` checks.
+    ``u``) or a fresh array, with the polynomial's scratch arrays (one for a
+    linear or cubic ``F``, up to three above) and the gather it keeps per
+    shape, the scratch arrays in the memory layout of the first ``out`` of
+    that shape.  It keeps the last float time it evaluated the forcing at,
+    and reuses the drive for an equal nonzero float (RK4's two midpoint
+    stages; often the next step's start).  Its ``edges`` attribute lists the
+    columns of the zero-ghost blocks' edge sites, which the edge monitor of
+    :func:`integrate` checks.
     """
     nu = _const(params.nu)
     c0, *higher = nonlin.coeffs
@@ -314,9 +322,9 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
         scratch = held.get(out.shape)
         if scratch is None:
             gathered = np.empty((len(operands), *out.shape[-2::-1]))
-            scratch = held[out.shape] = (tuple(np.empty_like(out) for _ in range(3)), gathered,
-                                         gathered[:wrapped], gathered[len(cols):],
-                                         gathered[:len(cols)])
+            work = tuple(np.empty_like(out) if k < poly.scratch else None for k in range(3))
+            scratch = held[out.shape] = (work, gathered, gathered[:wrapped],
+                                         gathered[len(cols):], gathered[:len(cols)])
         work, gathered, firsts, seconds, sums = scratch
         if single:
             _neighbour_sum(u, periodic, out)

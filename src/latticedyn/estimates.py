@@ -52,6 +52,8 @@ def gronwall_bound(
     """
     if horizon < 0.0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
+    if not math.isfinite(v0_norm * v0_norm):
+        raise ParameterError(f"initial norm {v0_norm:g}: its square overflows a float")
     base = asymptotic_radius_sq(lam, alpha, forcing_bound)
     decaying = math.exp(-(lam + 2.0 * alpha) * horizon) * (v0_norm ** 2 - base)
     return math.sqrt(max(decaying, 0.0) + base)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from latticedyn import (
@@ -16,7 +19,7 @@ from latticedyn import (
     wrap_forcing,
 )
 from latticedyn import attractor, checks
-from latticedyn.attractor import _pad_to_width
+from latticedyn.attractor import _pad_to_width, _sample_clouds, _start_stack
 from latticedyn.dynamics import (
     MEMORY_CAP,
     WORK_CAP,
@@ -179,6 +182,68 @@ class TestInitialBall:
         assert len(np.unique(cloud.states, axis=0)) == 15
 
 
+def _padded_start(systems, points, seed, ic_radius):
+    """The start stack built block by block: each draw zero-padded to its
+    system's width by ``_pad_to_width``, the blocks joined by ``np.hstack``."""
+    ics = []
+    for kind, p in systems:
+        ic_half = p.n if kind == "finite" else max(1, p.n // 2)
+        dim = 2 * ic_half + 1
+        draw = np.random.default_rng(seed).random((points, dim))
+        draw *= 2.0
+        draw -= 1.0
+        draw *= ic_radius / math.sqrt(dim)
+        ics.append(_pad_to_width(draw, ic_half, p.n))
+    return np.hstack(ics)
+
+
+class TestStartStack:
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=st.lists(st.tuples(st.sampled_from(["finite", "reference"]),
+                                     st.integers(1, 20)), min_size=1, max_size=5),
+           points=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           ic_radius=st.floats(0.0, 1e3))
+    def test_equals_the_padded_blocks_bit_for_bit(self, blocks, points, seed, ic_radius):
+        systems = [(kind, LatticeParams(nu=1.0, lam=1.0, n=n)) for kind, n in blocks]
+        stack = _start_stack(systems, points, seed, ic_radius)
+        want = _padded_start(systems, points, seed, ic_radius)
+        assert stack.flags.f_contiguous and stack.shape == want.shape
+        assert np.ascontiguousarray(stack).tobytes() == want.tobytes()
+
+
+class TestSamplerMemory:
+    """The sampler's peak, traced after a warm-up call (the first call also
+    loads lazily imported modules), fits what ``run_bytes`` charges for its
+    stack and the end state it keeps."""
+
+    @staticmethod
+    def _peak(f, nl, systems, **sampling):
+        _sample_clouds(f, nl, systems, **sampling)
+        tracemalloc.start()
+        try:
+            _sample_clouds(f, nl, systems, **sampling)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_attractor_wide_shape(self):
+        # 192 cubic points at n = 128 with the default burn-in and step
+        f = QuasiPeriodicForcing.finite(0.5 ** np.abs(np.arange(-6, 7)), 1.0, 0.0)
+        systems = [("finite", LatticeParams(nu=1.0, lam=1.0, n=128))]
+        peak = self._peak(f, make_nonlinearity("cubic", 1.0), systems, eps=1e-2, ic_count=16,
+                          sample_count=12, seed=101)
+        assert peak <= run_bytes(192, 257, 192)
+
+    def test_converge_stacked_shape(self):
+        # converge's reference at n = 64 and orders 4, 8 and 16 in one stack
+        f = QuasiPeriodicForcing.finite(0.5 ** np.abs(np.arange(-2, 3)), 1.0, 0.0)
+        systems = [("reference", LatticeParams(nu=1.0, lam=1.0, n=64))]
+        systems += [("finite", LatticeParams(nu=1.0, lam=1.0, n=n)) for n in (4, 8, 16)]
+        peak = self._peak(f, make_nonlinearity("linear", 1.0), systems, eps=1e-2, ic_count=3,
+                          sample_count=6, seed=101, burn_in=10.0, step=0.02)
+        assert peak <= run_bytes(18, 188, 18)
+
+
 class TestSampleAttractor:
     def test_linear_fiber_collapses_to_a_point(self):
         # contraction at rate lam + alpha = 2: e^(-2T) M < 1e-7 at T = 9
@@ -216,6 +281,14 @@ class TestSampleAttractor:
             sample_attractor(
                 LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
                 eps=1e-2, ic_count=2, sample_count=2, seed=0, boundary="mirror",
+            )
+
+    def test_ic_radius_whose_square_overflows_is_a_parameter_error(self):
+        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        with pytest.raises(ParameterError, match=r"ic_radius 1e\+200: its square overflows"):
+            sample_attractor(
+                LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
+                eps=1e-2, ic_count=2, sample_count=2, seed=0, ic_radius=1e200,
             )
 
     def test_point_cap_enforced(self):

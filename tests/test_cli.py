@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import latticedyn
-from latticedyn.cli import _write_table, main
+from latticedyn.cli import _TABLE_SITE_BYTES, _SectionView, _load_forcing, _write_table, main
 from latticedyn.dynamics import auto_step
 from latticedyn.estimates import asymptotic_radius_sq
 
@@ -125,6 +126,20 @@ class TestSimulate:
         assert report["step"] == step
         _, rows = read_csv(out / "trajectory.csv")
         assert float(rows[1][0]) == step
+
+    def test_zero_start_takes_its_step_from_the_zero_state(self, tmp_path):
+        # v0_norm sizes a ball the run does not start from: with v0 = zero the
+        # automatic step comes from the absorbing radius alone
+        steps = []
+        for v0_norm in ("1.0", "50.0"):
+            text = BASE.replace("name = linear", "name = cubic").replace("n = 6", "n = 4")
+            text = text.replace("t1 = 4.0", "t1 = 1.0").replace(
+                "v0 = ball\nv0_norm = 1.0", f"v0 = zero\nv0_norm = {v0_norm}")
+            cfg = write_config(tmp_path, text)
+            out = tmp_path / v0_norm
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            steps.append(json.loads((out / "report.json").read_text())["steps"])
+        assert steps[0] == steps[1] < 100
 
     def test_table_matches_per_value_formatting(self, tmp_path):
         rows = np.array([[-0.0, 1e-300, 0.1], [1.0 / 3.0, -2.5e17, 5e-324]])
@@ -524,6 +539,43 @@ class TestConfigValidation:
         assert report["exit_code"] == 2 and report["error"]["type"] == "ParameterError"
         assert "bytes, above the cap of 2.05e+03" in report["error"]["message"]
         assert not tables
+
+    def test_forcing_table_cap_counts_the_peak(self, tmp_path, capsys, monkeypatch):
+        # 30001 sites fit a 1 MiB cap at 24 B a site, not at the 40 B a site
+        # that building the table peaks at; nothing is run under this cap
+        monkeypatch.setattr("latticedyn.cli.MEMORY_CAP", 2 ** 20)
+        cfg = write_config(tmp_path, BASE.replace("support_radius = 2", "support_radius = 15000"))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["message"] == (
+            "[forcing] support_radius 15000: a table of 30001 sites needs 1.2e+06 bytes, "
+            "above the cap of 1.05e+06")
+
+    @pytest.mark.parametrize("per_site", [False, True], ids=["one-number", "per-site"])
+    def test_forcing_table_peaks_within_its_charge(self, per_site):
+        radius = 20_000
+        width = 2 * radius + 1
+        values = {"support": "finite", "amplitude0": "1.0", "decay_rate": "0.999",
+                  "support_radius": str(radius)}
+        rules = {}
+        if per_site:
+            # parsed before the trace: the arrays, not the text, are charged
+            rules = {key: tuple(np.linspace(0.5, 1.5, width)) for key in ("frequency_rule",
+                                                                          "phase_rule")}
+        view = _SectionView("forcing", values)
+        view.get_float_list = lambda key, default: rules.get(key, (0.0,))
+        tracemalloc.start()
+        try:
+            forcing = _load_forcing(view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forcing.amplitudes.size == width
+        # at least four of the five arrays charged are live at once, plus 4 KB
+        # for the few small objects besides them
+        assert 32 * width < peak <= _TABLE_SITE_BYTES * width + 4096
 
     def test_config_error_report(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace("seed = 99", "seed = -1"))

@@ -456,7 +456,7 @@ class TestIntegrate:
 
 
 CATALOG = [("linear", 0.7, None), ("cubic", 1.0, None), ("zero", 0.0, None),
-           ("poly", 0.5, (-0.5, -1.0, -0.25))]
+           ("poly", 0.5, (-0.5, -1.0, -0.25)), ("poly", 0.4, (-0.5, 0.25, -0.25))]
 
 
 def _bits(a):
@@ -612,6 +612,33 @@ class TestBufferedStepping:
         assert np.all(np.diff(traj.states[:, 0]) < 0.0)
         assert np.allclose(traj.states, np.exp(-traj.times)[:, None] * [1.0, 2.0],
                            rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("name, alpha, coeffs, arrays",
+                             [("linear", 0.7, None, 1), ("cubic", 1.0, None, 1),
+                              ("poly", 0.4, (-0.5, 0.25, -0.25), 3)],
+                             ids=["linear", "cubic", "quintic"])
+    def test_rhs_keeps_only_the_scratch_its_polynomial_takes(self, rng, name, alpha, coeffs,
+                                                             arrays):
+        # a new shape's first call keeps the polynomial's scratch arrays, one
+        # state each, and the edge gather of a few sites per row; a later call
+        # allocates no state
+        params = LatticeParams(nu=1.0, lam=1.0, n=128)
+        nl = make_nonlinearity(name, alpha, coeffs)
+        rhs = make_finite_rhs(params, nl, QuasiPeriodicForcing.zero())
+        y = np.asfortranarray(rng.standard_normal((192, params.dim)))
+        out = np.empty_like(y)
+        tracemalloc.start()
+        try:
+            rhs(0.5, y, out)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rhs(0.5, y, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = y.nbytes
+        assert arrays * state < kept < (arrays + 0.1) * state
+        assert peak - kept < state / 4
 
     def test_plain_rhs_returning_its_input_cannot_alias_the_state(self):
         # u' = u, with the state itself handed back as the derivative

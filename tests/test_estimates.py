@@ -74,6 +74,10 @@ class TestGronwallBound:
         assert gronwall_bound(1.0, 1.5, 1.0, 2.0, 1.0) <= base
         assert gronwall_bound(1.0, 1.0, 1.0, 2.0, 2.0) <= base
 
+    def test_initial_norm_whose_square_overflows_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match=r"initial norm 1e\+200: its square overflows"):
+            gronwall_bound(1.0, 1.0, 1.0, 1e200, 1.0)
+
     def test_rejects_bad_decay(self):
         with pytest.raises(ParameterError):
             gronwall_bound(0.0, 1.0, 1.0, 1.0, 1.0)
