@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,25 +105,25 @@ def sample_attractor(
     params: LatticeParams,
     nonlin: Nonlinearity,
     *,
-    kind: str = "finite",
+    boundary: str = "wrap",
     **sampling,
 ) -> AttractorCloud:
     """Pullback sample of the fiber attractor at the driver ``f``.
 
     ``sampling`` holds the keyword arguments ``eps``, ``ic_count``,
-    ``sample_count`` and ``seed``, and optionally ``boundary``, ``burn_in``,
-    ``step``, ``rho``, ``ic_radius`` and ``boundary_floor`` (default 1e-8).
+    ``sample_count`` and ``seed``, and optionally ``burn_in``, ``step``,
+    ``ic_radius`` and ``boundary_floor`` (default 1e-8).
 
     ``ic_count * sample_count`` initial conditions, drawn in one call of
     ``default_rng(seed)`` uniformly from the cube inscribed in the ball of
     radius ``ic_radius`` (by default the absorbing radius), are integrated
     together by :func:`integrate_final` from time ``-burn_in`` to 0 in steps
     of at most ``step``, so every collected state sits on the requested
-    fiber.  Without ``step``, :func:`auto_step` derives it from ``rho`` or
-    the larger of ``ic_radius`` and the absorbing radius.  ``kind`` selects
-    the wrapped finite system of order ``params.n`` (forcing via
-    ``boundary``: ``wrap`` or ``project``) or the padded ``reference``
-    system of half-width ``params.n``, whose edge sites are monitored
+    fiber.  Without ``step``, :func:`auto_step` derives it from the larger of
+    ``ic_radius`` and the absorbing radius.  The system is half-width
+    ``params.n`` under ``boundary`` (see :func:`_compile_rhs`): ``wrap`` or
+    ``project`` the wrapped finite system, ``zero`` the padded reference,
+    whose draw fills its inner half and whose edge sites are monitored
     against ``boundary_floor``.  This is the one-system case of the stacked
     sampler behind :func:`convergence_study`.
 
@@ -131,12 +131,13 @@ def sample_attractor(
     Gronwall bound, and :class:`ParameterError` for an ``ic_radius`` whose
     square overflows a float.
     """
-    (cloud,) = _sample_clouds(f, nonlin, ((kind, params),), **sampling)
+    (cloud,) = _sample_clouds(f, params, nonlin, ((params.n, boundary),), **sampling)
     return cloud
 
 
 def _sample_clouds(
     f: QuasiPeriodicForcing,
+    params: LatticeParams,
     nonlin: Nonlinearity,
     systems,
     *,
@@ -144,26 +145,21 @@ def _sample_clouds(
     ic_count: int,
     sample_count: int,
     seed: int,
-    boundary: str = "wrap",
     burn_in: float | None = None,
     step: float | None = None,
-    rho: float | None = None,
     ic_radius: float | None = None,
     boundary_floor: float = 1e-8,
 ) -> list[AttractorCloud]:
-    """The clouds of :func:`sample_attractor` for each ``(kind, params)`` of
-    ``systems``, from one stacked march: the systems sit side by side on the
-    last axis and share ``nu``, ``lam``, the pullback schedule and the step.
-    The caps see the stacked width before any forcing table or draw."""
+    """The clouds of :func:`sample_attractor` for each ``(half_width,
+    boundary)`` of ``systems``, from one stacked march: the systems sit side
+    by side on the last axis and share ``params.nu``, ``params.lam``, the
+    forcing, the pullback schedule and the step.  The caps see the stacked
+    width before any forcing table or draw."""
     if ic_count < 1 or sample_count < 1:
         raise ParameterError("ic_count and sample_count must be >= 1")
     points = ic_count * sample_count
     if points > POINT_CAP:
         raise ParameterError(f"requested {points} points exceeds cap {POINT_CAP}")
-    for kind, _ in systems:
-        if kind not in ("finite", "reference"):
-            raise ParameterError(f"kind must be 'finite' or 'reference', got {kind!r}")
-    params = systems[0][1]
     forcing_bound = f.uniform_bound()
     radius = math.sqrt(asymptotic_radius_sq(params.lam, nonlin.alpha, forcing_bound))
     if ic_radius is None:
@@ -178,19 +174,18 @@ def _sample_clouds(
             )
         burn_in = burn_in_time(nonlin.alpha, ball_sq, eps) if ball_sq > 0.0 else 0.0
     if step is None:
-        step = auto_step(params, nonlin, max(ic_radius, radius), rho)
-    widths = [p.dim for _, p in systems]
+        step = auto_step(params, nonlin, max(ic_radius, radius))
+    widths = [2 * n + 1 for n, _ in systems]
     steps = plan_run((points, sum(widths)), -burn_in, 0.0, step)
 
-    blocks = [(p.n, True, boundary_forcing(f, p.n, boundary)) if kind == "finite"
-              else (p.n, False, f) for kind, p in systems]
-    if len(blocks) == 1:
+    if len(systems) == 1:
         # one system goes through the public factories (perfbench hooks them)
-        make = make_finite_rhs if blocks[0][1] else make_reference_rhs
-        rhs = make(params, nonlin, blocks[0][2])
+        ((n, boundary),) = systems
+        make = make_reference_rhs if boundary == "zero" else make_finite_rhs
+        rhs = make(replace(params, n=n), nonlin, boundary_forcing(f, n, boundary))
     else:
-        rhs = _compile_rhs(params, nonlin, blocks)
-    monitored = any(not periodic for _, periodic, _ in blocks)
+        rhs = _compile_rhs(params, nonlin, f, systems)
+    monitored = any(boundary == "zero" for _, boundary in systems)
     states = integrate_final(rhs, _start_stack(systems, points, seed, ic_radius), -burn_in, 0.0,
                              step, boundary_floor if monitored else None)
 
@@ -198,32 +193,32 @@ def _sample_clouds(
         params.lam, nonlin.alpha, forcing_bound, ic_radius, burn_in
     )
     clouds = []
-    for (kind, p), end in zip(systems, np.cumsum(widths)):
-        cloud = np.ascontiguousarray(states[:, end - p.dim:end])
+    for (n, boundary), dim, end in zip(systems, widths, np.cumsum(widths)):
+        cloud = np.ascontiguousarray(states[:, end - dim:end])
         worst = float(np.linalg.norm(cloud, axis=1).max())
         if worst > bound and worst > 1e-12:
             raise UnsettledCloudError(
                 f"cloud point norm {worst:.6g} exceeds absorbing bound {bound:.6g}; "
                 "the run has not settled (step too large or burn-in too short)"
             )
-        label = f"n={p.n}" if kind == "finite" else f"reference(n={p.n})"
-        clouds.append(AttractorCloud(label=label, half_width=p.n, states=cloud,
+        label = f"reference(n={n})" if boundary == "zero" else f"n={n}"
+        clouds.append(AttractorCloud(label=label, half_width=n, states=cloud,
                                      burn_in=burn_in, step=step, steps=steps))
     return clouds
 
 
 def _start_stack(systems, points: int, seed: int, ic_radius: float) -> np.ndarray:
     """The site-major start stack of :func:`_sample_clouds`: zero but for each
-    block's ``default_rng(seed)`` draw from the cube inscribed in the ball of
+    system's ``default_rng(seed)`` draw from the cube inscribed in the ball of
     radius ``ic_radius``, written into its columns and released."""
-    stack = np.zeros((points, sum(p.dim for _, p in systems)), order="F")
+    stack = np.zeros((points, sum(2 * n + 1 for n, _ in systems)), order="F")
     end = 0
-    for kind, p in systems:
-        end += p.dim
+    for n, boundary in systems:
+        end += 2 * n + 1
         # a reference keeps initial mass away from its monitored edges
-        ic_half = p.n if kind == "finite" else max(1, p.n // 2)
+        ic_half = max(1, n // 2) if boundary == "zero" else n
         dim = 2 * ic_half + 1
-        block = stack[:, end - p.n - ic_half - 1:end - p.n + ic_half]
+        block = stack[:, end - n - ic_half - 1:end - n + ic_half]
         block[...] = np.random.default_rng(seed).random((points, dim))
         block *= 2.0
         block -= 1.0
@@ -281,15 +276,18 @@ def convergence_study(
     nonlin: Nonlinearity,
     n_list: tuple[int, ...],
     n_ref: int,
+    *,
+    boundary: str = "wrap",
     **sampling,
 ) -> ConvergenceReport:
-    """Sample each finite-order attractor and the padded reference proxy,
-    then measure the one-sided distances between them.
+    """Sample each finite order under ``boundary`` and the padded reference
+    proxy, the ``zero`` system of half-width ``n_ref``, then measure the
+    one-sided distances between them.
 
     The reference width must dominate every requested order.  ``sampling``
-    holds the keyword arguments of :func:`sample_attractor` (all but
-    ``kind``) and goes unchanged to every cloud, so the clouds share seed,
-    initial ball, burn-in and step and are directly comparable.
+    holds the other keyword arguments of :func:`sample_attractor` and goes
+    unchanged to every cloud, so the clouds share seed, initial ball,
+    burn-in and step and are directly comparable.
     The reference and every order are sampled in one stacked march (see
     :func:`sample_attractor`); each cloud equals its own sample bit for bit.
     A row's ``runtime_s`` is the time of its two Hausdorff distances.
@@ -298,9 +296,9 @@ def convergence_study(
         raise ParameterError("n_list must be nonempty")
     if n_ref < max(n_list):
         raise ParameterError(f"n_ref = {n_ref} must be >= max(n_list) = {max(n_list)}")
-    systems = [("reference", LatticeParams(nu=nu, lam=lam, n=n_ref))]
-    systems += [("finite", LatticeParams(nu=nu, lam=lam, n=n)) for n in n_list]
-    ref_cloud, *clouds = _sample_clouds(f, nonlin, systems, **sampling)
+    systems = [(n_ref, "zero")] + [(n, boundary) for n in n_list]
+    params = LatticeParams(nu=nu, lam=lam, n=n_ref)
+    ref_cloud, *clouds = _sample_clouds(f, params, nonlin, systems, **sampling)
     rows = []
     for n, cloud in zip(n_list, clouds):
         started = time.perf_counter()

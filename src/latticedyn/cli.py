@@ -60,6 +60,9 @@ TRIPLE_CAP = 10_000
 #: each for the amplitudes, QuasiPeriodicForcing.finite's three copies and the
 #: array it converts a per-site rule from
 _TABLE_SITE_BYTES = 40
+#: the peak of splitting a rule into floats, in bytes a character of its text:
+#: two digits and a separator become a 56-byte str, a float and two pointers
+_RULE_CHAR_BYTES = 32
 
 
 @dataclass
@@ -77,7 +80,6 @@ class ExperimentConfig:
     coeffs: tuple[float, ...] | None
     forcing: QuasiPeriodicForcing
     h: float | None  # None means derive from the stability bound
-    rho: float | None
     t0: float
     t1: float
     v0_mode: str
@@ -101,11 +103,8 @@ class ExperimentConfig:
             raise ConfigError("this command needs [params] n")
         return LatticeParams(nu=self.nu, lam=self.lam, n=order)
 
-    def system_forcing(self, n: int) -> QuasiPeriodicForcing:
-        return boundary_forcing(self.forcing, n, self.boundary)
-
     def step_for(self, params: LatticeParams, nonlin: Nonlinearity, radius: float) -> float:
-        return self.h if self.h is not None else auto_step(params, nonlin, radius, self.rho)
+        return self.h if self.h is not None else auto_step(params, nonlin, radius)
 
 
 _REQUIRED: Any = object()  # the default of a key that must be given
@@ -211,12 +210,16 @@ def _load_forcing(view: _SectionView) -> QuasiPeriodicForcing:
     if radius < 0:
         raise ConfigError(f"[forcing] support_radius: must be >= 0, got {radius}")
     width = 2 * radius + 1
-    need = _TABLE_SITE_BYTES * width
+    keys = ("frequency_rule", "phase_rule")
+    # the rules' text is charged before it is split into numbers
+    text = sum(len(view.values.get(key, "")) for key in keys)
+    need = _TABLE_SITE_BYTES * width + _RULE_CHAR_BYTES * text
     if need > MEMORY_CAP:
         raise ConfigError(f"[forcing] support_radius {radius}: a table of {width} sites needs "
-                          f"{need:.3g} bytes, above the cap of {MEMORY_CAP:.3g}")
+                          f"{need:.3g} bytes with {text} characters of frequency_rule and "
+                          f"phase_rule, above the cap of {MEMORY_CAP:.3g}")
     rules = []
-    for key in ("frequency_rule", "phase_rule"):
+    for key in keys:
         rule = view.get_float_list(key, "0.0")
         if len(rule) not in (1, width):
             expected = ("geometric support takes one number" if support == "geometric"
@@ -265,7 +268,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"[simulate] sample_stride must be >= 1, got {sample_stride}")
 
     nl = view("nonlinearity")
-    integ = view("integrator")
     att = view("attractor")
     cfg = ExperimentConfig(
         nu=params.get_float("nu", "1.0"),
@@ -279,8 +281,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         coeffs=nl.get_float_list("coeffs", None),
         forcing=(_load_forcing(view("forcing")) if "forcing" in echo
                  else QuasiPeriodicForcing.zero()),
-        h=integ.get_float("h", "auto"),
-        rho=integ.get_float("rho", "auto", gt=0.0),
+        h=view("integrator").get_float("h", "auto"),
         t0=sim.get_float("t0", "0.0"),
         t1=sim.get_float("t1", "1.0"),
         v0_mode=v0_mode,
@@ -369,7 +370,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
     nonlin = cfg.make_nonlinearity()
     params = cfg.make_params()
     run_bytes(1, params.dim)
-    forcing = cfg.system_forcing(params.n)
+    forcing = boundary_forcing(cfg.forcing, params.n, cfg.boundary)
     # the norm the run starts from: v0_norm only when it draws a ball state
     radius = max(
         cfg.v0_norm if cfg.v0_mode == "ball" else 0.0,
@@ -425,7 +426,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any
     rows.append(checks.check("nonlinearity-registration", True, 0.0,
                              f"{cfg.nonlinearity_name}: contract holds on the sample grid"))
 
-    forcing_n = cfg.system_forcing(params.n)
+    forcing_n = boundary_forcing(cfg.forcing, params.n, cfg.boundary)
     c_bound = cfg.forcing.uniform_bound()
     radius = math.sqrt(asymptotic_radius_sq(cfg.lam, nonlin.alpha, c_bound))
     h = min(cfg.step_for(params, nonlin, max(radius, 1.0)), 1e-2)
@@ -456,7 +457,7 @@ def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, 
     log.info("attractor: n=%d eps=%g points=%d", params.n, cfg.sampling["eps"],
              cfg.sampling["ic_count"] * cfg.sampling["sample_count"])
     cloud = sample_attractor(cfg.forcing, params, nonlin, seed=seed, boundary=cfg.boundary,
-                             step=cfg.h, rho=cfg.rho, **cfg.sampling)
+                             step=cfg.h, **cfg.sampling)
     cloud_path = out_dir / "cloud.csv"
     _write_table(cloud_path, _site_header(cloud.half_width), cloud.states)
     report["artifacts"] = [str(cloud_path)]
@@ -493,7 +494,7 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
     log.info("converge: n_list=%s n_ref=%d", list(cfg.n_list), cfg.n_ref)
     study = convergence_study(
         cfg.forcing, cfg.nu, cfg.lam, nonlin, n_list=cfg.n_list, n_ref=cfg.n_ref,
-        seed=seed, boundary=cfg.boundary, step=cfg.h, rho=cfg.rho, **cfg.sampling,
+        seed=seed, boundary=cfg.boundary, step=cfg.h, **cfg.sampling,
     )
     csv_path = out_dir / "convergence.csv"
     _write_table(

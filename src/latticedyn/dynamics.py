@@ -20,7 +20,7 @@ from .errors import (
 from .forcing import QuasiPeriodicForcing
 # apply_laplacian is not called here; it stays bound as dynamics.apply_laplacian,
 # the name the benchmark's tracer hooks
-from .operators import _TWO, _const, _neighbour_sum, apply_laplacian
+from .operators import _TWO, _const, _neighbour_sum, apply_laplacian, boundary_forcing
 
 STABILITY_SAFETY = 0.5
 #: Largest integration a run may ask for, in site-steps (rows x sites x RK4
@@ -228,27 +228,30 @@ def make_nonlinearity(
 # right-hand sides
 
 
-def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callable:
+def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeriodicForcing,
+                 systems) -> Callable:
     """``-nu*A u - lam*u + F(u) + f(t)`` on a stack of systems side by side on
-    the last axis.  Block ``(half_width, periodic, forcing)`` spans sites
-    ``-half_width .. half_width`` with ``A`` the periodic or the zero-ghost
-    second difference and its own forcing; all blocks share ``nu``, ``lam``,
-    the nonlinearity and, where their forcing is nonzero, its time offset.
+    the last axis, all under ``params.nu``, ``params.lam``, ``nonlin`` and
+    ``forcing``.  System ``(half_width, boundary)`` spans sites ``-half_width
+    .. half_width``, ``half_width >= 1``, under the forcing
+    :func:`~latticedyn.operators.boundary_forcing` gives it: ``wrap`` and
+    ``project`` with the periodic ``A``, ``zero`` with the zero-ghost ``A``
+    and monitored edges.
 
     With ``A = 2 - S`` (:func:`~latticedyn.operators._neighbour_sum`) and
     ``F`` the odd polynomial ``nonlin.coeffs``, it evaluates the same
     equation as ``nu*S u + (c0 - lam - 2 nu)*u + c1*u**3 + ... + f(t)``: one
     neighbour sum, then ``*= nu`` and one polynomial whose linear coefficient
-    holds ``-lam`` and ``-2 nu``, over the whole state.  One block's
-    neighbour sum is ``_neighbour_sum``; several blocks' is one slice add
-    over the whole width and one gather, add and scatter of every block's
+    holds ``-lam`` and ``-2 nu``, over the whole state.  One system's
+    neighbour sum is ``_neighbour_sum``; several systems' is one slice add
+    over the whole width and one gather, add and scatter of every system's
     edge sites (the inner neighbour, plus the wrapped one at a periodic edge,
-    in the operand order of ``_neighbour_sum``), so a stacked block gives the
-    bits of that block alone.  The gather reads ``u.T``, contiguous in a
+    in the operand order of ``_neighbour_sum``), so a stacked system gives
+    the bits of that system alone.  The gather reads ``u.T``, contiguous in a
     site-major stack; ``take`` copies any other stack first.
 
-    Each forcing table is read once and kept to the columns between the first
-    and the last nonzero amplitude of each block; the drive is evaluated once
+    Each system's forcing table is read once and kept to the columns between
+    its first and its last nonzero amplitude; the drive is evaluated once
     over the span from the first to the last of these live columns, as one
     row added to every row of the state.  A column without forcing inside the
     span drives ``sin(0*t + pi/2) * -0.0 = -0.0`` at any finite time, and
@@ -262,37 +265,34 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
     that shape.  It keeps the last float time it evaluated the forcing at,
     and reuses the drive for an equal nonzero float (RK4's two midpoint
     stages; often the next step's start).  Its ``edges`` attribute lists the
-    columns of the zero-ghost blocks' edge sites, which the edge monitor of
+    columns of the ``zero`` systems' edge sites, which the edge monitor of
     :func:`integrate` checks.
     """
     nu = _const(params.nu)
     c0, *higher = nonlin.coeffs
     poly = _odd_poly((c0 - params.lam - 2.0 * params.nu, *higher), add=True)
-    width = sum(2 * half_width + 1 for half_width, _, _ in blocks)
+    width = sum(2 * half_width + 1 for half_width, _ in systems)
     # (amps, freqs, phases) per column; a column without forcing drives -0.0
     table = np.array([[-0.0], [0.0], [0.5 * math.pi]]).repeat(width, axis=1)
     # per edge site: its column, its first operand and, at a periodic edge,
     # its second; per live forcing range: its first and its end column
-    terms, edges, live, offsets = [], [], [], set()
+    terms, edges, live = [], [], []
     start = 0
-    for half_width, periodic, forcing in blocks:
+    for half_width, boundary in systems:
+        modes = boundary_forcing(forcing, half_width, boundary).mode_table(half_width)
         left, right = start, start + 2 * half_width
-        if periodic:
-            terms += [(left, right, left + 1), (right, right - 1, left)]
-        else:
+        if boundary == "zero":
             terms += [(left, left + 1, None), (right, right - 1, None)]
             edges += [left, right]
-        modes = forcing.mode_table(half_width)
+        else:
+            terms += [(left, right, left + 1), (right, right - 1, left)]
         nonzero = np.flatnonzero(modes[0])
         if nonzero.size:
             lo, hi = nonzero[0], nonzero[-1] + 1
             table[:, start + lo:start + hi] = [arr[lo:hi] for arr in modes]
             live += [start + lo, start + hi]
-            offsets.add(forcing.time_offset)
         start = right + 1
-    if len(offsets) > 1:
-        raise ParameterError("the blocks of one system must share one forcing time offset")
-    offset = offsets.pop() if offsets else 0.0
+    offset = forcing.time_offset
     span = slice(live[0], live[-1]) if live else slice(0, 0)
     amps, freqs, phases = table[:, span]
     drive = np.empty_like(amps)
@@ -304,8 +304,8 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, blocks) -> Callabl
     operands = np.array([a for _, a, _ in terms] + [b for _, _, b in terms if b is not None],
                         dtype=np.intp)
     wrapped = len(operands) - len(cols)
-    single = len(blocks) == 1
-    periodic = blocks[0][1]
+    single = len(systems) == 1
+    periodic = systems[0][1] != "zero"
     # per state shape: the polynomial's scratch and the edge gather, site-first
     # like u.T.  ufuncs here take ``out`` as the third positional argument:
     # the keyword costs ~20 ns a call
@@ -356,10 +356,10 @@ def make_finite_rhs(
     nonlin: Nonlinearity,
     forcing: QuasiPeriodicForcing,
 ) -> Callable:
-    """Wrapped finite system of order ``params.n``: periodic stencil, forcing
-    already truncated or wrapped to width ``2n + 1`` (modes beyond the window
-    are ignored)."""
-    return _compile_rhs(params, nonlin, ((params.n, True, forcing),))
+    """Wrapped finite system of order ``params.n``: the ``project`` system of
+    :func:`_compile_rhs`, so a forcing already truncated or wrapped to width
+    ``2n + 1`` keeps its values (modes beyond the window are dropped)."""
+    return _compile_rhs(params, nonlin, forcing, ((params.n, "project"),))
 
 
 def make_reference_rhs(
@@ -368,9 +368,10 @@ def make_reference_rhs(
     forcing: QuasiPeriodicForcing,
 ) -> Callable:
     """Padded stand-in for the full two-sided system on half-width
-    ``params.n`` with zero ghost cells.  Pair it with ``boundary_floor`` in
+    ``params.n`` with zero ghost cells, the ``zero`` system of
+    :func:`_compile_rhs`.  Pair it with ``boundary_floor`` in
     :func:`integrate` to detect mass reaching the edges."""
-    return _compile_rhs(params, nonlin, ((params.n, False, forcing),))
+    return _compile_rhs(params, nonlin, forcing, ((params.n, "zero"),))
 
 
 # ----------------------------------------------------------------------
@@ -386,13 +387,11 @@ def max_stable_step(params: LatticeParams, nonlin: Nonlinearity, rho: float) -> 
     return STABILITY_SAFETY / (4.0 * params.nu + params.lam + nonlin.lipschitz(rho))
 
 
-def auto_step(
-    params: LatticeParams, nonlin: Nonlinearity, radius: float, rho: float | None = None
-) -> float:
+def auto_step(params: LatticeParams, nonlin: Nonlinearity, radius: float) -> float:
     """The step every command takes when none is given: :func:`max_stable_step`
-    on the ball of radius ``rho``, by default ``1.5 * radius + 0.5`` with
-    ``radius`` the largest norm the run starts from or settles at."""
-    return max_stable_step(params, nonlin, 1.5 * radius + 0.5 if rho is None else rho)
+    on the ball of radius ``1.5 * radius + 0.5``, with ``radius`` the largest
+    norm the run starts from or settles at."""
+    return max_stable_step(params, nonlin, 1.5 * radius + 0.5)
 
 
 @dataclass(frozen=True)
@@ -545,7 +544,7 @@ def integrate(
     ``boundary_floor`` turns on the edge monitor of the padded reference
     system: :class:`BoundaryContaminationError` once an edge site exceeds it,
     checked at the start and after every step, on the columns ``rhs.edges``
-    of a compiled RHS (the edge sites of its zero-ghost blocks) or the first
+    of a compiled RHS (the edge sites of its ``zero`` systems) or the first
     and the last site of any other callable.  Raises :class:`DivergenceError`
     naming the step index, and the row of a stack, on a non-finite state.  A
     run :func:`plan_run` refuses stops before the first step.

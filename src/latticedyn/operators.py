@@ -135,11 +135,11 @@ def wrap_forcing(f: QuasiPeriodicForcing, n: int) -> QuasiPeriodicForcing:
 
 
 def boundary_forcing(f: QuasiPeriodicForcing, n: int, boundary: str) -> QuasiPeriodicForcing:
-    """The forcing of the finite system of order ``n`` under the edge policy
-    ``boundary``: ``wrap`` (:func:`wrap_forcing`) or ``project``
-    (:func:`project_forcing`)."""
+    """The forcing of the system of order ``n`` under the edge policy
+    ``boundary``: ``wrap`` (:func:`wrap_forcing`), or ``project`` and the
+    zero-ghost reference ``zero`` (:func:`project_forcing`)."""
     if boundary == "wrap":
         return wrap_forcing(f, n)
-    if boundary == "project":
+    if boundary in ("project", "zero"):
         return project_forcing(f, n)
-    raise ParameterError(f"boundary must be 'wrap' or 'project', got {boundary!r}")
+    raise ParameterError(f"boundary must be 'wrap', 'project' or 'zero', got {boundary!r}")

@@ -138,34 +138,34 @@ LINEAR_BENCH = dict(
 )
 
 
-def _initial_conditions(params, nl, kind, seed, ic_count, ic_radius):
+def _initial_conditions(params, nl, boundary, seed, ic_count, ic_radius):
     # no burn-in: the run takes no step, so the cloud is exactly its initial
     # conditions
     return sample_attractor(
         LINEAR_BENCH["forcing"], params, nl, eps=1e-2, ic_count=ic_count, sample_count=1,
-        seed=seed, burn_in=0.0, step=0.03, ic_radius=ic_radius, kind=kind,
+        seed=seed, burn_in=0.0, step=0.03, ic_radius=ic_radius, boundary=boundary,
     ).states
 
 
 class TestInitialBall:
-    @pytest.mark.parametrize("kind", ["finite", "reference"])
-    def test_initial_conditions_fill_the_inscribed_cube(self, kind):
-        params = LatticeParams(nu=1.0, lam=1.0, n=8 if kind == "finite" else 10)
+    @pytest.mark.parametrize("boundary", ["wrap", "zero"])
+    def test_initial_conditions_fill_the_inscribed_cube(self, boundary):
+        params = LatticeParams(nu=1.0, lam=1.0, n=8 if boundary == "wrap" else 10)
         nl = make_nonlinearity("cubic", 1.0)
         ic_radius, seed = 2.0, 7
-        ics = _initial_conditions(params, nl, kind, seed, 16, ic_radius)
+        ics = _initial_conditions(params, nl, boundary, seed, 16, ic_radius)
         assert ics.shape == (16, params.dim)
         assert np.all(np.linalg.norm(ics, axis=1) <= ic_radius)
-        half = params.n if kind == "finite" else params.n // 2
+        half = params.n if boundary == "wrap" else params.n // 2
         sites = np.abs(np.arange(-params.n, params.n + 1))
         inner = ics[:, sites <= half]
         assert np.all(np.abs(inner) <= ic_radius / math.sqrt(2 * half + 1))
         assert np.all(ics[:, sites > half] == 0.0)
         # the draw fills the cube, not a corner of it
         assert np.any(inner > 0.0) and np.any(inner < 0.0)
-        again = _initial_conditions(params, nl, kind, seed, 16, ic_radius)
+        again = _initial_conditions(params, nl, boundary, seed, 16, ic_radius)
         assert ics.tobytes() == again.tobytes()
-        other = _initial_conditions(params, nl, kind, seed + 1, 16, ic_radius)
+        other = _initial_conditions(params, nl, boundary, seed + 1, 16, ic_radius)
         assert not np.array_equal(ics, other)
 
     def test_every_point_is_its_own_draw(self):
@@ -186,25 +186,25 @@ def _padded_start(systems, points, seed, ic_radius):
     """The start stack built block by block: each draw zero-padded to its
     system's width by ``_pad_to_width``, the blocks joined by ``np.hstack``."""
     ics = []
-    for kind, p in systems:
-        ic_half = p.n if kind == "finite" else max(1, p.n // 2)
+    for n, boundary in systems:
+        ic_half = max(1, n // 2) if boundary == "zero" else n
         dim = 2 * ic_half + 1
         draw = np.random.default_rng(seed).random((points, dim))
         draw *= 2.0
         draw -= 1.0
         draw *= ic_radius / math.sqrt(dim)
-        ics.append(_pad_to_width(draw, ic_half, p.n))
+        ics.append(_pad_to_width(draw, ic_half, n))
     return np.hstack(ics)
 
 
 class TestStartStack:
     @settings(max_examples=60, deadline=None)
-    @given(blocks=st.lists(st.tuples(st.sampled_from(["finite", "reference"]),
-                                     st.integers(1, 20)), min_size=1, max_size=5),
+    @given(systems=st.lists(st.tuples(st.integers(1, 20),
+                                      st.sampled_from(["wrap", "project", "zero"])),
+                            min_size=1, max_size=5),
            points=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
            ic_radius=st.floats(0.0, 1e3))
-    def test_equals_the_padded_blocks_bit_for_bit(self, blocks, points, seed, ic_radius):
-        systems = [(kind, LatticeParams(nu=1.0, lam=1.0, n=n)) for kind, n in blocks]
+    def test_equals_the_padded_blocks_bit_for_bit(self, systems, points, seed, ic_radius):
         stack = _start_stack(systems, points, seed, ic_radius)
         want = _padded_start(systems, points, seed, ic_radius)
         assert stack.flags.f_contiguous and stack.shape == want.shape
@@ -218,10 +218,11 @@ class TestSamplerMemory:
 
     @staticmethod
     def _peak(f, nl, systems, **sampling):
-        _sample_clouds(f, nl, systems, **sampling)
+        params = LatticeParams(nu=1.0, lam=1.0, n=systems[0][0])
+        _sample_clouds(f, params, nl, systems, **sampling)
         tracemalloc.start()
         try:
-            _sample_clouds(f, nl, systems, **sampling)
+            _sample_clouds(f, params, nl, systems, **sampling)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -229,7 +230,7 @@ class TestSamplerMemory:
     def test_attractor_wide_shape(self):
         # 192 cubic points at n = 128 with the default burn-in and step
         f = QuasiPeriodicForcing.finite(0.5 ** np.abs(np.arange(-6, 7)), 1.0, 0.0)
-        systems = [("finite", LatticeParams(nu=1.0, lam=1.0, n=128))]
+        systems = [(128, "wrap")]
         peak = self._peak(f, make_nonlinearity("cubic", 1.0), systems, eps=1e-2, ic_count=16,
                           sample_count=12, seed=101)
         assert peak <= run_bytes(192, 257, 192)
@@ -237,8 +238,7 @@ class TestSamplerMemory:
     def test_converge_stacked_shape(self):
         # converge's reference at n = 64 and orders 4, 8 and 16 in one stack
         f = QuasiPeriodicForcing.finite(0.5 ** np.abs(np.arange(-2, 3)), 1.0, 0.0)
-        systems = [("reference", LatticeParams(nu=1.0, lam=1.0, n=64))]
-        systems += [("finite", LatticeParams(nu=1.0, lam=1.0, n=n)) for n in (4, 8, 16)]
+        systems = [(64, "zero")] + [(n, "wrap") for n in (4, 8, 16)]
         peak = self._peak(f, make_nonlinearity("linear", 1.0), systems, eps=1e-2, ic_count=3,
                           sample_count=6, seed=101, burn_in=10.0, step=0.02)
         assert peak <= run_bytes(18, 188, 18)
@@ -300,10 +300,10 @@ class TestSampleAttractor:
                 eps=1e-2, ic_count=64, sample_count=64, seed=0,
             )
 
-    @pytest.mark.parametrize("kind", ["finite", "reference"])
-    def test_batched_cloud_matches_single_row_runs(self, kind):
+    @pytest.mark.parametrize("boundary", ["wrap", "zero"])
+    def test_batched_cloud_matches_single_row_runs(self, boundary):
         # the one batched call equals integrating each initial condition alone
-        params = LatticeParams(nu=1.0, lam=1.0, n=4 if kind == "finite" else 10)
+        params = LatticeParams(nu=1.0, lam=1.0, n=4 if boundary == "wrap" else 10)
         nl = make_nonlinearity("cubic", 1.0)
         f = LINEAR_BENCH["forcing"]
         step, burn_in, seed = 0.03, 2.0, 2
@@ -311,13 +311,13 @@ class TestSampleAttractor:
         cloud = sample_attractor(
             f, params, nl, eps=1e-2, ic_count=ic_count, sample_count=sample_count,
             seed=seed, burn_in=burn_in, step=step, ic_radius=1.0,
-            kind=kind, boundary_floor=1.0,
+            boundary=boundary, boundary_floor=1.0,
         )
-        if kind == "finite":
+        if boundary == "wrap":
             rhs = make_finite_rhs(params, nl, wrap_forcing(f, params.n))
         else:
             rhs = make_reference_rhs(params, nl, f)
-        ics = _initial_conditions(params, nl, kind, seed, ic_count * sample_count, 1.0)
+        ics = _initial_conditions(params, nl, boundary, seed, ic_count * sample_count, 1.0)
         singles = [integrate_final(rhs, ic, -burn_in, 0.0, step) for ic in ics]
         assert np.array_equal(cloud.states, np.array(singles))
 
@@ -463,20 +463,51 @@ class TestStackedStudy:
         f = QuasiPeriodicForcing.finite([0.4, -0.7, 1.0, 0.3, 0.6], [0.9, 1.3, 1.0, 0.7, 1.6],
                                         [0.1, 2.0, 0.5, 4.0, 1.2]).shift(0.37)
         sampling = dict(eps=1e-2, ic_count=3, sample_count=4, seed=5, burn_in=3.0, step=0.03,
-                        boundary=boundary, boundary_floor=1e-3)
+                        boundary_floor=1e-3)
         report, ref, clouds, marches = _study_clouds(monkeypatch, f, nl, (1, 3, 6), 20,
-                                                     **sampling)
+                                                     boundary=boundary, **sampling)
         assert marches == 1
-        alone = sample_attractor(f, LatticeParams(nu=1.0, lam=1.0, n=20), nl, kind="reference",
+        alone = sample_attractor(f, LatticeParams(nu=1.0, lam=1.0, n=20), nl, boundary="zero",
                                  **sampling)
         assert np.array_equal(ref.states, alone.states) and ref.label == alone.label
         for n, cloud, row in zip((1, 3, 6), clouds, report.rows):
-            alone = sample_attractor(f, LatticeParams(nu=1.0, lam=1.0, n=n), nl, **sampling)
+            alone = sample_attractor(f, LatticeParams(nu=1.0, lam=1.0, n=n), nl,
+                                     boundary=boundary, **sampling)
             assert cloud.states.flags.c_contiguous and cloud.label == alone.label
             assert np.array_equal(cloud.states, alone.states)
             assert row.beta_to_ref == hausdorff_semidistance(alone, ref)
         assert (report.step, report.steps) == (0.03, 100)
         assert (ref.step, ref.steps) == (report.step, report.steps)
+
+    @pytest.mark.parametrize("name", ["linear", "cubic"])
+    def test_mixed_stack_equals_each_system_alone(self, name):
+        # wrapped, projected and zero-ghost systems of different orders in
+        # one march, as a study of both projections against one reference
+        nl = make_nonlinearity(name, 1.0)
+        f = QuasiPeriodicForcing.finite([0.4, -0.7, 1.0, 0.3, 0.6], [0.9, 1.3, 1.0, 0.7, 1.6],
+                                        [0.1, 2.0, 0.5, 4.0, 1.2]).shift(0.37)
+        params = LatticeParams(nu=0.8, lam=1.2, n=12)
+        systems = [(12, "zero"), (3, "wrap"), (5, "project"), (1, "project"), (4, "zero"),
+                   (1, "wrap"), (6, "wrap")]
+        sampling = dict(eps=1e-2, ic_count=3, sample_count=4, seed=5, burn_in=2.0, step=0.03,
+                        boundary_floor=1.0)
+        stacked = _sample_clouds(f, params, nl, systems, **sampling)
+        for (n, boundary), cloud in zip(systems, stacked):
+            alone = sample_attractor(f, LatticeParams(nu=0.8, lam=1.2, n=n), nl,
+                                     boundary=boundary, **sampling)
+            assert cloud.label == alone.label and cloud.steps == alone.steps
+            assert cloud.states.tobytes() == alone.states.tobytes()
+        # at n = 1 the wrapped edges take modes 2 and -2, which projection drops
+        assert not np.array_equal(stacked[3].states, stacked[5].states)
+
+    @pytest.mark.parametrize("boundary", ["wrap", "project", "zero"])
+    def test_every_boundary_refuses_an_order_below_one(self, boundary):
+        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        sampling = dict(eps=1e-2, ic_count=2, sample_count=2, seed=0, burn_in=1.0, step=0.05)
+        for systems in ([(0, boundary)], [(4, "zero"), (0, boundary)]):
+            with pytest.raises(ParameterError, match="truncation order must be >= 1, got 0"):
+                _sample_clouds(LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
+                               systems, **sampling)
 
     def test_zero_forcing_has_no_drive_columns(self, monkeypatch):
         nl = make_nonlinearity("cubic", 1.0)
@@ -485,9 +516,9 @@ class TestStackedStudy:
         _, ref, clouds, _ = _study_clouds(monkeypatch, QuasiPeriodicForcing.zero(), nl,
                                           (2, 4), 8, **sampling)
         for n, cloud in zip((8, 2, 4), (ref, *clouds)):
-            kind = "reference" if cloud is ref else "finite"
+            boundary = "zero" if cloud is ref else "wrap"
             alone = sample_attractor(QuasiPeriodicForcing.zero(), LatticeParams(1.0, 1.0, n),
-                                     nl, kind=kind, **sampling)
+                                     nl, boundary=boundary, **sampling)
             assert np.array_equal(cloud.states, alone.states)
             assert 0.0 < np.abs(cloud.states).max() < 1.0
 
@@ -508,7 +539,7 @@ class TestStackedStudy:
                         boundary_floor=1e-9)
         with pytest.raises(BoundaryContaminationError) as alone:
             sample_attractor(LINEAR_BENCH["forcing"], LatticeParams(1.0, 1.0, 16), nl,
-                             kind="reference", **sampling)
+                             boundary="zero", **sampling)
         with pytest.raises(BoundaryContaminationError) as stacked:
             convergence_study(LINEAR_BENCH["forcing"], 1.0, 1.0, nl, n_list=(2, 8), n_ref=16,
                               **sampling)

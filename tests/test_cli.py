@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import latticedyn
-from latticedyn.cli import _TABLE_SITE_BYTES, _SectionView, _load_forcing, _write_table, main
+from latticedyn.cli import (_RULE_CHAR_BYTES, _TABLE_SITE_BYTES, _SectionView, _load_forcing,
+                            _write_table, main)
 from latticedyn.dynamics import auto_step
 from latticedyn.estimates import asymptotic_radius_sq
 
@@ -262,25 +263,6 @@ class TestAttractor:
         assert len(rows) == report["cloud"]["points"] == 12
 
     @pytest.mark.parametrize("command", ["attractor", "converge"])
-    def test_rho_sets_the_automatic_step(self, tmp_path, command):
-        # cubic: the Lipschitz bound, and so the step, grows with rho
-        text = BASE.replace("name = linear", "name = cubic").replace(
-            "n = 6", "n = 6\nn_list = 2 4\nn_ref = 32")
-
-        def artifact(name, integrator):
-            out = tmp_path / name
-            cfg = write_config(tmp_path, text + f"\n[integrator]\n{integrator}\n",
-                               name=f"{name}.ini")
-            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-            if command == "attractor":
-                return (out / "cloud.csv").read_bytes()
-            return [(r["beta_n_to_ref"], r["beta_ref_to_n"])
-                    for r in json.loads((out / "report.json").read_text())["rows"]]
-
-        assert artifact("a", "rho = 0.5") != artifact("b", "rho = 2.0")
-        assert artifact("c", "h = 0.02\nrho = 0.5") == artifact("d", "h = 0.02\nrho = 2.0")
-
-    @pytest.mark.parametrize("command", ["attractor", "converge"])
     def test_ic_radius_sets_the_initial_ball(self, tmp_path, command):
         # at a fixed step and burn-in only the initial conditions move
         text = BASE.replace("name = linear", "name = cubic").replace(
@@ -368,6 +350,17 @@ class TestConverge:
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is True and "error" not in report
 
+    @pytest.mark.parametrize("boundary", ["wrap", "project"])
+    def test_every_order_is_refused_below_one(self, tmp_path, capsys, boundary):
+        text = CONVERGE.replace("n = 6", f"n = 6\nn_list = 0 2\nn_ref = 8\nboundary = {boundary}")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == 2 and report["error"]["type"] == "ParameterError"
+        assert "truncation order must be >= 1, got 0" in report["error"]["message"]
+
     def test_boundary_contamination_exit_code(self, tmp_path):
         # a reference width this small cannot hold the driven response, so
         # the edge monitor fires and the run reports an integration failure
@@ -409,7 +402,8 @@ class TestConfigValidation:
             ("simulate", "v0_norm = 1.0", "v0_norm = -1", (), ""),
             ("attractor", "eps = 1e-2", "eps = 0", (), ""),
             ("attractor", "burn_in = 9.0", "burn_in = -1", (), ""),
-            ("simulate", "[simulate]", "[integrator]\nrho = -1\n\n[simulate]", (), ""),
+            ("simulate", "[simulate]", "[integrator]\nrho = -1\n\n[simulate]", (),
+             "unknown keys in [integrator]: ['rho']"),
             ("simulate", "n = 6", "n = 6\nn_work = 8", (), ""),
             ("attractor", "burn_in = 9.0", "burn_in = 9.0\nwindow = 1.0", (),
              "unknown keys in [attractor]: ['window']"),
@@ -550,8 +544,8 @@ class TestConfigValidation:
         assert "Traceback" not in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert report["error"]["message"] == (
-            "[forcing] support_radius 15000: a table of 30001 sites needs 1.2e+06 bytes, "
-            "above the cap of 1.05e+06")
+            "[forcing] support_radius 15000: a table of 30001 sites needs 1.2e+06 bytes with 6 "
+            "characters of frequency_rule and phase_rule, above the cap of 1.05e+06")
 
     @pytest.mark.parametrize("per_site", [False, True], ids=["one-number", "per-site"])
     def test_forcing_table_peaks_within_its_charge(self, per_site):
@@ -576,6 +570,56 @@ class TestConfigValidation:
         # at least four of the five arrays charged are live at once, plus 4 KB
         # for the few small objects besides them
         assert 32 * width < peak <= _TABLE_SITE_BYTES * width + 4096
+
+    def test_forcing_rule_is_refused_before_it_is_split(self, tmp_path, capsys, monkeypatch):
+        # a 20,001-site table charges 0.8 MB, inside a 2 MB cap; splitting
+        # its per-site rule would peak near 1.9 MB more, so the 80 KB of rule
+        # text is charged and refused before any of it is split
+        monkeypatch.setattr("latticedyn.cli.MEMORY_CAP", 2 * 10 ** 6)
+        rule = " ".join(["0.5"] * 20_001)
+        text = BASE.replace("support_radius = 2", "support_radius = 10000").replace(
+            "frequency_rule = 1.0", f"frequency_rule = {rule}")
+        cfg = write_config(tmp_path, text)
+        split, parse = [], _SectionView.get_float_list
+
+        def spy(self, key, *args, **kwargs):
+            split.append(key)
+            return parse(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(_SectionView, "get_float_list", spy)
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "frequency_rule" not in split
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["message"] == (
+            "[forcing] support_radius 10000: a table of 20001 sites needs 3.36e+06 bytes with "
+            "80006 characters of frequency_rule and phase_rule, above the cap of 2e+06")
+        assert peak < 2 * 10 ** 6
+
+    @pytest.mark.parametrize("token", ["10", "0.5", "0.12345678901234568"])
+    def test_forcing_rule_parse_peaks_within_its_charge(self, token):
+        # two-digit numbers are the worst case a character: each becomes a
+        # 56-byte string, a float and two pointers
+        radius = 10_000
+        width = 2 * radius + 1
+        rule = " ".join([token] * width)
+        values = {"support": "finite", "amplitude0": "1.0", "decay_rate": "0.999",
+                  "support_radius": str(radius), "frequency_rule": rule, "phase_rule": rule}
+        view = _SectionView("forcing", values)
+        tracemalloc.start()
+        try:
+            forcing = _load_forcing(view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forcing.frequencies.size == width
+        assert peak <= _TABLE_SITE_BYTES * width + _RULE_CHAR_BYTES * 2 * len(rule)
 
     def test_config_error_report(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace("seed = 99", "seed = -1"))
@@ -642,7 +686,7 @@ FUZZ_KEYS = [
         "params": ["nu", "lambda", "n", "n_list", "n_ref"],
         "nonlinearity": ["alpha"],
         "forcing": ["amplitude0", "decay_rate", "support_radius", "frequency_rule", "phase_rule"],
-        "integrator": ["h", "rho"],
+        "integrator": ["h"],
         "simulate": ["t0", "t1", "v0_norm", "sample_stride"],
         "attractor": ["eps", "ic_count", "sample_count", "seed", "burn_in", "ic_radius",
                       "tail_eps", "boundary_floor"],

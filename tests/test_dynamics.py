@@ -36,7 +36,7 @@ from latticedyn.errors import (
     NonlinearityConditionError,
     ParameterError,
 )
-from latticedyn.operators import apply_laplacian, laplacian_matrix, wrap_forcing
+from latticedyn.operators import apply_laplacian, laplacian_matrix
 
 
 class TestParams:
@@ -285,11 +285,10 @@ class TestStableStep:
         nl = make_nonlinearity("zero")
         assert max_stable_step(params, nl, 1.0) == pytest.approx(0.5)
 
-    def test_auto_step_uses_rho_or_the_radius_margin(self):
+    def test_auto_step_uses_the_radius_margin(self):
         params = LatticeParams(nu=1.0, lam=1.0, n=2)
         nl = make_nonlinearity("cubic", 1.0)
         assert auto_step(params, nl, 1.0) == max_stable_step(params, nl, 2.0)
-        assert auto_step(params, nl, 1.0, rho=0.5) == max_stable_step(params, nl, 0.5)
 
     def test_roughly_halves_with_coupling(self):
         nl = make_nonlinearity("zero")
@@ -457,6 +456,7 @@ class TestIntegrate:
 
 CATALOG = [("linear", 0.7, None), ("cubic", 1.0, None), ("zero", 0.0, None),
            ("poly", 0.5, (-0.5, -1.0, -0.25)), ("poly", 0.4, (-0.5, 0.25, -0.25))]
+BOUNDARIES = ["wrap", "project", "zero"]
 
 
 def _bits(a):
@@ -753,21 +753,19 @@ class TestMemoryCap:
 
 
 class TestStackedRhs:
-    """Blocks side by side on the last axis step as each block alone."""
+    """Systems side by side on the last axis step as each system alone."""
 
-    def _blocks(self, rng, make_random_forcing):
-        f = make_random_forcing(rng, support=3).shift(0.37)
-        return ((2, True, project_forcing(f, 2)), (5, False, f), (1, True, project_forcing(f, 1)),
-                (3, True, QuasiPeriodicForcing.zero()))
+    SYSTEMS = ((2, "project"), (5, "zero"), (1, "project"), (3, "wrap"))
 
     @pytest.mark.parametrize("name, alpha, coeffs", CATALOG)
     def test_equals_each_block_alone(self, rng, make_random_forcing, name, alpha, coeffs):
         params = LatticeParams(nu=0.8, lam=1.2, n=5)
         nl = make_nonlinearity(name, alpha, coeffs)
-        blocks = self._blocks(rng, make_random_forcing)
-        alone = [_compile_rhs(params, nl, (block,)) for block in blocks]
-        widths = np.cumsum([0] + [2 * n + 1 for n, _, _ in blocks])
-        stacked = _compile_rhs(params, nl, blocks)
+        f = make_random_forcing(rng, support=3).shift(0.37)
+        blocks = self.SYSTEMS
+        alone = [_compile_rhs(params, nl, f, (block,)) for block in blocks]
+        widths = np.cumsum([0] + [2 * n + 1 for n, _ in blocks])
+        stacked = _compile_rhs(params, nl, f, blocks)
         for t, u in _batches(rng, widths[-1]):
             for order in ("C", "F"):
                 y = np.array(u, order=order)
@@ -782,39 +780,40 @@ class TestStackedRhs:
         assert alone[0].edges.tolist() == [] and alone[1].edges.tolist() == [0, 10]
 
     @settings(max_examples=40, deadline=None)
-    @given(blocks=st.lists(st.tuples(st.integers(1, 6), st.booleans(), st.booleans()),
+    @given(blocks=st.lists(st.tuples(st.integers(1, 6), st.sampled_from(BOUNDARIES)),
                            min_size=1, max_size=5),
+           unforced=st.lists(st.booleans(), min_size=7, max_size=7),
            rows=st.sampled_from([None, 1, 3]), order=st.sampled_from("CF"),
            t=st.floats(-20.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
-    # blocks are (n, periodic, forced): a zero-ghost block first, as
-    # convergence_study stacks it; two n = 1 blocks side by side; an unforced
-    # block between two forced ones
-    @example(blocks=[(6, False, True), (1, True, True), (1, True, False), (2, True, True)],
+    # ``unforced`` zeroes amplitudes of the forcing on sites -3 .. 3.  A
+    # zero-ghost block first, as convergence_study stacks it; two n = 1
+    # blocks side by side; an n = 1 block without forcing between two forced
+    # ones (the wrapped n = 1 block reads sites -2 and 2 at its edges)
+    @example(blocks=[(6, "zero"), (1, "wrap"), (1, "project"), (2, "wrap")],
+             unforced=[False, False, True, True, True, False, False],
              rows=3, order="F", t=0.75, seed=1)
-    @example(blocks=[(1, False, True), (1, False, False), (1, True, True)],
-             rows=None, order="C", t=-1.5, seed=2)
-    @example(blocks=[(3, False, True), (1, True, True), (1, False, True), (4, True, False),
-                     (2, False, True)], rows=3, order="C", t=2.0, seed=3)
-    def test_random_stacks_give_each_block_alone_bit_for_bit(self, blocks, rows, order, t,
-                                                             seed):
+    @example(blocks=[(1, "zero"), (1, "zero"), (1, "wrap")],
+             unforced=[False] * 7, rows=None, order="C", t=-1.5, seed=2)
+    @example(blocks=[(3, "zero"), (1, "wrap"), (1, "zero"), (4, "project"), (2, "zero")],
+             unforced=[True, False, True, False, True, False, True],
+             rows=3, order="C", t=2.0, seed=3)
+    def test_random_stacks_give_each_block_alone_bit_for_bit(self, blocks, unforced, rows,
+                                                             order, t, seed):
         rng = np.random.default_rng(seed)
         params = LatticeParams(nu=0.8, lam=1.2, n=6)
         nl = make_nonlinearity("cubic", 1.0)
         # one forcing of support 3 with some zero amplitudes, one time offset
-        amps = np.where(rng.random(7) < 0.3, 0.0, rng.uniform(-1.0, 1.0, 7))
+        amps = np.where(unforced, 0.0, rng.uniform(-1.0, 1.0, 7))
         f = QuasiPeriodicForcing.finite(amps, rng.uniform(0.2, 3.0, 7),
                                         rng.uniform(0.0, 2.0 * np.pi, 7)).shift(0.37)
-        stack = tuple((n, periodic, QuasiPeriodicForcing.zero() if not forced
-                       else wrap_forcing(f, n) if periodic else f)
-                      for n, periodic, forced in blocks)
-        widths = np.cumsum([0] + [2 * n + 1 for n, _, _ in blocks])
+        widths = np.cumsum([0] + [2 * n + 1 for n, _ in blocks])
         shape = (widths[-1],) if rows is None else (rows, widths[-1])
         # half the sites signed zeros: at, next to and between the block edges
         zeros = np.copysign(0.0, rng.standard_normal(shape))
         y = np.array(np.where(rng.random(shape) < 0.5, zeros, 3.0 * rng.standard_normal(shape)),
                      order=order)
-        stacked = _compile_rhs(params, nl, stack)
-        alone = [_compile_rhs(params, nl, (block,)) for block in stack]
+        stacked = _compile_rhs(params, nl, f, blocks)
+        alone = [_compile_rhs(params, nl, f, (block,)) for block in blocks]
         # the second call at the same float time reuses the drive
         for _ in range(2):
             got = stacked(t, y, np.empty_like(y))
@@ -830,9 +829,9 @@ class TestStackedRhs:
         # 64 KB; the state is over eight of those
         f = QuasiPeriodicForcing.finite(0.5 ** np.abs(np.arange(-2, 3)), 1.0,
                                         rng.uniform(0.0, 2.0 * np.pi, 5))
-        blocks = ((64, False, f),) + tuple((n, True, wrap_forcing(f, n)) for n in (4, 8, 16))
+        blocks = ((64, "zero"),) + tuple((n, "wrap") for n in (4, 8, 16))
         rhs = _compile_rhs(LatticeParams(nu=1.0, lam=1.0, n=64),
-                           make_nonlinearity("linear", 1.0), blocks)
+                           make_nonlinearity("linear", 1.0), f, blocks)
         y = np.asfortranarray(rng.standard_normal((384, 188)))
         t, h = -3.0, 0.01
         out, work = np.empty_like(y), (np.empty_like(y), np.empty_like(y))
@@ -846,18 +845,18 @@ class TestStackedRhs:
         assert y.nbytes > 8 * (8 * np.getbufsize())
         assert peak < y.nbytes / 4
 
-    def test_blocks_share_one_time_offset(self, rng, make_random_forcing):
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_every_boundary_refuses_an_order_below_one(self, boundary):
         params = LatticeParams(nu=1.0, lam=1.0, n=2)
-        f = make_random_forcing(rng, support=2)
-        with pytest.raises(ParameterError, match="one forcing time offset"):
-            _compile_rhs(params, make_nonlinearity("linear", 1.0),
-                         ((2, True, f), (2, False, f.shift(1.0))))
+        f = QuasiPeriodicForcing.finite([0.5, 1.0, 0.5], 1.0, 0.0)
+        for systems in (((0, boundary),), ((2, "wrap"), (0, boundary))):
+            with pytest.raises(ParameterError, match="truncation order must be >= 1, got 0"):
+                _compile_rhs(params, make_nonlinearity("linear", 1.0), f, systems)
 
     def test_edge_monitor_checks_the_zero_ghost_edges(self):
         params = LatticeParams(nu=1.0, lam=1.0, n=2)
-        rhs = _compile_rhs(params, make_nonlinearity("zero"),
-                           ((2, True, QuasiPeriodicForcing.zero()),
-                            (3, False, QuasiPeriodicForcing.zero())))
+        rhs = _compile_rhs(params, make_nonlinearity("zero"), QuasiPeriodicForcing.zero(),
+                           ((2, "wrap"), (3, "zero")))
         # the periodic block's edges hold 1.0; the zero-ghost block's edges stay 0
         y = np.zeros((2, 12))
         y[:, [0, 4]] = 1.0

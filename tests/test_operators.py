@@ -172,7 +172,8 @@ class TestProjection:
 
 class TestBoundaryForcing:
     @pytest.mark.parametrize("boundary, project", [("wrap", wrap_forcing),
-                                                   ("project", project_forcing)])
+                                                   ("project", project_forcing),
+                                                   ("zero", project_forcing)])
     def test_policy_selects_the_projection(self, rng, make_random_forcing, boundary, project):
         f = make_random_forcing(rng, support=6)
         got = boundary_forcing(f, 3, boundary)
