@@ -33,7 +33,7 @@ from .estimates import (
     tail_mass,
 )
 from .forcing import QuasiPeriodicForcing
-from .operators import boundary_forcing
+from .operators import _check_system, wrap_forcing
 
 POINT_CAP = 512  # keeps the brute-force cloud comparisons trivially cheap
 RADIUS_SLACK = 1.05
@@ -152,9 +152,12 @@ def _sample_clouds(
 ) -> list[AttractorCloud]:
     """The clouds of :func:`sample_attractor` for each ``(half_width,
     boundary)`` of ``systems``, from one stacked march: the systems sit side
-    by side on the last axis and share ``params.nu``, ``params.lam``, the
-    forcing, the pullback schedule and the step.  The caps see the stacked
-    width before any forcing table or draw."""
+    by side on the last axis and share ``params.nu``, ``params.lam`` (not
+    ``params.n``), the forcing, the pullback schedule and the step.  Each
+    system is checked, then the caps see the stacked width, before any forcing
+    table or draw."""
+    for n, boundary in systems:
+        _check_system(n, boundary)
     if ic_count < 1 or sample_count < 1:
         raise ParameterError("ic_count and sample_count must be >= 1")
     points = ic_count * sample_count
@@ -182,7 +185,7 @@ def _sample_clouds(
         # one system goes through the public factories (perfbench hooks them)
         ((n, boundary),) = systems
         make = make_reference_rhs if boundary == "zero" else make_finite_rhs
-        rhs = make(replace(params, n=n), nonlin, boundary_forcing(f, n, boundary))
+        rhs = make(replace(params, n=n), nonlin, wrap_forcing(f, n) if boundary == "wrap" else f)
     else:
         rhs = _compile_rhs(params, nonlin, f, systems)
     monitored = any(boundary == "zero" for _, boundary in systems)
@@ -211,10 +214,9 @@ def _start_stack(systems, points: int, seed: int, ic_radius: float) -> np.ndarra
     """The site-major start stack of :func:`_sample_clouds`: zero but for each
     system's ``default_rng(seed)`` draw from the cube inscribed in the ball of
     radius ``ic_radius``, written into its columns and released."""
-    stack = np.zeros((points, sum(2 * n + 1 for n, _ in systems)), order="F")
-    end = 0
-    for n, boundary in systems:
-        end += 2 * n + 1
+    widths = [2 * n + 1 for n, _ in systems]
+    stack = np.zeros((points, sum(widths)), order="F")
+    for (n, boundary), end in zip(systems, np.cumsum(widths)):
         # a reference keeps initial mass away from its monitored edges
         ic_half = max(1, n // 2) if boundary == "zero" else n
         dim = 2 * ic_half + 1
@@ -358,19 +360,12 @@ def tail_certificate(
     if not clouds:
         raise EmptyCloudError("tail certificate needs at least one cloud")
     ball_sq = asymptotic_radius_sq(lam, alpha, f.uniform_bound()) * RADIUS_SLACK ** 2
-    rows = []
-    total = sum(len(c) for c in clouds)
     widest = max(c.half_width for c in clouds)
+    rows = []
     for eps in eps_list:
         k = calibrate_tail_index(nu, alpha, ball_sq, f.tail_sup_bound, eps)
-        worst = 0.0
-        for cloud in clouds:
-            for point in cloud.states:
-                worst = max(worst, tail_mass(point, k))
-        rows.append(
-            TailCertificateRow(eps=eps, k=k, worst_tail=worst, margin=eps - worst,
-                               vacuous=k > widest)
-        )
-    return TailCertificateReport(
-        rows=tuple(rows), ball_norm_sq=ball_sq, points_checked=total
-    )
+        worst = max(tail_mass(point, k) for cloud in clouds for point in cloud.states)
+        rows.append(TailCertificateRow(eps=eps, k=k, worst_tail=worst, margin=eps - worst,
+                                       vacuous=k > widest))
+    return TailCertificateReport(rows=tuple(rows), ball_norm_sq=ball_sq,
+                                 points_checked=sum(len(c) for c in clouds))

@@ -61,8 +61,8 @@ TRIPLE_CAP = 10_000
 #: array it converts a per-site rule from
 _TABLE_SITE_BYTES = 40
 #: the peak of splitting a rule into floats, in bytes a character of its text:
-#: two digits and a separator become a 56-byte str, a float and two pointers
-_RULE_CHAR_BYTES = 32
+#: a two-digit number and its separator hold 112 bytes once pymalloc rounds up
+_RULE_CHAR_BYTES = 38
 
 
 @dataclass
@@ -211,13 +211,16 @@ def _load_forcing(view: _SectionView) -> QuasiPeriodicForcing:
         raise ConfigError(f"[forcing] support_radius: must be >= 0, got {radius}")
     width = 2 * radius + 1
     keys = ("frequency_rule", "phase_rule")
-    # the rules' text is charged before it is split into numbers
-    text = sum(len(view.values.get(key, "")) for key in keys)
-    need = _TABLE_SITE_BYTES * width + _RULE_CHAR_BYTES * text
-    if need > MEMORY_CAP:
+    table = _TABLE_SITE_BYTES * width
+    if table > MEMORY_CAP:
         raise ConfigError(f"[forcing] support_radius {radius}: a table of {width} sites needs "
-                          f"{need:.3g} bytes with {text} characters of frequency_rule and "
-                          f"phase_rule, above the cap of {MEMORY_CAP:.3g}")
+                          f"{table:.3g} bytes, above the cap of {MEMORY_CAP:.3g}")
+    text = sum(len(view.values.get(key, "")) for key in keys)
+    need = table + _RULE_CHAR_BYTES * text
+    if need > MEMORY_CAP:
+        raise ConfigError(f"[forcing] frequency_rule and phase_rule: {text} characters need "
+                          f"{need:.3g} bytes with a table of {width} sites, above the cap of "
+                          f"{MEMORY_CAP:.3g}")
     rules = []
     for key in keys:
         rule = view.get_float_list(key, "0.0")

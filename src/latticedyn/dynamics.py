@@ -232,9 +232,9 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeri
                  systems) -> Callable:
     """``-nu*A u - lam*u + F(u) + f(t)`` on a stack of systems side by side on
     the last axis, all under ``params.nu``, ``params.lam``, ``nonlin`` and
-    ``forcing``.  System ``(half_width, boundary)`` spans sites ``-half_width
-    .. half_width``, ``half_width >= 1``, under the forcing
-    :func:`~latticedyn.operators.boundary_forcing` gives it: ``wrap`` and
+    ``forcing`` (``params.n`` is not read).  System ``(half_width, boundary)``
+    spans sites ``-half_width .. half_width``, ``half_width >= 1``, under the
+    forcing :func:`~latticedyn.operators.boundary_forcing` gives it: ``wrap`` and
     ``project`` with the periodic ``A``, ``zero`` with the zero-ghost ``A``
     and monitored edges.
 

@@ -30,6 +30,12 @@ def _check_order(n: int) -> None:
         raise ParameterError(f"truncation order must be >= 1, got {n}")
 
 
+def _check_system(n: int, boundary: str) -> None:
+    _check_order(n)
+    if boundary not in ("wrap", "project", "zero"):
+        raise ParameterError(f"boundary must be 'wrap', 'project' or 'zero', got {boundary!r}")
+
+
 def _check_width(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != 2 * n + 1:
@@ -138,8 +144,5 @@ def boundary_forcing(f: QuasiPeriodicForcing, n: int, boundary: str) -> QuasiPer
     """The forcing of the system of order ``n`` under the edge policy
     ``boundary``: ``wrap`` (:func:`wrap_forcing`), or ``project`` and the
     zero-ghost reference ``zero`` (:func:`project_forcing`)."""
-    if boundary == "wrap":
-        return wrap_forcing(f, n)
-    if boundary in ("project", "zero"):
-        return project_forcing(f, n)
-    raise ParameterError(f"boundary must be 'wrap', 'project' or 'zero', got {boundary!r}")
+    _check_system(n, boundary)
+    return wrap_forcing(f, n) if boundary == "wrap" else project_forcing(f, n)

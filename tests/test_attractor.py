@@ -501,11 +501,26 @@ class TestStackedStudy:
         assert not np.array_equal(stacked[3].states, stacked[5].states)
 
     @pytest.mark.parametrize("boundary", ["wrap", "project", "zero"])
-    def test_every_boundary_refuses_an_order_below_one(self, boundary):
+    def test_every_boundary_refuses_an_order_below_one(self, monkeypatch, boundary):
+        # before the caps, which the widths -1999999999 and 2000000001 of the
+        # last stack would pass, and before any forcing table
+        tables = []
+        monkeypatch.setattr("latticedyn.forcing.FiniteForcing.mode_table",
+                            lambda self, window: tables.append(window))
         params = LatticeParams(nu=1.0, lam=1.0, n=4)
         sampling = dict(eps=1e-2, ic_count=2, sample_count=2, seed=0, burn_in=1.0, step=0.05)
-        for systems in ([(0, boundary)], [(4, "zero"), (0, boundary)]):
-            with pytest.raises(ParameterError, match="truncation order must be >= 1, got 0"):
+        for n, systems in ((0, [(0, boundary)]), (0, [(4, "zero"), (0, boundary)]),
+                           (-10 ** 9, [(10 ** 9, "zero"), (-10 ** 9, boundary)])):
+            with pytest.raises(ParameterError, match=f"truncation order must be >= 1, got {n}$"):
+                _sample_clouds(LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
+                               systems, **sampling)
+        assert not tables
+
+    def test_unknown_boundary_is_refused(self):
+        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        sampling = dict(eps=1e-2, ic_count=2, sample_count=2, seed=0, burn_in=1.0, step=0.05)
+        for systems in ([(4, "mirror")], [(4, "zero"), (2, "mirror")]):
+            with pytest.raises(ParameterError, match="boundary must be 'wrap', 'project'"):
                 _sample_clouds(LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
                                systems, **sampling)
 

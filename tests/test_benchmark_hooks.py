@@ -1,10 +1,8 @@
 """The per-layer tracer of ``perfbench/`` hooks latticedyn names from outside
 the package; a hook whose target is gone turns its metrics into "missing"
-without failing the benchmark run.  This guard fails instead, as does a
-benchmark config that the CLI no longer reads."""
+without failing the benchmark run.  This guard fails instead."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,38 +10,14 @@ import numpy as np
 from latticedyn import attractor, cli, dynamics
 from latticedyn.forcing import QuasiPeriodicForcing
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load_by_path(name, module_name, monkeypatch=None):
-    """``perfbench/<name>.py`` as the module ``module_name``, registered in
-    ``sys.modules`` for the test when ``monkeypatch`` is given."""
-    spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    if monkeypatch is not None:
-        monkeypatch.setitem(sys.modules, module_name, module)
-    spec.loader.exec_module(module)
-    return module
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def load_tracing():
-    return load_by_path("tracing", "perfbench_tracing")
-
-
-def test_every_workload_config_loads(tmp_path, monkeypatch):
-    # workloads.py imports its sibling modules by their bare names, and its
-    # dataclass needs its own module registered; each config is written as
-    # the benchmark writes it
-    for name in ("checks", "oracle"):
-        load_by_path(name, name, monkeypatch)
-    workloads = load_by_path("workloads", "perfbench_workloads", monkeypatch).WORKLOADS
-    run = load_by_path("run", "perfbench_run")
-    assert set(workloads) == {"simulate-long", "converge-linear", "attractor-wide"}
-    for name, workload in workloads.items():
-        path = tmp_path / f"{name}.ini"
-        run.write_config(workload.config(101), path)
-        cfg = cli.load_config(path)
-        assert cfg.lam == 1.0 and workload.command in cli._COMMANDS
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_hook_finds_its_target_and_is_restored():

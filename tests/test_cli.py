@@ -361,6 +361,24 @@ class TestConverge:
         assert report["exit_code"] == 2 and report["error"]["type"] == "ParameterError"
         assert "truncation order must be >= 1, got 0" in report["error"]["message"]
 
+    @pytest.mark.parametrize("boundary", ["wrap", "project"])
+    def test_negative_order_is_refused_before_any_forcing_table(self, tmp_path, capsys,
+                                                                monkeypatch, boundary):
+        # the widths -1999999999, 3 and 2000000001 sum to 5 sites, inside
+        # every cap; the reference's table alone would be 48 GB
+        tables = []
+        monkeypatch.setattr("latticedyn.forcing.FiniteForcing.mode_table",
+                            lambda self, window: tables.append(window))
+        text = CONVERGE.replace("n = 6", "n = 6\nn_list = -1000000000 1\nn_ref = 1000000000\n"
+                                f"boundary = {boundary}")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == "ParameterError" and not tables
+        assert "truncation order must be >= 1, got -1000000000" in report["error"]["message"]
+
     def test_boundary_contamination_exit_code(self, tmp_path):
         # a reference width this small cannot hold the driven response, so
         # the edge monitor fires and the run reports an integration failure
@@ -544,8 +562,8 @@ class TestConfigValidation:
         assert "Traceback" not in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert report["error"]["message"] == (
-            "[forcing] support_radius 15000: a table of 30001 sites needs 1.2e+06 bytes with 6 "
-            "characters of frequency_rule and phase_rule, above the cap of 1.05e+06")
+            "[forcing] support_radius 15000: a table of 30001 sites needs 1.2e+06 bytes, "
+            "above the cap of 1.05e+06")
 
     @pytest.mark.parametrize("per_site", [False, True], ids=["one-number", "per-site"])
     def test_forcing_table_peaks_within_its_charge(self, per_site):
@@ -598,14 +616,14 @@ class TestConfigValidation:
         assert "Traceback" not in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert report["error"]["message"] == (
-            "[forcing] support_radius 10000: a table of 20001 sites needs 3.36e+06 bytes with "
-            "80006 characters of frequency_rule and phase_rule, above the cap of 2e+06")
+            "[forcing] frequency_rule and phase_rule: 80006 characters need 3.84e+06 bytes "
+            "with a table of 20001 sites, above the cap of 2e+06")
         assert peak < 2 * 10 ** 6
 
     @pytest.mark.parametrize("token", ["10", "0.5", "0.12345678901234568"])
     def test_forcing_rule_parse_peaks_within_its_charge(self, token):
         # two-digit numbers are the worst case a character: each becomes a
-        # 56-byte string, a float and two pointers
+        # string, a float and two pointers
         radius = 10_000
         width = 2 * radius + 1
         rule = " ".join([token] * width)
