@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,6 +104,7 @@ def sample_attractor(
     f: QuasiPeriodicForcing,
     params: LatticeParams,
     nonlin: Nonlinearity,
+    n: int,
     *,
     boundary: str = "wrap",
     **sampling,
@@ -121,7 +122,7 @@ def sample_attractor(
     of at most ``step``, so every collected state sits on the requested
     fiber.  Without ``step``, :func:`auto_step` derives it from the larger of
     ``ic_radius`` and the absorbing radius.  The system is half-width
-    ``params.n`` under ``boundary`` (see :func:`_compile_rhs`): ``wrap`` or
+    ``n`` under ``boundary`` (see :func:`_compile_rhs`): ``wrap`` or
     ``project`` the wrapped finite system, ``zero`` the padded reference,
     whose draw fills its inner half and whose edge sites are monitored
     against ``boundary_floor``.  This is the one-system case of the stacked
@@ -131,7 +132,7 @@ def sample_attractor(
     Gronwall bound, and :class:`ParameterError` for an ``ic_radius`` whose
     square overflows a float.
     """
-    (cloud,) = _sample_clouds(f, params, nonlin, ((params.n, boundary),), **sampling)
+    (cloud,) = _sample_clouds(f, params, nonlin, ((n, boundary),), **sampling)
     return cloud
 
 
@@ -152,10 +153,9 @@ def _sample_clouds(
 ) -> list[AttractorCloud]:
     """The clouds of :func:`sample_attractor` for each ``(half_width,
     boundary)`` of ``systems``, from one stacked march: the systems sit side
-    by side on the last axis and share ``params.nu``, ``params.lam`` (not
-    ``params.n``), the forcing, the pullback schedule and the step.  Each
-    system is checked, then the caps see the stacked width, before any forcing
-    table or draw."""
+    by side on the last axis and share ``params``, the forcing, the pullback
+    schedule and the step.  Each system is checked, then the caps see the
+    stacked width, before any forcing table or draw."""
     for n, boundary in systems:
         _check_system(n, boundary)
     if ic_count < 1 or sample_count < 1:
@@ -185,7 +185,7 @@ def _sample_clouds(
         # one system goes through the public factories (perfbench hooks them)
         ((n, boundary),) = systems
         make = make_reference_rhs if boundary == "zero" else make_finite_rhs
-        rhs = make(replace(params, n=n), nonlin, wrap_forcing(f, n) if boundary == "wrap" else f)
+        rhs = make(params, nonlin, wrap_forcing(f, n) if boundary == "wrap" else f, n)
     else:
         rhs = _compile_rhs(params, nonlin, f, systems)
     monitored = any(boundary == "zero" for _, boundary in systems)
@@ -273,8 +273,7 @@ class ConvergenceReport:
 
 def convergence_study(
     f: QuasiPeriodicForcing,
-    nu: float,
-    lam: float,
+    params: LatticeParams,
     nonlin: Nonlinearity,
     n_list: tuple[int, ...],
     n_ref: int,
@@ -299,7 +298,6 @@ def convergence_study(
     if n_ref < max(n_list):
         raise ParameterError(f"n_ref = {n_ref} must be >= max(n_list) = {max(n_list)}")
     systems = [(n_ref, "zero")] + [(n, boundary) for n in n_list]
-    params = LatticeParams(nu=nu, lam=lam, n=n_ref)
     ref_cloud, *clouds = _sample_clouds(f, params, nonlin, systems, **sampling)
     rows = []
     for n, cloud in zip(n_list, clouds):

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .estimates import asymptotic_radius_sq
 from .forcing import QuasiPeriodicForcing
-from .operators import boundary_forcing, project_forcing, wrap_forcing
+from .operators import _check_order, boundary_forcing, project_forcing, wrap_forcing
 
 log = logging.getLogger("latticedyn")
 
@@ -97,11 +97,15 @@ class ExperimentConfig:
     def make_nonlinearity(self) -> Nonlinearity:
         return make_nonlinearity(self.nonlinearity_name, self.alpha, self.coeffs)
 
-    def make_params(self, n: int | None = None) -> LatticeParams:
-        order = n if n is not None else self.n
-        if order is None:
+    def make_params(self) -> LatticeParams:
+        return LatticeParams(nu=self.nu, lam=self.lam)
+
+    def order(self, default: int | None = None) -> int:
+        n = self.n if self.n is not None else default
+        if n is None:
             raise ConfigError("this command needs [params] n")
-        return LatticeParams(nu=self.nu, lam=self.lam, n=order)
+        _check_order(n)
+        return n
 
     def step_for(self, params: LatticeParams, nonlin: Nonlinearity, radius: float) -> float:
         return self.h if self.h is not None else auto_step(params, nonlin, radius)
@@ -371,24 +375,25 @@ def _initial_state(cfg: ExperimentConfig, dim: int, seed: int) -> np.ndarray:
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any]:
     report = _base_report("simulate", cfg, seed)
     nonlin = cfg.make_nonlinearity()
-    params = cfg.make_params()
-    run_bytes(1, params.dim)
-    forcing = boundary_forcing(cfg.forcing, params.n, cfg.boundary)
+    params, n = cfg.make_params(), cfg.order()
+    dim = 2 * n + 1
+    run_bytes(1, dim)
+    forcing = boundary_forcing(cfg.forcing, n, cfg.boundary)
     # the norm the run starts from: v0_norm only when it draws a ball state
     radius = max(
         cfg.v0_norm if cfg.v0_mode == "ball" else 0.0,
         math.sqrt(asymptotic_radius_sq(cfg.lam, nonlin.alpha, cfg.forcing.uniform_bound())),
     )
     h = cfg.step_for(params, nonlin, radius)
-    v0 = _initial_state(cfg, params.dim, seed)
-    log.info("simulate: n=%d dim=%d h=%.6g over [%g, %g]", params.n, params.dim, h, cfg.t0, cfg.t1)
+    v0 = _initial_state(cfg, dim, seed)
+    log.info("simulate: n=%d dim=%d h=%.6g over [%g, %g]", n, dim, h, cfg.t0, cfg.t1)
 
     traj = integrate(
-        make_finite_rhs(params, nonlin, forcing), v0, cfg.t0, cfg.t1, h, cfg.sample_stride
+        make_finite_rhs(params, nonlin, forcing, n), v0, cfg.t0, cfg.t1, h, cfg.sample_stride
     )
 
     traj_path = out_dir / "trajectory.csv"
-    _write_table(traj_path, ["t"] + _site_header(params.n), traj.states, traj.times)
+    _write_table(traj_path, ["t"] + _site_header(n), traj.states, traj.times)
     norms_path = out_dir / "norms.csv"
     norms_sq = traj.norms_sq()
     _write_table(norms_path, ["t", "norm_sq"], norms_sq[:, None], traj.times)
@@ -402,9 +407,10 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any
     report = _base_report("verify", cfg, seed)
     rows = report["checks"]
     rng = np.random.default_rng(seed)
-    params = cfg.make_params(cfg.n if cfg.n is not None else 8)
-    run_bytes(1, params.dim)
-    rows.append(checks.matrix_identity(min(max(params.n, 8), 32)))
+    params, order = cfg.make_params(), cfg.order(8)
+    dim = 2 * order + 1
+    run_bytes(1, dim)
+    rows.append(checks.matrix_identity(min(max(order, 8), 32)))
 
     states = []
     for _ in range(50):
@@ -429,20 +435,19 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any
     rows.append(checks.check("nonlinearity-registration", True, 0.0,
                              f"{cfg.nonlinearity_name}: contract holds on the sample grid"))
 
-    forcing_n = boundary_forcing(cfg.forcing, params.n, cfg.boundary)
+    forcing_n = boundary_forcing(cfg.forcing, order, cfg.boundary)
     c_bound = cfg.forcing.uniform_bound()
     radius = math.sqrt(asymptotic_radius_sq(cfg.lam, nonlin.alpha, c_bound))
     h = min(cfg.step_for(params, nonlin, max(radius, 1.0)), 1e-2)
-    v0 = _initial_state(cfg, params.dim, seed) if cfg.v0_mode == "ball" else (
-        np.random.default_rng(seed).standard_normal(params.dim) * 0.3
-    )
+    v0 = (_initial_state(cfg, dim, seed) if cfg.v0_mode == "ball"
+          else np.random.default_rng(seed).standard_normal(dim) * 0.3)
     rows.append(checks.cocycle_defect(v0, forcing_n, params, nonlin, h, tol=1e-8))
 
     # energy and absorbing envelopes along one forced trajectory
     v0_norm = max(cfg.v0_norm, 1.0)
-    v0 = np.random.default_rng(seed + 1).standard_normal(params.dim)
+    v0 = np.random.default_rng(seed + 1).standard_normal(dim)
     v0 *= v0_norm / np.linalg.norm(v0)
-    traj = integrate(make_finite_rhs(params, nonlin, forcing_n), v0, 0.0, 6.0,
+    traj = integrate(make_finite_rhs(params, nonlin, forcing_n, order), v0, 0.0, 6.0,
                      cfg.step_for(params, nonlin, max(radius, v0_norm)))
     rows.append(checks.energy_envelope(traj, cfg.lam, nonlin.alpha, c_bound, margin=0.05))
     rows.append(checks.absorbing_envelope(traj, v0_norm, cfg.lam, nonlin.alpha, c_bound,
@@ -453,13 +458,13 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any
 def cmd_attractor(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, Any]:
     report = _base_report("attractor", cfg, seed)
     nonlin = cfg.make_nonlinearity()
-    params = cfg.make_params()
+    params, n = cfg.make_params(), cfg.order()
     # the tail calibration divides by the sign margin, so a weak-mode run
     # (alpha = 0) samples its cloud and records the certificate as skipped
     certify = nonlin.alpha > 0.0
-    log.info("attractor: n=%d eps=%g points=%d", params.n, cfg.sampling["eps"],
+    log.info("attractor: n=%d eps=%g points=%d", n, cfg.sampling["eps"],
              cfg.sampling["ic_count"] * cfg.sampling["sample_count"])
-    cloud = sample_attractor(cfg.forcing, params, nonlin, seed=seed, boundary=cfg.boundary,
+    cloud = sample_attractor(cfg.forcing, params, nonlin, n, seed=seed, boundary=cfg.boundary,
                              step=cfg.h, **cfg.sampling)
     cloud_path = out_dir / "cloud.csv"
     _write_table(cloud_path, _site_header(cloud.half_width), cloud.states)
@@ -496,7 +501,7 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict[str, A
     nonlin = cfg.make_nonlinearity()
     log.info("converge: n_list=%s n_ref=%d", list(cfg.n_list), cfg.n_ref)
     study = convergence_study(
-        cfg.forcing, cfg.nu, cfg.lam, nonlin, n_list=cfg.n_list, n_ref=cfg.n_ref,
+        cfg.forcing, cfg.make_params(), nonlin, n_list=cfg.n_list, n_ref=cfg.n_ref,
         seed=seed, boundary=cfg.boundary, step=cfg.h, **cfg.sampling,
     )
     csv_path = out_dir / "convergence.csv"

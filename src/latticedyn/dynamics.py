@@ -58,23 +58,16 @@ def run_bytes(rows: int, sites: int, samples: int = 0) -> int:
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Coupling strength, linear decay rate, and truncation order."""
+    """Coupling strength and linear decay rate, shared by every order."""
 
     nu: float
     lam: float
-    n: int
 
     def __post_init__(self) -> None:
         if not self.lam > 0.0:
             raise ParameterError(f"decay rate must be > 0, got {self.lam}")
         if self.nu < 0.0:
             raise ParameterError(f"coupling must be >= 0, got {self.nu}")
-        if self.n < 1:
-            raise ParameterError(f"truncation order must be >= 1, got {self.n}")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n + 1
 
 
 @dataclass(frozen=True)
@@ -232,7 +225,7 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeri
                  systems) -> Callable:
     """``-nu*A u - lam*u + F(u) + f(t)`` on a stack of systems side by side on
     the last axis, all under ``params.nu``, ``params.lam``, ``nonlin`` and
-    ``forcing`` (``params.n`` is not read).  System ``(half_width, boundary)``
+    ``forcing``.  System ``(half_width, boundary)``
     spans sites ``-half_width .. half_width``, ``half_width >= 1``, under the
     forcing :func:`~latticedyn.operators.boundary_forcing` gives it: ``wrap`` and
     ``project`` with the periodic ``A``, ``zero`` with the zero-ghost ``A``
@@ -355,23 +348,25 @@ def make_finite_rhs(
     params: LatticeParams,
     nonlin: Nonlinearity,
     forcing: QuasiPeriodicForcing,
+    n: int,
 ) -> Callable:
-    """Wrapped finite system of order ``params.n``: the ``project`` system of
+    """Wrapped finite system of order ``n``: the ``project`` system of
     :func:`_compile_rhs`, so a forcing already truncated or wrapped to width
     ``2n + 1`` keeps its values (modes beyond the window are dropped)."""
-    return _compile_rhs(params, nonlin, forcing, ((params.n, "project"),))
+    return _compile_rhs(params, nonlin, forcing, ((n, "project"),))
 
 
 def make_reference_rhs(
     params: LatticeParams,
     nonlin: Nonlinearity,
     forcing: QuasiPeriodicForcing,
+    n: int,
 ) -> Callable:
-    """Padded stand-in for the full two-sided system on half-width
-    ``params.n`` with zero ghost cells, the ``zero`` system of
-    :func:`_compile_rhs`.  Pair it with ``boundary_floor`` in
-    :func:`integrate` to detect mass reaching the edges."""
-    return _compile_rhs(params, nonlin, forcing, ((params.n, "zero"),))
+    """Padded stand-in for the full two-sided system on half-width ``n``
+    with zero ghost cells, the ``zero`` system of :func:`_compile_rhs`.  Pair
+    it with ``boundary_floor`` in :func:`integrate` to detect mass reaching
+    the edges."""
+    return _compile_rhs(params, nonlin, forcing, ((n, "zero"),))
 
 
 # ----------------------------------------------------------------------
@@ -612,13 +607,15 @@ def cocycle_property_check(
     ``direct_step`` (defaults to ``h``).  Passing a refined ``direct_step``
     turns the direct path into a reference solution, exposing the composed
     path's full fourth-order discretization error instead of the near
-    cancellation between two equally resolved paths.
+    cancellation between two equally resolved paths.  The order ``n`` is read
+    from ``v0``'s width ``2n + 1``; an even width raises :class:`DimensionError`.
     """
     if t < 0.0 or tau < 0.0:
         raise ParameterError("t and tau must be >= 0")
-    rhs = make_finite_rhs(params, nonlin, forcing)
+    n = np.shape(v0)[-1] // 2
+    rhs = make_finite_rhs(params, nonlin, forcing, n)
     mid = integrate_final(rhs, v0, 0.0, tau, h)
-    rhs_shifted = make_finite_rhs(params, nonlin, forcing.shift(tau))
+    rhs_shifted = make_finite_rhs(params, nonlin, forcing.shift(tau), n)
     composed = integrate_final(rhs_shifted, mid, 0.0, t, h)
     direct = integrate_final(rhs, v0, 0.0, t + tau, direct_step or h)
     return float(np.linalg.norm(composed - direct))

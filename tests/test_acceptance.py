@@ -73,19 +73,19 @@ def test_criterion_2_shift_equivariance():
 
 def test_criterion_3_energy_absorbing_bound():
     started = time.perf_counter()
-    params = LatticeParams(nu=1.0, lam=1.0, n=16)
+    params, n = LatticeParams(nu=1.0, lam=1.0), 16
     nonlin = make_nonlinearity("cubic", 1.0)
     forcing = QuasiPeriodicForcing.finite([1.0], 1.0, 0.0)  # C = 1 exactly
-    system_forcing = wrap_forcing(forcing, params.n)
-    rhs = make_finite_rhs(params, nonlin, system_forcing)
+    system_forcing = wrap_forcing(forcing, n)
+    rhs = make_finite_rhs(params, nonlin, system_forcing, n)
     h = max_stable_step(params, nonlin, 2.2)
     burn_in, horizon = 3.0, 6.0
     radius_gate = math.sqrt(1.0 / 3.0) * 1.05
 
     rng = np.random.default_rng(7)
-    v0 = np.empty((20, params.dim))
+    v0 = np.empty((20, 2 * n + 1))
     for row in v0:
-        row[:] = rng.standard_normal(params.dim)
+        row[:] = rng.standard_normal(2 * n + 1)
         row *= rng.uniform(0.25, 1.0) * 2.0 / np.linalg.norm(row)  # norms <= 2
     v0_norms = [float(np.linalg.norm(row)) for row in v0]
     # the 20 trajectories step together as one stack of rows
@@ -106,12 +106,12 @@ def test_criterion_3_energy_absorbing_bound():
 
 def test_criterion_4_cocycle_law():
     started = time.perf_counter()
-    params = LatticeParams(nu=1.0, lam=1.0, n=4)
+    params, n = LatticeParams(nu=1.0, lam=1.0), 4
     nonlin = make_nonlinearity("linear", 1.0)
     forcing = project_forcing(
-        QuasiPeriodicForcing.finite([0.3, 1.0, 0.5], 1.3, 0.4), params.n
+        QuasiPeriodicForcing.finite([0.3, 1.0, 0.5], 1.3, 0.4), n
     )
-    v0 = np.random.default_rng(5).standard_normal(params.dim) * 0.3
+    v0 = np.random.default_rng(5).standard_normal(2 * n + 1) * 0.3
 
     # the direct path runs 10x refined so it stands in for the true flow;
     # equally resolved paths share their leading error and nearly cancel
@@ -138,7 +138,7 @@ def test_criterion_5_tail_certificate():
     forcing = QuasiPeriodicForcing.geometric(0.8, 0.5, 1.0)
     clouds = [
         sample_attractor(
-            forcing, LatticeParams(nu=1.0, lam=1.0, n=n), nonlin,
+            forcing, LatticeParams(nu=1.0, lam=1.0), nonlin, n,
             eps=1e-2, ic_count=3, sample_count=6, seed=31,
         )
         for n in (4, 8, 16)
@@ -162,7 +162,7 @@ def test_criterion_6_attractor_convergence():
     nonlin = make_nonlinearity("linear", 1.0)
     forcing = QuasiPeriodicForcing.finite([0.25, 0.5, 1.0, 0.5, 0.25], 1.0, 0.0)
     report = convergence_study(
-        forcing, 1.0, 1.0, nonlin,
+        forcing, LatticeParams(nu=1.0, lam=1.0), nonlin,
         n_list=(4, 8, 16), n_ref=64,
         eps=1e-2, ic_count=3, sample_count=6, seed=12,
         burn_in=10.0, step=0.02,

@@ -138,11 +138,11 @@ LINEAR_BENCH = dict(
 )
 
 
-def _initial_conditions(params, nl, boundary, seed, ic_count, ic_radius):
+def _initial_conditions(params, nl, n, boundary, seed, ic_count, ic_radius):
     # no burn-in: the run takes no step, so the cloud is exactly its initial
     # conditions
     return sample_attractor(
-        LINEAR_BENCH["forcing"], params, nl, eps=1e-2, ic_count=ic_count, sample_count=1,
+        LINEAR_BENCH["forcing"], params, nl, n, eps=1e-2, ic_count=ic_count, sample_count=1,
         seed=seed, burn_in=0.0, step=0.03, ic_radius=ic_radius, boundary=boundary,
     ).states
 
@@ -150,34 +150,34 @@ def _initial_conditions(params, nl, boundary, seed, ic_count, ic_radius):
 class TestInitialBall:
     @pytest.mark.parametrize("boundary", ["wrap", "zero"])
     def test_initial_conditions_fill_the_inscribed_cube(self, boundary):
-        params = LatticeParams(nu=1.0, lam=1.0, n=8 if boundary == "wrap" else 10)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 8 if boundary == "wrap" else 10
         nl = make_nonlinearity("cubic", 1.0)
         ic_radius, seed = 2.0, 7
-        ics = _initial_conditions(params, nl, boundary, seed, 16, ic_radius)
-        assert ics.shape == (16, params.dim)
+        ics = _initial_conditions(params, nl, n, boundary, seed, 16, ic_radius)
+        assert ics.shape == (16, 2 * n + 1)
         assert np.all(np.linalg.norm(ics, axis=1) <= ic_radius)
-        half = params.n if boundary == "wrap" else params.n // 2
-        sites = np.abs(np.arange(-params.n, params.n + 1))
+        half = n if boundary == "wrap" else n // 2
+        sites = np.abs(np.arange(-n, n + 1))
         inner = ics[:, sites <= half]
         assert np.all(np.abs(inner) <= ic_radius / math.sqrt(2 * half + 1))
         assert np.all(ics[:, sites > half] == 0.0)
         # the draw fills the cube, not a corner of it
         assert np.any(inner > 0.0) and np.any(inner < 0.0)
-        again = _initial_conditions(params, nl, boundary, seed, 16, ic_radius)
+        again = _initial_conditions(params, nl, n, boundary, seed, 16, ic_radius)
         assert ics.tobytes() == again.tobytes()
-        other = _initial_conditions(params, nl, boundary, seed + 1, 16, ic_radius)
+        other = _initial_conditions(params, nl, n, boundary, seed + 1, 16, ic_radius)
         assert not np.array_equal(ics, other)
 
     def test_every_point_is_its_own_draw(self):
         # ic_count * sample_count initial conditions from one draw: none repeats
-        params = LatticeParams(nu=1.0, lam=1.0, n=3)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 3
         ic_radius, seed = 2.0, 7
         cloud = sample_attractor(
-            LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0), eps=1e-2,
+            LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0), n, eps=1e-2,
             ic_count=3, sample_count=5, seed=seed, burn_in=0.0, step=0.03, ic_radius=ic_radius,
         )
-        draw = np.random.default_rng(seed).random((15, params.dim))
-        draw = (2.0 * draw - 1.0) * (ic_radius / math.sqrt(params.dim))
+        draw = np.random.default_rng(seed).random((15, 2 * n + 1))
+        draw = (2.0 * draw - 1.0) * (ic_radius / math.sqrt(2 * n + 1))
         assert cloud.states.tobytes() == draw.tobytes() and cloud.steps == 0
         assert len(np.unique(cloud.states, axis=0)) == 15
 
@@ -218,7 +218,7 @@ class TestSamplerMemory:
 
     @staticmethod
     def _peak(f, nl, systems, **sampling):
-        params = LatticeParams(nu=1.0, lam=1.0, n=systems[0][0])
+        params = LatticeParams(nu=1.0, lam=1.0)
         _sample_clouds(f, params, nl, systems, **sampling)
         tracemalloc.start()
         try:
@@ -247,77 +247,77 @@ class TestSamplerMemory:
 class TestSampleAttractor:
     def test_linear_fiber_collapses_to_a_point(self):
         # contraction at rate lam + alpha = 2: e^(-2T) M < 1e-7 at T = 9
-        params = LatticeParams(nu=1.0, lam=1.0, n=6)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 6
         nl = make_nonlinearity("linear", 1.0)
         cloud = sample_attractor(
-            LINEAR_BENCH["forcing"], params, nl,
+            LINEAR_BENCH["forcing"], params, nl, n,
             eps=1e-2, ic_count=4, sample_count=8, seed=11, burn_in=9.0,
         )
         assert len(cloud) == 32
         assert cloud.diameter() < 1e-6
 
     def test_zero_forcing_concentrates_at_origin(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=5)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 5
         nl = make_nonlinearity("cubic", 1.0)
         cloud = sample_attractor(
-            QuasiPeriodicForcing.zero(), params, nl,
+            QuasiPeriodicForcing.zero(), params, nl, n,
             eps=1e-2, ic_count=5, sample_count=4, seed=3,
             burn_in=8.0, ic_radius=1.0,
         )
         assert cloud.norms().max() < 1e-6
 
     def test_cubic_cloud_inside_absorbing_radius(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=8)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 8
         nl = make_nonlinearity("cubic", 1.0)
         forcing = QuasiPeriodicForcing.finite([1.0], 1.0, 0.0)  # C = 1
         cloud = sample_attractor(
-            forcing, params, nl, eps=1e-2, ic_count=4, sample_count=8, seed=5,
+            forcing, params, nl, n, eps=1e-2, ic_count=4, sample_count=8, seed=5,
         )
         assert cloud.norms().max() <= math.sqrt(1.0 / 3.0) * 1.05
 
     def test_unknown_boundary_rejected(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 4
         with pytest.raises(ParameterError, match="boundary"):
             sample_attractor(
-                LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
+                LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0), n,
                 eps=1e-2, ic_count=2, sample_count=2, seed=0, boundary="mirror",
             )
 
     def test_ic_radius_whose_square_overflows_is_a_parameter_error(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 4
         with pytest.raises(ParameterError, match=r"ic_radius 1e\+200: its square overflows"):
             sample_attractor(
-                LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
+                LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0), n,
                 eps=1e-2, ic_count=2, sample_count=2, seed=0, ic_radius=1e200,
             )
 
     def test_point_cap_enforced(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 4
         nl = make_nonlinearity("linear", 1.0)
         with pytest.raises(ParameterError):
             sample_attractor(
-                LINEAR_BENCH["forcing"], params, nl,
+                LINEAR_BENCH["forcing"], params, nl, n,
                 eps=1e-2, ic_count=64, sample_count=64, seed=0,
             )
 
     @pytest.mark.parametrize("boundary", ["wrap", "zero"])
     def test_batched_cloud_matches_single_row_runs(self, boundary):
         # the one batched call equals integrating each initial condition alone
-        params = LatticeParams(nu=1.0, lam=1.0, n=4 if boundary == "wrap" else 10)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 4 if boundary == "wrap" else 10
         nl = make_nonlinearity("cubic", 1.0)
         f = LINEAR_BENCH["forcing"]
         step, burn_in, seed = 0.03, 2.0, 2
         ic_count, sample_count = 3, 5
         cloud = sample_attractor(
-            f, params, nl, eps=1e-2, ic_count=ic_count, sample_count=sample_count,
+            f, params, nl, n, eps=1e-2, ic_count=ic_count, sample_count=sample_count,
             seed=seed, burn_in=burn_in, step=step, ic_radius=1.0,
             boundary=boundary, boundary_floor=1.0,
         )
         if boundary == "wrap":
-            rhs = make_finite_rhs(params, nl, wrap_forcing(f, params.n))
+            rhs = make_finite_rhs(params, nl, wrap_forcing(f, n), n)
         else:
-            rhs = make_reference_rhs(params, nl, f)
-        ics = _initial_conditions(params, nl, boundary, seed, ic_count * sample_count, 1.0)
+            rhs = make_reference_rhs(params, nl, f, n)
+        ics = _initial_conditions(params, nl, n, boundary, seed, ic_count * sample_count, 1.0)
         singles = [integrate_final(rhs, ic, -burn_in, 0.0, step) for ic in ics]
         assert np.array_equal(cloud.states, np.array(singles))
 
@@ -336,9 +336,9 @@ class TestSampleAttractor:
 
         monkeypatch.setattr(attractor, "integrate_final", spy)
         step = 0.03
-        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 4
         cloud = sample_attractor(
-            LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0),
+            LINEAR_BENCH["forcing"], params, make_nonlinearity("linear", 1.0), n,
             eps=1e-2, ic_count=3, sample_count=7, seed=2, burn_in=2.0, step=step,
         )
         assert seen["h"] == step and seen["t0"] == -2.0
@@ -352,11 +352,11 @@ class TestSampleAttractor:
     def test_unsettled_cloud_is_a_divergence(self):
         # a step far past the accuracy limit decays too slowly for the
         # Gronwall bound; the error class maps to exit code 3 in the CLI
-        params = LatticeParams(nu=0.0, lam=1.0, n=2)
+        params, n = LatticeParams(nu=0.0, lam=1.0), 2
         nl = make_nonlinearity("linear", 1.0)
         with pytest.raises(UnsettledCloudError, match="has not settled"):
             sample_attractor(
-                QuasiPeriodicForcing.zero(), params, nl,
+                QuasiPeriodicForcing.zero(), params, nl, n,
                 eps=1e-2, ic_count=3, sample_count=2, seed=0,
                 burn_in=10.0, ic_radius=1.0, step=1.25,
             )
@@ -364,19 +364,19 @@ class TestSampleAttractor:
 
     def test_invariance_of_sampled_fiber(self):
         # the time-tau image of the fiber cloud lands on the shifted fiber cloud
-        params = LatticeParams(nu=1.0, lam=1.0, n=6)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 6
         nl = make_nonlinearity("linear", 1.0)
         f = LINEAR_BENCH["forcing"]
         tau = 1.0
         base = sample_attractor(
-            f, params, nl, eps=1e-2, ic_count=3, sample_count=6, seed=9, burn_in=9.0
+            f, params, nl, n, eps=1e-2, ic_count=3, sample_count=6, seed=9, burn_in=9.0
         )
         shifted = sample_attractor(
-            f.shift(tau), params, nl, eps=1e-2, ic_count=3, sample_count=6, seed=9,
+            f.shift(tau), params, nl, n, eps=1e-2, ic_count=3, sample_count=6, seed=9,
             burn_in=9.0,
         )
-        rhs = make_finite_rhs(params, nl, wrap_forcing(f, params.n))
-        images = _cloud(integrate_final(rhs, base.states, 0.0, tau, 0.01), params.n)
+        rhs = make_finite_rhs(params, nl, wrap_forcing(f, n), n)
+        images = _cloud(integrate_final(rhs, base.states, 0.0, tau, 0.01), n)
         assert hausdorff_semidistance(images, shifted) < 1e-5
 
 
@@ -384,7 +384,7 @@ class TestConvergenceStudy:
     def test_linear_benchmark_distances_shrink(self):
         nl = make_nonlinearity("linear", 1.0)
         report = convergence_study(
-            LINEAR_BENCH["forcing"], 1.0, 1.0, nl,
+            LINEAR_BENCH["forcing"], LatticeParams(nu=1.0, lam=1.0), nl,
             n_list=(4, 8), n_ref=32,
             eps=1e-2, ic_count=3, sample_count=6, seed=21,
             burn_in=9.0, step=0.02,
@@ -400,7 +400,7 @@ class TestConvergenceStudy:
         # the driven tail legitimately carries ~1e-8 at the n_ref = 16 edge
         nl = make_nonlinearity("linear", 1.0)
         report = convergence_study(
-            LINEAR_BENCH["forcing"], 1.0, 1.0, nl,
+            LINEAR_BENCH["forcing"], LatticeParams(nu=1.0, lam=1.0), nl,
             n_list=(16,), n_ref=16,
             eps=1e-2, ic_count=3, sample_count=4, seed=4,
             burn_in=9.0, step=0.02, boundary_floor=1e-6,
@@ -412,7 +412,7 @@ class TestConvergenceStudy:
         nl = make_nonlinearity("linear", 1.0)
         f = QuasiPeriodicForcing.geometric(1.0, 0.5, 1.0)
         report = convergence_study(
-            f, 1.0, 1.0, nl,
+            f, LatticeParams(nu=1.0, lam=1.0), nl,
             n_list=(4, 8, 12), n_ref=48,
             eps=1e-2, ic_count=2, sample_count=4, seed=13,
             burn_in=9.0, step=0.02,
@@ -425,7 +425,7 @@ class TestConvergenceStudy:
         nl = make_nonlinearity("linear", 1.0)
         with pytest.raises(ParameterError):
             convergence_study(
-                LINEAR_BENCH["forcing"], 1.0, 1.0, nl, n_list=(8,), n_ref=4,
+                LINEAR_BENCH["forcing"], LatticeParams(nu=1.0, lam=1.0), nl, n_list=(8,), n_ref=4,
                 eps=1e-2, ic_count=2, sample_count=2, seed=0,
             )
 
@@ -447,7 +447,8 @@ def _study_clouds(monkeypatch, f, nl, n_list, n_ref, **sampling):
 
     monkeypatch.setattr(attractor, "hausdorff_semidistance", spy_distance)
     monkeypatch.setattr(attractor, "integrate_final", spy_march)
-    report = convergence_study(f, 1.0, 1.0, nl, n_list=n_list, n_ref=n_ref, **sampling)
+    report = convergence_study(f, LatticeParams(1.0, 1.0), nl, n_list=n_list, n_ref=n_ref,
+                               **sampling)
     monkeypatch.undo()
     return report, seen[1][0], [a for a, _ in seen[::2]], len(calls)
 
@@ -467,11 +468,11 @@ class TestStackedStudy:
         report, ref, clouds, marches = _study_clouds(monkeypatch, f, nl, (1, 3, 6), 20,
                                                      boundary=boundary, **sampling)
         assert marches == 1
-        alone = sample_attractor(f, LatticeParams(nu=1.0, lam=1.0, n=20), nl, boundary="zero",
+        alone = sample_attractor(f, LatticeParams(nu=1.0, lam=1.0), nl, 20, boundary="zero",
                                  **sampling)
         assert np.array_equal(ref.states, alone.states) and ref.label == alone.label
         for n, cloud, row in zip((1, 3, 6), clouds, report.rows):
-            alone = sample_attractor(f, LatticeParams(nu=1.0, lam=1.0, n=n), nl,
+            alone = sample_attractor(f, LatticeParams(nu=1.0, lam=1.0), nl, n,
                                      boundary=boundary, **sampling)
             assert cloud.states.flags.c_contiguous and cloud.label == alone.label
             assert np.array_equal(cloud.states, alone.states)
@@ -486,14 +487,14 @@ class TestStackedStudy:
         nl = make_nonlinearity(name, 1.0)
         f = QuasiPeriodicForcing.finite([0.4, -0.7, 1.0, 0.3, 0.6], [0.9, 1.3, 1.0, 0.7, 1.6],
                                         [0.1, 2.0, 0.5, 4.0, 1.2]).shift(0.37)
-        params = LatticeParams(nu=0.8, lam=1.2, n=12)
+        params = LatticeParams(nu=0.8, lam=1.2)
         systems = [(12, "zero"), (3, "wrap"), (5, "project"), (1, "project"), (4, "zero"),
                    (1, "wrap"), (6, "wrap")]
         sampling = dict(eps=1e-2, ic_count=3, sample_count=4, seed=5, burn_in=2.0, step=0.03,
                         boundary_floor=1.0)
         stacked = _sample_clouds(f, params, nl, systems, **sampling)
         for (n, boundary), cloud in zip(systems, stacked):
-            alone = sample_attractor(f, LatticeParams(nu=0.8, lam=1.2, n=n), nl,
+            alone = sample_attractor(f, LatticeParams(nu=0.8, lam=1.2), nl, n,
                                      boundary=boundary, **sampling)
             assert cloud.label == alone.label and cloud.steps == alone.steps
             assert cloud.states.tobytes() == alone.states.tobytes()
@@ -507,7 +508,7 @@ class TestStackedStudy:
         tables = []
         monkeypatch.setattr("latticedyn.forcing.FiniteForcing.mode_table",
                             lambda self, window: tables.append(window))
-        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        params = LatticeParams(nu=1.0, lam=1.0)
         sampling = dict(eps=1e-2, ic_count=2, sample_count=2, seed=0, burn_in=1.0, step=0.05)
         for n, systems in ((0, [(0, boundary)]), (0, [(4, "zero"), (0, boundary)]),
                            (-10 ** 9, [(10 ** 9, "zero"), (-10 ** 9, boundary)])):
@@ -517,7 +518,7 @@ class TestStackedStudy:
         assert not tables
 
     def test_unknown_boundary_is_refused(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        params = LatticeParams(nu=1.0, lam=1.0)
         sampling = dict(eps=1e-2, ic_count=2, sample_count=2, seed=0, burn_in=1.0, step=0.05)
         for systems in ([(4, "mirror")], [(4, "zero"), (2, "mirror")]):
             with pytest.raises(ParameterError, match="boundary must be 'wrap', 'project'"):
@@ -532,8 +533,8 @@ class TestStackedStudy:
                                           (2, 4), 8, **sampling)
         for n, cloud in zip((8, 2, 4), (ref, *clouds)):
             boundary = "zero" if cloud is ref else "wrap"
-            alone = sample_attractor(QuasiPeriodicForcing.zero(), LatticeParams(1.0, 1.0, n),
-                                     nl, boundary=boundary, **sampling)
+            alone = sample_attractor(QuasiPeriodicForcing.zero(), LatticeParams(1.0, 1.0),
+                                     nl, n, boundary=boundary, **sampling)
             assert np.array_equal(cloud.states, alone.states)
             assert 0.0 < np.abs(cloud.states).max() < 1.0
 
@@ -553,11 +554,11 @@ class TestStackedStudy:
         sampling = dict(eps=1e-2, ic_count=3, sample_count=4, seed=4, burn_in=9.0, step=0.02,
                         boundary_floor=1e-9)
         with pytest.raises(BoundaryContaminationError) as alone:
-            sample_attractor(LINEAR_BENCH["forcing"], LatticeParams(1.0, 1.0, 16), nl,
+            sample_attractor(LINEAR_BENCH["forcing"], LatticeParams(1.0, 1.0), nl, 16,
                              boundary="zero", **sampling)
         with pytest.raises(BoundaryContaminationError) as stacked:
-            convergence_study(LINEAR_BENCH["forcing"], 1.0, 1.0, nl, n_list=(2, 8), n_ref=16,
-                              **sampling)
+            convergence_study(LINEAR_BENCH["forcing"], LatticeParams(1.0, 1.0), nl,
+                              n_list=(2, 8), n_ref=16, **sampling)
         assert "edge amplitude" in str(alone.value)
         assert str(stacked.value) == str(alone.value)
 
@@ -571,7 +572,8 @@ class TestStackedStudy:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew"))
         with pytest.raises(ParameterError,
                            match="512 rows x 48002 sites keeping 512 sample rows needs 1.77e[+]09"):
-            convergence_study(LINEAR_BENCH["forcing"], 1.0, 1.0, make_nonlinearity("linear", 1.0),
+            convergence_study(LINEAR_BENCH["forcing"], LatticeParams(1.0, 1.0),
+                              make_nonlinearity("linear", 1.0),
                               n_list=(12000,), n_ref=12000, eps=1e-2, ic_count=16,
                               sample_count=32, seed=0, burn_in=1.0, step=0.1)
         assert not tables
@@ -584,7 +586,8 @@ class TestStackedStudy:
         monkeypatch.setattr("latticedyn.forcing.FiniteForcing.mode_table",
                             lambda self, window: tables.append(window))
         with pytest.raises(ParameterError, match="1.54e[+]10 site-steps"):
-            convergence_study(LINEAR_BENCH["forcing"], 1.0, 1.0, make_nonlinearity("linear", 1.0),
+            convergence_study(LINEAR_BENCH["forcing"], LatticeParams(1.0, 1.0),
+                              make_nonlinearity("linear", 1.0),
                               n_list=(300,), n_ref=300, eps=1e-2, ic_count=16, sample_count=32,
                               seed=0, burn_in=250.0, step=0.01)
         assert not tables
@@ -592,10 +595,10 @@ class TestStackedStudy:
 
 class TestTailCertificate:
     def test_zero_forcing_cloud_has_zero_tails(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=5)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 5
         nl = make_nonlinearity("cubic", 1.0)
         cloud = sample_attractor(
-            QuasiPeriodicForcing.zero(), params, nl,
+            QuasiPeriodicForcing.zero(), params, nl, n,
             eps=1e-2, ic_count=3, sample_count=3, seed=1,
             burn_in=8.0, ic_radius=1.0,
         )
@@ -620,7 +623,7 @@ class TestTailCertificate:
         f = QuasiPeriodicForcing.geometric(0.8, 0.5, 1.0)
         clouds = [
             sample_attractor(
-                f, LatticeParams(nu=1.0, lam=1.0, n=n), nl,
+                f, LatticeParams(nu=1.0, lam=1.0), nl, n,
                 eps=1e-2, ic_count=3, sample_count=4, seed=17,
             )
             for n in (4, 8)
@@ -635,11 +638,11 @@ class TestTailCertificate:
     def test_forced_response_tail_follows_the_decay_profile(self):
         # weak coupling: per-site response scales with the forcing amplitude,
         # so the state tail drops ~4x per site like the forcing energy does
-        params = LatticeParams(nu=0.05, lam=1.0, n=10)
+        params, n = LatticeParams(nu=0.05, lam=1.0), 10
         nl = make_nonlinearity("linear", 1.0)
         f = QuasiPeriodicForcing.geometric(1.0, 0.5, 1.0)
         cloud = sample_attractor(
-            f, params, nl, eps=1e-3, ic_count=2, sample_count=3, seed=23,
+            f, params, nl, n, eps=1e-3, ic_count=2, sample_count=3, seed=23,
             burn_in=10.0,
         )
         from latticedyn import tail_mass

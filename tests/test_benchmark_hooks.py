@@ -3,6 +3,8 @@ the package; a hook whose target is gone turns its metrics into "missing"
 without failing the benchmark run.  This guard fails instead."""
 
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from latticedyn import attractor, cli, dynamics
 from latticedyn.forcing import QuasiPeriodicForcing
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def load_tracing():
@@ -60,12 +63,12 @@ def test_traced_sample_attractor_counts_one_march_and_every_step():
     # a sampler that stepped past the hooked names would read 0 here
     tracing = load_tracing()
     tracer = tracing.Tracer()
-    params = dynamics.LatticeParams(nu=1.0, lam=1.0, n=3)
+    params = dynamics.LatticeParams(nu=1.0, lam=1.0)
     nonlin = dynamics.make_nonlinearity("cubic", 1.0)
     f = QuasiPeriodicForcing.finite([1.0], 1.0, 0.0)
     try:
         tracing.install(tracer)
-        cloud = attractor.sample_attractor(f, params, nonlin, eps=1e-2, ic_count=2,
+        cloud = attractor.sample_attractor(f, params, nonlin, 3, eps=1e-2, ic_count=2,
                                            sample_count=2, seed=1, burn_in=1.0)
     finally:
         tracer.restore()
@@ -73,3 +76,24 @@ def test_traced_sample_attractor_counts_one_march_and_every_step():
     assert metrics["attractor.integrate_calls"] == 1
     assert metrics["dynamics.rk4_steps"] == cloud.steps > 0
     assert metrics["dynamics.rhs_evals"] == 4 * cloud.steps
+
+
+def test_traced_simulate_writes_the_same_trajectory_and_counts_every_step(tmp_path):
+    # the hooked cli.make_finite_rhs forwards every argument, the order too
+    (ini,) = re.findall(r"^```ini\n(.*?)^```$", README.read_text(encoding="utf-8"), re.S | re.M)
+    config = tmp_path / "exp.ini"
+    config.write_text(ini, encoding="utf-8")
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(plain)]) == 0
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert cli.main(["simulate", "--config", str(config), "--out", str(traced)]) == 0
+    finally:
+        tracer.restore()
+    metrics = tracing.layer_metrics(tracer, 0)
+    steps = json.loads((traced / "report.json").read_text())["steps"]
+    assert (plain / "trajectory.csv").read_bytes() == (traced / "trajectory.csv").read_bytes()
+    assert metrics["dynamics.rk4_steps"] == steps > 0
+    assert metrics["dynamics.rhs_evals"] == 4 * steps

@@ -94,24 +94,27 @@ class TestShiftEquivariance:
         assert row["passed"] is False and row["margin"] < 0.0
 
 
+N = 4  # the order of cubic_system
+
+
 @pytest.fixture
 def cubic_system():
-    params = LatticeParams(nu=1.0, lam=1.0, n=4)
+    params = LatticeParams(nu=1.0, lam=1.0)
     nonlin = make_nonlinearity("cubic", 1.0)
-    forcing = wrap_forcing(QuasiPeriodicForcing.finite([0.5, 1.0, 0.5], 1.3, 0.2), params.n)
+    forcing = wrap_forcing(QuasiPeriodicForcing.finite([0.5, 1.0, 0.5], 1.3, 0.2), N)
     return params, nonlin, forcing
 
 
 class TestCocycleDefect:
     def test_holds_at_a_fine_step(self, cubic_system, rng):
         params, nonlin, forcing = cubic_system
-        v0 = 0.3 * rng.standard_normal(params.dim)
+        v0 = 0.3 * rng.standard_normal(2 * N + 1)
         assert _row_keys(checks.cocycle_defect(v0, forcing, params, nonlin, 1e-2, 1e-8))["passed"]
 
     def test_too_coarse_step_fails(self, cubic_system, rng):
         # 0.3 does not divide t = tau = 1, so the two paths step differently
         params, nonlin, forcing = cubic_system
-        v0 = 0.3 * rng.standard_normal(params.dim)
+        v0 = 0.3 * rng.standard_normal(2 * N + 1)
         row = checks.cocycle_defect(v0, forcing, params, nonlin, 0.3, 1e-8)
         assert row["passed"] is False and row["margin"] < 0.0
 
@@ -120,9 +123,9 @@ class TestEnvelopes:
     @pytest.fixture
     def run(self, cubic_system, rng):
         params, nonlin, forcing = cubic_system
-        v0 = rng.standard_normal(params.dim)
+        v0 = rng.standard_normal(2 * N + 1)
         v0 *= 2.0 / np.linalg.norm(v0)
-        traj = integrate(make_finite_rhs(params, nonlin, forcing), v0, 0.0, 3.0, 0.01)
+        traj = integrate(make_finite_rhs(params, nonlin, forcing, N), v0, 0.0, 3.0, 0.01)
         return traj, float(np.linalg.norm(v0)), forcing.uniform_bound()
 
     def test_hold(self, run):

@@ -122,7 +122,7 @@ class TestSimulate:
         forcing = latticedyn.QuasiPeriodicForcing.finite([0.25, 0.5, 1.0, 0.5, 0.25], 1.0)
         radius = max(1.0, math.sqrt(asymptotic_radius_sq(1.0, 1.0, forcing.uniform_bound())))
         step = 0.01 if integrator else auto_step(
-            latticedyn.LatticeParams(nu=1.0, lam=1.0, n=6),
+            latticedyn.LatticeParams(nu=1.0, lam=1.0),
             latticedyn.make_nonlinearity("linear", 1.0), radius)
         assert report["step"] == step
         _, rows = read_csv(out / "trajectory.csv")
@@ -294,7 +294,7 @@ class TestAttractor:
         forcing = latticedyn.QuasiPeriodicForcing.finite([0.25, 0.5, 1.0, 0.5, 0.25], 1.0)
         radius = math.sqrt(asymptotic_radius_sq(1.0, 1.0, forcing.uniform_bound()))
         step = 0.02 if command == "converge" else auto_step(
-            latticedyn.LatticeParams(nu=1.0, lam=1.0, n=6),
+            latticedyn.LatticeParams(nu=1.0, lam=1.0),
             latticedyn.make_nonlinearity("linear", 1.0), radius)
         assert block["step"] == step
         assert block["steps"] == math.ceil(9.0 / step)
@@ -403,6 +403,24 @@ HUGE_SUPPORT = "support_radius = 1000000000000"
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("order", ["0", "-1000000000"])
+    @pytest.mark.parametrize("command", ["simulate", "verify", "attractor"])
+    def test_order_below_one_is_refused_first(self, tmp_path, capsys, monkeypatch, command,
+                                              order):
+        # before any forcing table, state or check row
+        tables, checked = [], []
+        monkeypatch.setattr("latticedyn.forcing.FiniteForcing.mode_table",
+                            lambda self, window: tables.append(window))
+        monkeypatch.setattr("latticedyn.checks.matrix_identity",
+                            lambda max_order: checked.append(max_order))
+        cfg = write_config(tmp_path, BASE.replace("n = 6", f"n = {order}"))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == "ParameterError" and not tables and not checked
+        assert f"truncation order must be >= 1, got {order}" in report["error"]["message"]
+
     @pytest.mark.parametrize(
         "command, old, new, flags, message",
         [

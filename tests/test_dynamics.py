@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -41,12 +42,13 @@ from latticedyn.operators import apply_laplacian, laplacian_matrix
 
 class TestParams:
     def test_valid(self):
-        p = LatticeParams(nu=0.0, lam=0.5, n=3)
-        assert p.dim == 7
+        # the order is not a lattice constant: each system carries its own
+        p = LatticeParams(nu=0.0, lam=0.5)
+        assert [f.name for f in fields(p)] == ["nu", "lam"] and (p.nu, p.lam) == (0.0, 0.5)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(nu=1.0, lam=0.0, n=2), dict(nu=-0.1, lam=1.0, n=2), dict(nu=1.0, lam=1.0, n=0)],
+        [dict(nu=1.0, lam=0.0), dict(nu=-0.1, lam=1.0)],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):
@@ -159,11 +161,11 @@ class TestNonlinearityContract:
 
 class TestFiniteRhs:
     def setup_method(self):
-        self.params = LatticeParams(nu=1.0, lam=1.0, n=1)
+        self.params = LatticeParams(nu=1.0, lam=1.0)
         self.zero_f = QuasiPeriodicForcing.zero()
 
     def rhs(self, nl, forcing=None):
-        return make_finite_rhs(self.params, nl, forcing or self.zero_f)
+        return make_finite_rhs(self.params, nl, forcing or self.zero_f, 1)
 
     def test_origin_is_fixed_point(self):
         nl = make_nonlinearity("cubic", 1.0)
@@ -193,21 +195,21 @@ class TestFiniteRhs:
         # the compiled table adds f(t) exactly as the forcing evaluates it,
         # at each time to one state and to every row of a batch
         nl = make_nonlinearity("zero")
-        params = LatticeParams(nu=0.0, lam=1.0, n=4)
+        params, n = LatticeParams(nu=0.0, lam=1.0), 4
         f = make_random_forcing(rng, support=2).shift(0.37)
-        rhs = make_finite_rhs(params, nl, project_forcing(f, 4))
+        rhs = make_finite_rhs(params, nl, project_forcing(f, 4), n)
         for t in (-1.5, 0.0, 2.25):
-            out = rhs(t, np.zeros((3, params.dim)))
+            out = rhs(t, np.zeros((3, 2 * n + 1)))
             for row in out:
                 assert np.array_equal(row, f.eval_window(t, 4))
-            assert np.array_equal(rhs(t, np.zeros(params.dim)), f.eval_window(t, 4))
+            assert np.array_equal(rhs(t, np.zeros(2 * n + 1)), f.eval_window(t, 4))
 
     def test_dissipativity_identity(self, rng):
         # <-nu A v, v> = -nu ||B v||^2 <= 0
         from latticedyn import apply_difference, apply_laplacian
 
-        params = LatticeParams(nu=0.7, lam=1.0, n=6)
-        v = rng.standard_normal(params.dim)
+        params, n = LatticeParams(nu=0.7, lam=1.0), 6
+        v = rng.standard_normal(2 * n + 1)
         lhs = float((-params.nu * apply_laplacian(v, 6)) @ v)
         rhs = -params.nu * float(np.sum(apply_difference(v, 6) ** 2))
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -229,17 +231,17 @@ class TestReferenceRhs:
         )
 
     def test_zero_state(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=5)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 5
         nl = make_nonlinearity("zero")
-        rhs = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero())
+        rhs = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero(), n)
         assert np.array_equal(rhs(0.0, np.zeros(11)), np.zeros(11))
 
     def test_delta_state_with_decay(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=5)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 5
         nl = make_nonlinearity("zero")
         u = np.zeros(11)
         u[5] = 1.0
-        out = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero())(0.0, u)
+        out = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero(), n)(0.0, u)
         expected = np.zeros(11)
         expected[4], expected[5], expected[6] = 1.0, -3.0, 1.0  # stencil minus lam*u
         assert np.array_equal(out, expected)
@@ -247,20 +249,20 @@ class TestReferenceRhs:
     def test_interior_consistency_with_finite_system(self, rng, make_random_forcing):
         # state supported on |i| <= n-1 cannot see the wrap
         n = 5
-        params = LatticeParams(nu=0.8, lam=1.2, n=n)
+        params = LatticeParams(nu=0.8, lam=1.2)
         nl = make_nonlinearity("cubic", 0.3)
         f = make_random_forcing(rng, support=2)
         v = np.zeros(2 * n + 1)
         v[2:-2] = rng.standard_normal(2 * n - 3)  # zero at |i| in {n-1? no: n, n-1}
-        fin = make_finite_rhs(params, nl, project_forcing(f, n))(0.7, v)
-        ref = make_reference_rhs(params, nl, f)(0.7, v.copy())
+        fin = make_finite_rhs(params, nl, project_forcing(f, n), n)(0.7, v)
+        ref = make_reference_rhs(params, nl, f, n)(0.7, v.copy())
         inner = slice(2, 2 * n - 1)  # |i| <= n-2 rows agree exactly
         assert np.allclose(fin[inner], ref[inner], atol=1e-14)
 
     def test_boundary_contamination_detected(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=4)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 4
         nl = make_nonlinearity("zero")
-        rhs = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero())
+        rhs = make_reference_rhs(params, nl, QuasiPeriodicForcing.zero(), n)
         u = np.zeros(9)
         u[0] = 1e-3
         with pytest.raises(BoundaryContaminationError):
@@ -276,24 +278,24 @@ class TestReferenceRhs:
 
 class TestStableStep:
     def test_formula(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=2)
+        params = LatticeParams(nu=1.0, lam=1.0)
         nl = make_nonlinearity("linear", 1.0)
         assert max_stable_step(params, nl, 2.0) == pytest.approx(0.5 / 6.0)
 
     def test_decoupled_scalar(self):
-        params = LatticeParams(nu=0.0, lam=1.0, n=1)
+        params = LatticeParams(nu=0.0, lam=1.0)
         nl = make_nonlinearity("zero")
         assert max_stable_step(params, nl, 1.0) == pytest.approx(0.5)
 
     def test_auto_step_uses_the_radius_margin(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=2)
+        params = LatticeParams(nu=1.0, lam=1.0)
         nl = make_nonlinearity("cubic", 1.0)
         assert auto_step(params, nl, 1.0) == max_stable_step(params, nl, 2.0)
 
     def test_roughly_halves_with_coupling(self):
         nl = make_nonlinearity("zero")
-        h1 = max_stable_step(LatticeParams(nu=10.0, lam=0.1, n=1), nl, 1.0)
-        h2 = max_stable_step(LatticeParams(nu=20.0, lam=0.1, n=1), nl, 1.0)
+        h1 = max_stable_step(LatticeParams(nu=10.0, lam=0.1), nl, 1.0)
+        h2 = max_stable_step(LatticeParams(nu=20.0, lam=0.1), nl, 1.0)
         assert h2 / h1 == pytest.approx(0.5, rel=0.02)
 
 
@@ -371,23 +373,23 @@ class TestIntegrate:
     @pytest.mark.parametrize("make", [make_finite_rhs, make_reference_rhs],
                              ids=["wrap", "zero-ghost"])
     def test_batch_rows_equal_single_rows_bit_for_bit(self, rng, make_random_forcing, make):
-        params = LatticeParams(nu=1.0, lam=1.0, n=5)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 5
         f = make_random_forcing(rng, support=3).shift(0.37)
-        rhs = make(params, make_nonlinearity("cubic", 1.0), project_forcing(f, params.n))
-        v0 = rng.standard_normal((6, params.dim))
+        rhs = make(params, make_nonlinearity("cubic", 1.0), project_forcing(f, n), n)
+        v0 = rng.standard_normal((6, 2 * n + 1))
         batch = integrate_final(rhs, v0, -1.0, 0.0, 0.03)
         for row in range(6):
             single = integrate_final(rhs, v0[row], -1.0, 0.0, 0.03)
             assert np.array_equal(_bits(batch[row]), _bits(single))
 
     def test_stack_samples_equal_single_rows_bit_for_bit(self, rng, make_random_forcing):
-        params = LatticeParams(nu=1.0, lam=1.0, n=5)
-        f = project_forcing(make_random_forcing(rng, support=3), params.n)
-        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
-        v0 = rng.standard_normal((4, params.dim))
+        params, n = LatticeParams(nu=1.0, lam=1.0), 5
+        f = project_forcing(make_random_forcing(rng, support=3), n)
+        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f, n)
+        v0 = rng.standard_normal((4, 2 * n + 1))
         # 34 steps: samples at t0, every third step and t1
         stack = integrate(rhs, v0, -1.0, 0.0, 0.03, sample_stride=3)
-        assert stack.states.shape == (13, 4, params.dim) and stack.states.flags.c_contiguous
+        assert stack.states.shape == (13, 4, 2 * n + 1) and stack.states.flags.c_contiguous
         assert stack.norms_sq().shape == (13, 4)
         for row in range(4):
             single = integrate(rhs, v0[row], -1.0, 0.0, 0.03, sample_stride=3)
@@ -397,8 +399,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("shape", [(7,), (3, 7)], ids=["row", "stack"])
     def test_stride_zero_keeps_only_the_end(self, rng, shape):
-        rhs = make_finite_rhs(LatticeParams(nu=1.0, lam=1.0, n=3), make_nonlinearity("cubic", 1.0),
-                              QuasiPeriodicForcing.finite([1.0], 1.0, 0.0))
+        rhs = make_finite_rhs(LatticeParams(nu=1.0, lam=1.0), make_nonlinearity("cubic", 1.0),
+                              QuasiPeriodicForcing.finite([1.0], 1.0, 0.0), 3)
         v0 = rng.standard_normal(shape)
         original = v0.copy()
         end = integrate(rhs, v0, 0.0, 0.25, 0.1, sample_stride=0)
@@ -412,8 +414,8 @@ class TestIntegrate:
         assert np.array_equal(integrate(rhs, v0, 0.5, 0.5, 0.1, 0).final_state, v0)
 
     def test_boundary_floor_raises_through_integrate(self):
-        rhs = make_reference_rhs(LatticeParams(nu=1.0, lam=1.0, n=4), make_nonlinearity("zero"),
-                                 QuasiPeriodicForcing.zero())
+        rhs = make_reference_rhs(LatticeParams(nu=1.0, lam=1.0), make_nonlinearity("zero"),
+                                 QuasiPeriodicForcing.zero(), 4)
         u = np.zeros((2, 9))
         u[1, 4] = 1.0
         with pytest.raises(BoundaryContaminationError, match="edge amplitude"):
@@ -443,11 +445,11 @@ class TestIntegrate:
         assert not calls
 
     def test_ensemble_rows_match_single_runs(self, rng):
-        params = LatticeParams(nu=1.0, lam=1.0, n=3)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 3
         nl = make_nonlinearity("linear", 0.5)
         f = project_forcing(QuasiPeriodicForcing.geometric(0.5, 0.5, 1.0), 3)
-        rhs = make_finite_rhs(params, nl, f)
-        v0 = rng.standard_normal((4, params.dim))
+        rhs = make_finite_rhs(params, nl, f, n)
+        v0 = rng.standard_normal((4, 2 * n + 1))
         batch = integrate_final(rhs, v0, 0.0, 2.0, 0.01)
         for row in range(4):
             single = integrate_final(rhs, v0[row], 0.0, 2.0, 0.01)
@@ -492,13 +494,13 @@ class TestBufferedStepping:
     @pytest.mark.parametrize("periodic", [True, False], ids=["wrap", "zero-ghost"])
     def test_rhs_out_form_matches_allocating_form(self, rng, make_random_forcing, periodic,
                                                    name, alpha, coeffs):
-        params = LatticeParams(nu=0.8, lam=1.2, n=4)
+        params, n = LatticeParams(nu=0.8, lam=1.2), 4
         nl = make_nonlinearity(name, alpha, coeffs)
         f = make_random_forcing(rng, support=2).shift(0.37)
         make = make_finite_rhs if periodic else make_reference_rhs
-        rhs = make(params, nl, project_forcing(f, params.n) if periodic else f)
+        rhs = make(params, nl, project_forcing(f, n) if periodic else f, n)
         # the second pass feeds new states through the scratch arrays the first left
-        for t, u in _batches(rng, params.dim) + _batches(rng, params.dim):
+        for t, u in _batches(rng, 2 * n + 1) + _batches(rng, 2 * n + 1):
             out = np.full_like(u, np.nan)
             assert rhs(t, u, out) is out
             assert np.array_equal(_bits(out), _bits(rhs(t, u)))
@@ -513,7 +515,7 @@ class TestBufferedStepping:
             for c in higher:
                 power = power * (u * u)
                 expected += c * power
-            assert np.array_equal(out, expected + f.eval_window(t, params.n))
+            assert np.array_equal(out, expected + f.eval_window(t, n))
 
     @pytest.mark.parametrize("name, alpha, coeffs", CATALOG)
     @pytest.mark.parametrize("periodic", [True, False], ids=["wrap", "zero-ghost"])
@@ -521,18 +523,18 @@ class TestBufferedStepping:
                                                             periodic, name, alpha, coeffs):
         # -nu*M u - lam*u + F(u) + f(t) with the dense M; the error in ulps of
         # the sum of the term magnitudes, the scale the sum is rounded at
-        params = LatticeParams(nu=0.8, lam=1.2, n=4)
+        params, n = LatticeParams(nu=0.8, lam=1.2), 4
         nl = make_nonlinearity(name, alpha, coeffs)
         f = make_random_forcing(rng, support=2).shift(0.37)
         make = make_finite_rhs if periodic else make_reference_rhs
-        rhs = make(params, nl, project_forcing(f, params.n) if periodic else f)
-        mat = _second_difference(params.n, periodic)
+        rhs = make(params, nl, project_forcing(f, n) if periodic else f, n)
+        mat = _second_difference(n, periodic)
         worst = 0.0
-        for t, u in _batches(rng, params.dim) * 20:
+        for t, u in _batches(rng, 2 * n + 1) * 20:
             u = 3.0 * u
             for y in (u, np.asfortranarray(u)):
                 got = rhs(t, y, np.empty_like(y))
-                drive = f.eval_window(t, params.n)
+                drive = f.eval_window(t, n)
                 terms = [-params.nu * (u @ mat.T), -params.lam * u, nl.func(u), drive + 0.0 * u]
                 scale = (params.nu * (np.abs(u) @ np.abs(mat).T) + params.lam * np.abs(u)
                          + sum(abs(c) * np.abs(u) ** (2 * k + 1) for k, c in enumerate(nl.coeffs))
@@ -546,10 +548,10 @@ class TestBufferedStepping:
 
     @pytest.mark.parametrize("rows", [None, 4], ids=["one-row", "scalar-step"])
     def test_rk4_step_keeps_the_allocating_arithmetic(self, rng, make_random_forcing, rows):
-        params = LatticeParams(nu=1.0, lam=1.0, n=5)
-        f = project_forcing(make_random_forcing(rng, support=3), params.n)
-        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
-        y = rng.standard_normal(params.dim if rows is None else (rows, params.dim))
+        params, n = LatticeParams(nu=1.0, lam=1.0), 5
+        f = project_forcing(make_random_forcing(rng, support=3), n)
+        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f, n)
+        y = rng.standard_normal(2 * n + 1 if rows is None else (rows, 2 * n + 1))
         t, h = 0.3, 0.05
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
@@ -565,17 +567,17 @@ class TestBufferedStepping:
         assert np.array_equal(_bits(out), _bits(expected))
 
     def test_drive_reuse_matches_a_fresh_system(self, rng, make_random_forcing):
-        params = LatticeParams(nu=0.8, lam=1.2, n=4)
+        params, n = LatticeParams(nu=0.8, lam=1.2), 4
         nl = make_nonlinearity("cubic", 1.0)
-        f = project_forcing(make_random_forcing(rng, support=2).shift(0.37), params.n)
-        rhs = make_finite_rhs(params, nl, f)
+        f = project_forcing(make_random_forcing(rng, support=2).shift(0.37), n)
+        rhs = make_finite_rhs(params, nl, f, n)
         t = 0.25 + 0.5
         # equal floats from other expressions, then new times; the drive
         # columns depend on t alone, so the state changes between calls
         for time in (t, 1.5 / 2.0, np.float64(t), 0.7, t, 0.0, -0.0):
-            u = rng.standard_normal(params.dim)
+            u = rng.standard_normal(2 * n + 1)
             got = rhs(time, u, np.empty_like(u))
-            fresh = make_finite_rhs(params, nl, f)(time, u)
+            fresh = make_finite_rhs(params, nl, f, n)(time, u)
             assert np.array_equal(_bits(got), _bits(fresh))
 
     def test_signed_zero_times_are_evaluated_afresh(self):
@@ -583,9 +585,9 @@ class TestBufferedStepping:
         # sign of t: sin(+-0) * a.  The middle site of [-0, 0, -0] sums
         # nu * (-0 + -0) and (c0 - lam - 2 nu) * 0 to -0, so the drive added
         # to it sets its sign
-        params = LatticeParams(nu=1.0, lam=1.0, n=1)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 1
         f = QuasiPeriodicForcing.finite([1.0, 1.0, 1.0], 1.0, -0.0, time_offset=-0.0)
-        rhs = make_finite_rhs(params, make_nonlinearity("linear", 1.0), f)
+        rhs = make_finite_rhs(params, make_nonlinearity("linear", 1.0), f, n)
         u = np.array([-0.0, 0.0, -0.0])
         assert np.signbit(rhs(-0.0, u, np.empty_like(u))[1])
         assert not np.signbit(rhs(0.0, u, np.empty_like(u))[1])
@@ -594,16 +596,16 @@ class TestBufferedStepping:
     @pytest.mark.parametrize("shape", [()], ids=["0-d"])
     def test_time_array_written_in_place_gives_the_new_forcing(self, rng,
                                                                make_random_forcing, shape):
-        params = LatticeParams(nu=0.8, lam=1.2, n=4)
+        params, n = LatticeParams(nu=0.8, lam=1.2), 4
         nl = make_nonlinearity("linear", 1.0)
-        f = project_forcing(make_random_forcing(rng, support=2), params.n)
-        rhs = make_finite_rhs(params, nl, f)
+        f = project_forcing(make_random_forcing(rng, support=2), n)
+        rhs = make_finite_rhs(params, nl, f, n)
         t = np.full(shape, 0.3)
-        u = rng.standard_normal((2, params.dim))
+        u = rng.standard_normal((2, 2 * n + 1))
         rhs(t, u, np.empty_like(u))
         t += 0.5
         got = rhs(t, u, np.empty_like(u))
-        assert np.array_equal(_bits(got), _bits(make_finite_rhs(params, nl, f)(t.copy(), u)))
+        assert np.array_equal(_bits(got), _bits(make_finite_rhs(params, nl, f, n)(t.copy(), u)))
 
     def test_integrate_stores_distinct_samples(self):
         traj = integrate(lambda t, y: -y, np.array([1.0, 2.0]), 0.0, 1.0, 0.1)
@@ -622,10 +624,10 @@ class TestBufferedStepping:
         # a new shape's first call keeps the polynomial's scratch arrays, one
         # state each, and the edge gather of a few sites per row; a later call
         # allocates no state
-        params = LatticeParams(nu=1.0, lam=1.0, n=128)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 128
         nl = make_nonlinearity(name, alpha, coeffs)
-        rhs = make_finite_rhs(params, nl, QuasiPeriodicForcing.zero())
-        y = np.asfortranarray(rng.standard_normal((192, params.dim)))
+        rhs = make_finite_rhs(params, nl, QuasiPeriodicForcing.zero(), n)
+        y = np.asfortranarray(rng.standard_normal((192, 2 * n + 1)))
         out = np.empty_like(y)
         tracemalloc.start()
         try:
@@ -651,10 +653,10 @@ class TestBufferedStepping:
         # numpy's ufunc iterator may take up to getbufsize() = 8192 elements
         # per operand for the strided stencil slices, whatever the batch: on
         # 192 x 257 sites three such buffers still stay below one state
-        params = LatticeParams(nu=1.0, lam=1.0, n=128)
-        f = project_forcing(make_random_forcing(rng, support=128), params.n)
-        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
-        y = rng.standard_normal((192, params.dim))
+        params, n = LatticeParams(nu=1.0, lam=1.0), 128
+        f = project_forcing(make_random_forcing(rng, support=128), n)
+        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f, n)
+        y = rng.standard_normal((192, 2 * n + 1))
         t, h = -3.0, 0.01
         out, work = np.empty_like(y), np.empty((2, *y.shape))
         rk4_step(rhs, t, y, h, out, work)  # warm-up: the rhs makes its scratch arrays
@@ -674,10 +676,10 @@ class TestBufferedStepping:
         # every row of the batch may still take a getbufsize() buffer, 64 KB,
         # in either layout; the forcing here is live on |i| <= 6 as in the
         # attractor-wide benchmark
-        params = LatticeParams(nu=1.0, lam=1.0, n=128)
-        f = project_forcing(make_random_forcing(rng, support=6), params.n)
-        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f)
-        y = np.asfortranarray(rng.standard_normal((192, params.dim)))
+        params, n = LatticeParams(nu=1.0, lam=1.0), 128
+        f = project_forcing(make_random_forcing(rng, support=6), n)
+        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f, n)
+        y = np.asfortranarray(rng.standard_normal((192, 2 * n + 1)))
         t, h = -3.0, 0.01
         out, work = np.empty_like(y), (np.empty_like(y), np.empty_like(y))
         rk4_step(rhs, t, y, h, out, work)  # warm-up: the rhs makes its scratch arrays
@@ -759,7 +761,7 @@ class TestStackedRhs:
 
     @pytest.mark.parametrize("name, alpha, coeffs", CATALOG)
     def test_equals_each_block_alone(self, rng, make_random_forcing, name, alpha, coeffs):
-        params = LatticeParams(nu=0.8, lam=1.2, n=5)
+        params = LatticeParams(nu=0.8, lam=1.2)
         nl = make_nonlinearity(name, alpha, coeffs)
         f = make_random_forcing(rng, support=3).shift(0.37)
         blocks = self.SYSTEMS
@@ -800,7 +802,7 @@ class TestStackedRhs:
     def test_random_stacks_give_each_block_alone_bit_for_bit(self, blocks, unforced, rows,
                                                              order, t, seed):
         rng = np.random.default_rng(seed)
-        params = LatticeParams(nu=0.8, lam=1.2, n=6)
+        params = LatticeParams(nu=0.8, lam=1.2)
         nl = make_nonlinearity("cubic", 1.0)
         # one forcing of support 3 with some zero amplitudes, one time offset
         amps = np.where(unforced, 0.0, rng.uniform(-1.0, 1.0, 7))
@@ -830,7 +832,7 @@ class TestStackedRhs:
         f = QuasiPeriodicForcing.finite(0.5 ** np.abs(np.arange(-2, 3)), 1.0,
                                         rng.uniform(0.0, 2.0 * np.pi, 5))
         blocks = ((64, "zero"),) + tuple((n, "wrap") for n in (4, 8, 16))
-        rhs = _compile_rhs(LatticeParams(nu=1.0, lam=1.0, n=64),
+        rhs = _compile_rhs(LatticeParams(nu=1.0, lam=1.0),
                            make_nonlinearity("linear", 1.0), f, blocks)
         y = np.asfortranarray(rng.standard_normal((384, 188)))
         t, h = -3.0, 0.01
@@ -847,14 +849,14 @@ class TestStackedRhs:
 
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     def test_every_boundary_refuses_an_order_below_one(self, boundary):
-        params = LatticeParams(nu=1.0, lam=1.0, n=2)
+        params = LatticeParams(nu=1.0, lam=1.0)
         f = QuasiPeriodicForcing.finite([0.5, 1.0, 0.5], 1.0, 0.0)
         for systems in (((0, boundary),), ((2, "wrap"), (0, boundary))):
             with pytest.raises(ParameterError, match="truncation order must be >= 1, got 0"):
                 _compile_rhs(params, make_nonlinearity("linear", 1.0), f, systems)
 
     def test_edge_monitor_checks_the_zero_ghost_edges(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=2)
+        params = LatticeParams(nu=1.0, lam=1.0)
         rhs = _compile_rhs(params, make_nonlinearity("zero"), QuasiPeriodicForcing.zero(),
                            ((2, "wrap"), (3, "zero")))
         # the periodic block's edges hold 1.0; the zero-ghost block's edges stay 0
@@ -874,14 +876,14 @@ class TestSiteMajorLayout:
     @pytest.mark.parametrize("periodic", [True, False], ids=["wrap", "zero-ghost"])
     def test_rk4_step_matches_c_order(self, rng, make_random_forcing, periodic,
                                       name, alpha, coeffs):
-        params = LatticeParams(nu=0.8, lam=1.2, n=4)
+        params, n = LatticeParams(nu=0.8, lam=1.2), 4
         nl = make_nonlinearity(name, alpha, coeffs)
         f = make_random_forcing(rng, support=2).shift(0.37)
         make = make_finite_rhs if periodic else make_reference_rhs
-        forcing = project_forcing(f, params.n) if periodic else f
+        forcing = project_forcing(f, n) if periodic else f
         # one system per layout, so each keeps scratch arrays in its own layout
-        rhs_c, rhs_f = make(params, nl, forcing), make(params, nl, forcing)
-        for t, u in _batches(rng, params.dim):
+        rhs_c, rhs_f = make(params, nl, forcing, n), make(params, nl, forcing, n)
+        for t, u in _batches(rng, 2 * n + 1):
             h = 0.05
             results = []
             for rhs, y in ((rhs_c, np.ascontiguousarray(u)), (rhs_f, np.asfortranarray(u))):
@@ -891,15 +893,15 @@ class TestSiteMajorLayout:
 
     @pytest.mark.parametrize("t0", [-1.0], ids=["scalar-start"])
     def test_integrate_final_matches_a_c_ordered_loop(self, rng, make_random_forcing, t0):
-        params = LatticeParams(nu=1.0, lam=1.0, n=6)
-        f = project_forcing(make_random_forcing(rng, support=3), params.n)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 6
+        f = project_forcing(make_random_forcing(rng, support=3), n)
         nl = make_nonlinearity("cubic", 1.0)
-        v0 = rng.standard_normal((5, params.dim))
+        v0 = rng.standard_normal((5, 2 * n + 1))
         t1, h = 0.0, 0.03
-        got = integrate_final(make_finite_rhs(params, nl, f), v0, t0, t1, h)
+        got = integrate_final(make_finite_rhs(params, nl, f, n), v0, t0, t1, h)
         assert got.flags.c_contiguous
         # the same schedule on C-ordered buffers, step by step
-        rhs = make_finite_rhs(params, nl, f)
+        rhs = make_finite_rhs(params, nl, f, n)
         n_steps = plan_run(v0.shape, t0, t1, h)
         y, work = v0.copy(), (np.empty_like(v0), np.empty_like(v0))
         states = (np.empty_like(v0), np.empty_like(v0))
@@ -923,11 +925,11 @@ class TestSiteMajorLayout:
 
 
 def _cocycle_setup():
-    params = LatticeParams(nu=1.0, lam=1.0, n=4)
+    params, n = LatticeParams(nu=1.0, lam=1.0), 4
     nl = make_nonlinearity("linear", 1.0)
     f = QuasiPeriodicForcing.finite([0.3, 1.0, 0.5], 1.3, 0.4)
-    fn = project_forcing(f, params.n)
-    v0 = np.random.default_rng(7).standard_normal(params.dim) * 0.3
+    fn = project_forcing(f, n)
+    v0 = np.random.default_rng(7).standard_normal(2 * n + 1) * 0.3
     return params, nl, fn, v0
 
 
@@ -960,16 +962,25 @@ class TestCocycle:
         with pytest.raises(ParameterError):
             cocycle_property_check(v0, fn, -1.0, 0.5, params, nl, 0.01)
 
+    def test_order_is_read_from_the_width_of_v0(self):
+        # a v0 of width 2n + 1 steps the order-n system; an even width has no order
+        params, nl, fn, v0 = _cocycle_setup()
+        wider = np.concatenate([[0.0], v0, [0.0]])
+        assert cocycle_property_check(wider, fn, 1.0, 0.0, params, nl, 0.01) < 1e-14
+        for even, expected in ((v0[:-1], 9), (np.append(v0, 0.0), 11)):
+            with pytest.raises(DimensionError, match=f"state width {len(even)} .* {expected}"):
+                cocycle_property_check(even, fn, 1.0, 1.0, params, nl, 0.01)
+
 
 class TestFlowProperties:
     def test_linear_contraction_between_trajectories(self, rng):
         # with F = -alpha s two solutions contract at least like e^-(lam+alpha)t
-        params = LatticeParams(nu=1.0, lam=1.0, n=6)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 6
         nl = make_nonlinearity("linear", 1.0)
-        f = project_forcing(QuasiPeriodicForcing.geometric(1.0, 0.5, 1.0), params.n)
-        rhs = make_finite_rhs(params, nl, f)
-        a = rng.standard_normal(params.dim)
-        b = rng.standard_normal(params.dim)
+        f = project_forcing(QuasiPeriodicForcing.geometric(1.0, 0.5, 1.0), n)
+        rhs = make_finite_rhs(params, nl, f, n)
+        a = rng.standard_normal(2 * n + 1)
+        b = rng.standard_normal(2 * n + 1)
         t_end = 2.0
         fa = integrate_final(rhs, a, 0.0, t_end, 0.005)
         fb = integrate_final(rhs, b, 0.0, t_end, 0.005)
@@ -979,13 +990,13 @@ class TestFlowProperties:
 
     def test_translation_identity(self, rng):
         # driving with shift(s, f) from t0 equals driving with f from t0 + s
-        params = LatticeParams(nu=0.6, lam=1.1, n=4)
+        params, n = LatticeParams(nu=0.6, lam=1.1), 4
         nl = make_nonlinearity("cubic", 0.4)
-        f = project_forcing(QuasiPeriodicForcing.geometric(0.8, 0.5, 1.7, 0.2), params.n)
+        f = project_forcing(QuasiPeriodicForcing.geometric(0.8, 0.5, 1.7, 0.2), n)
         s = 0.83
-        v0 = rng.standard_normal(params.dim) * 0.2
+        v0 = rng.standard_normal(2 * n + 1) * 0.2
         shifted = integrate_final(
-            make_finite_rhs(params, nl, f.shift(s)), v0, 0.0, 1.5, 0.003
+            make_finite_rhs(params, nl, f.shift(s), n), v0, 0.0, 1.5, 0.003
         )
-        direct = integrate_final(make_finite_rhs(params, nl, f), v0, s, s + 1.5, 0.003)
+        direct = integrate_final(make_finite_rhs(params, nl, f, n), v0, s, s + 1.5, 0.003)
         assert np.linalg.norm(shifted - direct) < 1e-9

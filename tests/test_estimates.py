@@ -213,10 +213,10 @@ class TestEnergyDecay:
     whose energy law is known."""
 
     def test_unforced_linear_trajectory(self, rng):
-        params = LatticeParams(nu=1.0, lam=1.0, n=5)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 5
         nl = make_nonlinearity("linear", 1.0)
-        rhs = make_finite_rhs(params, nl, QuasiPeriodicForcing.zero())
-        v0 = rng.standard_normal(params.dim)
+        rhs = make_finite_rhs(params, nl, QuasiPeriodicForcing.zero(), n)
+        v0 = rng.standard_normal(2 * n + 1)
         v0 /= np.linalg.norm(v0)
         traj = integrate(rhs, v0, 0.0, 4.0, 0.01)
         assert checks.energy_envelope(traj, 1.0, 1.0, 0.0, 0.05)["passed"]
@@ -225,20 +225,20 @@ class TestEnergyDecay:
         assert np.all(y <= np.exp(-3.0 * traj.times) * (1.0 + 1e-8))
 
     def test_zero_trajectory(self):
-        params = LatticeParams(nu=1.0, lam=1.0, n=3)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 3
         nl = make_nonlinearity("cubic", 1.0)
-        rhs = make_finite_rhs(params, nl, QuasiPeriodicForcing.zero())
-        traj = integrate(rhs, np.zeros(params.dim), 0.0, 1.0, 0.05)
+        rhs = make_finite_rhs(params, nl, QuasiPeriodicForcing.zero(), n)
+        traj = integrate(rhs, np.zeros(2 * n + 1), 0.0, 1.0, 0.05)
         assert checks.energy_envelope(traj, 1.0, 1.0, 0.0, 0.05)["passed"]
         assert np.all(traj.norms_sq() == 0.0)
 
     def test_forced_run_settles_into_radius(self, rng):
         # lam = alpha = C = 1: asymptotic energy 1/3
-        params = LatticeParams(nu=1.0, lam=1.0, n=8)
+        params, n = LatticeParams(nu=1.0, lam=1.0), 8
         nl = make_nonlinearity("cubic", 1.0)
         f = QuasiPeriodicForcing.finite([1.0], 1.0, 0.0)
-        rhs = make_finite_rhs(params, nl, project_forcing(f, params.n))
-        v0 = rng.standard_normal(params.dim)
+        rhs = make_finite_rhs(params, nl, project_forcing(f, n), n)
+        v0 = rng.standard_normal(2 * n + 1)
         v0 *= 2.0 / np.linalg.norm(v0)
         traj = integrate(rhs, v0, 0.0, 6.0, 0.01)
         assert checks.energy_envelope(traj, 1.0, 1.0, 1.0, 0.05)["passed"]
