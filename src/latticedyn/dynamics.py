@@ -20,7 +20,7 @@ from .errors import (
 from .forcing import QuasiPeriodicForcing
 # apply_laplacian is not called here; it stays bound as dynamics.apply_laplacian,
 # the name the benchmark's tracer hooks
-from .operators import _TWO, _const, _neighbour_sum, apply_laplacian, boundary_forcing
+from .operators import _TWO, _const, apply_laplacian, boundary_forcing
 
 STABILITY_SAFETY = 0.5
 #: Largest integration a run may ask for, in site-steps (rows x sites x RK4
@@ -231,17 +231,18 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeri
     ``project`` with the periodic ``A``, ``zero`` with the zero-ghost ``A``
     and monitored edges.
 
-    With ``A = 2 - S`` (:func:`~latticedyn.operators._neighbour_sum`) and
-    ``F`` the odd polynomial ``nonlin.coeffs``, it evaluates the same
+    With ``A = 2 - S``, ``S`` the neighbour sum ``(Su)_i = u_{i-1} + u_{i+1}``,
+    and ``F`` the odd polynomial ``nonlin.coeffs``, it evaluates the same
     equation as ``nu*S u + (c0 - lam - 2 nu)*u + c1*u**3 + ... + f(t)``: one
     neighbour sum, then ``*= nu`` and one polynomial whose linear coefficient
-    holds ``-lam`` and ``-2 nu``, over the whole state.  One system's
-    neighbour sum is ``_neighbour_sum``; several systems' is one slice add
-    over the whole width and one gather, add and scatter of every system's
-    edge sites (the inner neighbour, plus the wrapped one at a periodic edge,
-    in the operand order of ``_neighbour_sum``), so a stacked system gives
-    the bits of that system alone.  The gather reads ``u.T``, contiguous in a
-    site-major stack; ``take`` copies any other stack first.
+    holds ``-lam`` and ``-2 nu``, over the whole state.  The neighbour sum
+    of one system or a stack is one slice add over the whole width and one
+    gather, add and scatter of every system's edge sites (the inner
+    neighbour, plus the wrapped one at a periodic edge, the left neighbour
+    first), so a stacked system gives the bits of that system alone.  The
+    gather reads whichever of ``u`` and ``u.T`` is C-contiguous (``u`` for a
+    row or a C-ordered stack, ``u.T`` for a site-major one), so ``take``
+    copies neither a C- nor an F-ordered state.
 
     Each system's forcing table is read once and kept to the columns between
     its first and its last nonzero amplitude; the drive is evaluated once
@@ -297,8 +298,6 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeri
     operands = np.array([a for _, a, _ in terms] + [b for _, _, b in terms if b is not None],
                         dtype=np.intp)
     wrapped = len(operands) - len(cols)
-    single = len(systems) == 1
-    periodic = systems[0][1] != "zero"
     # per state shape: the polynomial's scratch and the edge gather, site-first
     # like u.T.  ufuncs here take ``out`` as the third positional argument:
     # the keyword costs ~20 ns a call
@@ -319,13 +318,13 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeri
             scratch = held[out.shape] = (work, gathered, gathered[:wrapped],
                                          gathered[len(cols):], gathered[:len(cols)])
         work, gathered, firsts, seconds, sums = scratch
-        if single:
-            _neighbour_sum(u, periodic, out)
-        else:
-            np.add(u[..., :-2], u[..., 2:], out[..., 1:-1])
+        np.add(u[..., :-2], u[..., 2:], out[..., 1:-1])
+        if u.flags.c_contiguous:  # a row or a C-ordered stack
+            u.take(operands, -1, gathered.T, "clip")
+        else:  # u.T is C-contiguous in a site-major stack
             u.T.take(operands, 0, gathered, "clip")
-            np.add(firsts, seconds, firsts)
-            out.T[cols] = sums
+        np.add(firsts, seconds, firsts)
+        out.T[cols] = sums
         out *= nu
         poly(u, out, work)
         if live:

@@ -56,30 +56,11 @@ def apply_difference(v, n: int):
     return np.roll(v, -1, axis=-1) - v
 
 
-def _neighbour_sum(v: np.ndarray, periodic: bool, out: np.ndarray) -> np.ndarray:
-    """Neighbour sum ``(Sv)_i = v_{i-1} + v_{i+1}`` on the last axis of ``v``
-    (width at least 3), written into ``out``, an array shaped like ``v`` that
-    is not ``v``.  ``periodic`` wraps the neighbours of the edge sites;
-    otherwise they are zero ghost cells.  The one stencil: callers check the
-    width."""
-    np.add(v[..., :-2], v[..., 2:], out[..., 1:-1])
-    if v.ndim == 1:
-        # a row's edge sites are set as scalars, without a full ufunc call
-        out[0] = v[-1] + v[1] if periodic else v[1]
-        out[-1] = v[-2] + v[0] if periodic else v[-2]
-    elif periodic:
-        np.add(v[..., -1], v[..., 1], out[..., 0])
-        np.add(v[..., -2], v[..., 0], out[..., -1])
-    else:
-        out[..., 0] = v[..., 1]
-        out[..., -1] = v[..., -2]
-    return out
-
-
-def apply_laplacian(v, n: int, periodic: bool = True, out=None):
-    """Second difference ``(Av)_i = 2 v_i - v_{i-1} - v_{i+1}``, computed as
-    ``2v - Sv`` with the neighbour sum ``S``, written into ``out`` (an array
-    shaped like ``v`` that is not ``v``) or a fresh array.
+def apply_laplacian(v, n: int, periodic: bool = True):
+    """The reference second difference ``(Av)_i = 2 v_i - v_{i-1} - v_{i+1}``,
+    computed as ``2v - Sv`` with the neighbour sum ``S``, in a fresh array.  It
+    shares no code with the compiled right-hand sides; the stencil checks of
+    :mod:`~latticedyn.checks` and the tests measure against it.
 
     ``periodic`` wraps the neighbours of the edge sites; otherwise they are
     zero ghost cells.  The periodic form satisfies ``<Av, v> = ||Bv||**2`` to
@@ -87,7 +68,14 @@ def apply_laplacian(v, n: int, periodic: bool = True, out=None):
     """
     _check_order(n)
     v = _check_width(v, n)
-    out = _neighbour_sum(v, periodic, np.empty_like(v) if out is None else out)
+    out = np.empty_like(v)
+    np.add(v[..., :-2], v[..., 2:], out[..., 1:-1])
+    if periodic:
+        np.add(v[..., -1], v[..., 1], out[..., 0])
+        np.add(v[..., -2], v[..., 0], out[..., -1])
+    else:
+        out[..., 0] = v[..., 1]
+        out[..., -1] = v[..., -2]
     return np.subtract(np.multiply(v, _TWO), out, out)
 
 

@@ -13,7 +13,8 @@ from latticedyn import (
     wrap_forcing,
 )
 from latticedyn.errors import DimensionError, ParameterError
-from latticedyn.operators import _neighbour_sum, boundary_forcing
+from latticedyn.dynamics import LatticeParams, Nonlinearity, _compile_rhs
+from latticedyn.operators import boundary_forcing
 
 
 B1 = np.array([[-1, 1, 0], [0, -1, 1], [1, 0, -1]])
@@ -96,8 +97,8 @@ class TestApply:
 
 
 class TestRowEdges:
-    """A row updates its edge sites as scalars; a batch goes through the
-    slice stencil.  Both give the same bits."""
+    """A row and a stack of rows give the same bits, in the reference
+    operator and in the compiled right-hand side."""
 
     @pytest.mark.parametrize("periodic", [True, False], ids=["wrap", "zero-ghost"])
     @pytest.mark.parametrize("n", [1, 2, 16, 128])
@@ -106,9 +107,6 @@ class TestRowEdges:
         row = apply_laplacian(v, n, periodic)
         batch = apply_laplacian(v[None], n, periodic)
         assert np.array_equal(row.view(np.uint64), batch[0].view(np.uint64))
-        out = np.full_like(v, np.nan)
-        assert apply_laplacian(v, n, periodic, out) is out
-        assert np.array_equal(out.view(np.uint64), row.view(np.uint64))
         # small integers: exact, against the materialized matrix
         matrix = laplacian_matrix(n)
         if not periodic:  # zero ghost cells: no wrapped neighbours
@@ -117,20 +115,26 @@ class TestRowEdges:
         w = rng.integers(-1000, 1000, 2 * n + 1)
         assert np.array_equal(apply_laplacian(w.astype(float), n, periodic), matrix @ w)
 
-    @pytest.mark.parametrize("periodic", [True, False], ids=["wrap", "zero-ghost"])
+    @pytest.mark.parametrize("boundary", ["wrap", "project", "zero", None],
+                             ids=["wrap", "project", "zero-ghost", "stack"])
     @pytest.mark.parametrize("n", [1, 2, 16])
-    def test_neighbour_sum_matches_the_padded_sum_bit_for_bit(self, rng, n, periodic):
-        # the one stencil, on rows and on C- and F-ordered stacks
-        v = rng.standard_normal((4, 2 * n + 1))
-        padded = np.pad(v, [(0, 0), (1, 1)], mode="wrap" if periodic else "constant")
-        expected = (padded[:, :-2] + padded[:, 2:]).view(np.uint64)
-        for stack in (v, np.asfortranarray(v)):
-            out = np.full_like(stack, np.nan)
-            assert _neighbour_sum(stack, periodic, out) is out
-            assert np.array_equal(np.ascontiguousarray(out).view(np.uint64), expected)
-        for row, want in zip(v, expected):
-            got = _neighbour_sum(row, periodic, np.full_like(row, np.nan))
-            assert np.array_equal(got.view(np.uint64), want)
+    def test_neighbour_sum_matches_the_padded_sum_bit_for_bit(self, rng, n, boundary):
+        # nu = 1, F(u) = (lam + 2) u and no forcing fold the linear
+        # coefficient c0 - lam - 2 nu to 0: the compiled right-hand side
+        # returns the neighbour sum S u.  Each boundary alone, and all three
+        # in a stack, on rows and on C- and F-ordered stacks of rows
+        params = LatticeParams(nu=1.0, lam=1.0)
+        nl = Nonlinearity("poly", (params.lam + 2.0,), 0.0)
+        systems = ((n, boundary),) if boundary else ((n, "zero"), (1, "wrap"), (n, "project"))
+        blocks = [rng.standard_normal((4, 2 * m + 1)) for m, _ in systems]
+        padded = [np.pad(block, [(0, 0), (1, 1)], mode="constant" if b == "zero" else "wrap")
+                  for block, (_, b) in zip(blocks, systems)]
+        expected = np.concatenate([p[:, :-2] + p[:, 2:] for p in padded], axis=1)
+        v = np.concatenate(blocks, axis=1)
+        rhs = _compile_rhs(params, nl, QuasiPeriodicForcing.zero(), systems)
+        for u, want in [(v, expected), (np.asfortranarray(v), expected), *zip(v, expected)]:
+            got = rhs(0.0, u, np.full_like(u, np.nan))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _dyadic_forcing(support=8, frequency=1.0, phase=0.0):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from latticedyn.cli import main
+from latticedyn.cli import _RULE_CHAR_BYTES, _TABLE_SITE_BYTES, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -30,3 +30,10 @@ def test_config_example_exit_code(tmp_path, command):
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_CODES[command]
     assert (out / "report.json").is_file()
+
+
+def test_forcing_table_charge_matches_the_loader():
+    # the README's per-site and per-character figures are the loader's
+    (site, char), = re.findall(r"(\d+) bytes a site plus (\d+) bytes a character",
+                               " ".join(README.split()))
+    assert (int(site), int(char)) == (_TABLE_SITE_BYTES, _RULE_CHAR_BYTES)
