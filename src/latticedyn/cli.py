@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import logging
 import math
@@ -321,18 +322,149 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # artifact writers
 
 
+#: values rendered at a time: whole rows, about 0.6 MB of working arrays
+_BLOCK_VALUES = 4096
+#: bytes of one value's text in a block: a sign and "0.000" (6), 17 digits and
+#: a point (18), "e-XX" (4) and the separator; NUL fills what a value leaves
+#: unused, and the longest ``%.17g`` text, "-2.2250738585072014e-308", fits
+_SLOT = 29
+
+
+def _veltkamp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each double as the sum of two 26-bit halves, whose products are exact."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """The constants of ``_format_block``, built on first use: 10**s for
+    s = 0..44 as a lead double (with its Veltkamp halves) plus the rounded
+    rest, and the prefix and exponent bytes of each (sign, decimal exponent
+    -28..15)."""
+    exact = [10 ** s for s in range(45)]
+    lead = np.array([float(p) for p in exact])
+    rest = np.array([p - int(lead_p) for p, lead_p in zip(exact, lead.tolist())], dtype=float)
+    frame = np.zeros((10, 2, 44), np.uint8)
+    for e in range(-28, 16):
+        fixed = "0." + "0" * (-e - 1) if -4 <= e < 0 else ""
+        for negative in (0, 1):
+            text = ("-" * negative + fixed).encode()
+            frame[:len(text), negative, e + 28] = list(text)
+        if e < -4:
+            frame[6:, :, e + 28] = np.array(list(b"e-%02d" % -e))[:, None]
+    return lead, *_veltkamp(lead), rest, frame.reshape(10, 88)
+
+
+def _significands(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decimal exponent e and 17-digit significand q of each |value|, so that
+    ``%.17g`` prints q * 10**(e - 16), and whether both are exact.
+
+    q rounds |value| * 10**(16 - e) half to even.  Its lead product is split
+    exactly into a double and a remainder (Dekker), and the remainder is known
+    to about 1e-14, so q is taken only where the remainder's fraction lies
+    more than 1e-6 from 1/2.  Zeros, non-finite values, |value| outside
+    [1e-28, 1e16), and a log10 off by a decade (q outside [1e16, 1e17), which
+    includes a rounding that carries into the next decade) are not exact."""
+    lead, lead_hi, lead_lo, rest, _ = _format_tables()
+    magnitude = np.abs(values)
+    exact = (magnitude >= 1e-28) & (magnitude < 1e16)
+    magnitude = np.where(exact, magnitude, 1.0)  # no log10 of 0, inf or nan
+    e = np.clip(np.floor(np.log10(magnitude)), -28, 15).astype(np.intp)
+    s = 16 - e
+    a_hi, a_lo = _veltkamp(magnitude)
+    b_hi, b_lo = lead_hi[s], lead_lo[s]
+    product = magnitude * lead[s]
+    remainder = (((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+                 + magnitude * rest[s])
+    whole = np.floor(remainder)
+    fraction = remainder - whole
+    # above 2**53 the product is a whole number, so this is exact
+    floor = product.astype(np.int64) + whole.astype(np.int64)
+    q = floor + (fraction > 0.5)
+    exact &= (floor >= 10 ** 16) & (q < 10 ** 17) & (np.abs(fraction - 0.5) >= 1e-6)
+    return e, np.where(exact, q, 10 ** 16), exact
+
+
+def _slots(negative: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` text of each value ``q * 10**(e - 16)``, one column of
+    ``_SLOT`` bytes each with NUL where it has no character and the separator
+    row left unset: fixed notation for -4 <= e < 17, ``d.ddde-XX`` below,
+    trailing zeros and a bare point stripped."""
+    frame = _format_tables()[-1]
+    row = np.arange(18, dtype=np.uint8)[:, None]  # the body's rows
+    n = q.size
+    groups = np.empty((5, n), np.uint16)  # 17 digits in groups of four, three zeros first
+    for i in (4, 3, 2, 1):
+        quotient = q // 10_000
+        groups[i] = q - quotient * 10_000
+        q = quotient
+    groups[0] = q
+    digits = np.empty((5, 4, n), np.uint8)
+    for i in (3, 2, 1):
+        quotient = groups // 10
+        digits[:, i] = groups - quotient * 10
+        groups = quotient
+    digits[:, 0] = groups
+    digits = digits.reshape(20, n)[3:]
+    kept = ((digits != 0) * row[1:]).max(axis=0)  # the digits before the trailing zeros
+    # the body is the digits with a point at row `point`; 18 stands for none
+    point = np.where(e >= 0, e + 1, np.where(e < -4, 1, 18)).astype(np.uint8)
+    point[kept <= point] = 18
+    end = (np.maximum(kept, np.maximum(e + 1, 0)) + (point < 18)).astype(np.uint8)
+    slots = np.empty((_SLOT, n), np.uint8)
+    prefix_suffix = np.take(frame, negative * 44 + (e + 28), axis=1)
+    slots[:6] = prefix_suffix[:6]
+    slots[24:28] = prefix_suffix[6:]
+    digits += ord("0")
+    body = slots[6:24]
+    np.multiply(digits, row[:17] < point, out=body[:17])
+    body[17] = 0
+    body[1:] += digits * (row[1:] > point)
+    body += (row == point) * np.uint8(ord("."))
+    body *= row < end
+    return slots
+
+
+def _format_block(block: np.ndarray) -> np.ndarray:
+    """The CSV lines of a 2-D block of doubles as bytes, each value exactly
+    as ``"%.17g" % value`` prints it; a value ``_significands`` cannot render
+    exactly is printed by ``%.17g`` itself."""
+    values = block.ravel()
+    e, q, exact = _significands(values)
+    text = _slots(values < 0, e, q).T.copy()
+    text[:, -1] = ord(",")
+    text[block.shape[1] - 1::block.shape[1], -1] = ord("\n")
+    # the rest through %.17g, left-aligned in their slots: its text has no spaces
+    rest = np.flatnonzero(~exact)
+    own = f"%-{_SLOT - 1}.17g" * rest.size % tuple(values[rest].tolist())
+    own = np.frombuffer(own.encode(), np.uint8).reshape(-1, _SLOT - 1)
+    text[rest, :-1] = np.where(own == ord(" "), 0, own)
+    return text[text != 0]
+
+
 def _write_table(path: Path, header: list[str], rows: np.ndarray,
                  times: np.ndarray | None = None) -> None:
-    """CSV of float rows, each value as ``%.17g`` (round-trips exactly);
-    ``times``, when given, is a leading column.  One row is converted and
-    formatted at a time, so the table is never held as Python floats."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        if times is None:
-            handle.writelines(line % tuple(row.tolist()) for row in rows)
-        else:
-            handle.writelines(line % (t, *row.tolist()) for t, row in zip(times.tolist(), rows))
+    """CSV of float rows, with ``times``, when given, as a leading column.
+    Every value is written exactly as ``"%.17g" % value`` prints it, so it
+    parses back to the same double.
+
+    Blocks of whole rows, about ``_BLOCK_VALUES`` values with the block's
+    times prepended, are rendered in a few numpy calls (``_format_block``)
+    and written straight to the file: neither the table's text nor a full
+    copy of the table is ever held.  The values the blockwise rendering
+    cannot vouch for (zeros, nan and inf, magnitudes outside [1e-28, 1e16),
+    a 17th digit within 1e-6 of a tie, a log10 a decade off) are printed
+    by ``%.17g`` one at a time."""
+    per_block = max(1, _BLOCK_VALUES // len(header))
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        for start in range(0, len(rows), per_block):
+            block = rows[start:start + per_block]
+            if times is not None:
+                block = np.column_stack((times[start:start + per_block], block))
+            handle.write(_format_block(block))
 
 
 def _site_header(half_width: int) -> list[str]:

@@ -145,9 +145,9 @@ class FiniteForcing(QuasiPeriodicForcing):
         m = self.effective_support()
         if n >= m:
             return 0.0
-        a = self.amplitudes
-        head = a[m - n:m + n + 1]
-        return float(np.dot(a, a) - np.dot(head, head))
+        # summed directly: the total less the head cancels when the head dominates
+        tail = np.concatenate((self.amplitudes[:m - n], self.amplitudes[m + n + 1:]))
+        return float(np.dot(tail, tail))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import fractions
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import latticedyn
 from latticedyn.cli import (_RULE_CHAR_BYTES, _TABLE_SITE_BYTES, _SectionView, _load_forcing,
@@ -177,6 +179,95 @@ class TestSimulate:
         cfg = write_config(tmp_path, text)
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
+
+
+def per_value_table(header, rows, times=None):
+    """The oracle of ``_write_table``: every value on its own through ``%.17g``."""
+    lines = [",".join(header)]
+    for i, row in enumerate(rows.tolist()):
+        values = row if times is None else [float(times[i])] + row
+        lines.append(",".join("%.17g" % v for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def written_table(path, rows, times=None):
+    header = [f"c{j}" for j in range(rows.shape[1] + (times is not None))]
+    _write_table(path, header, rows, times)
+    return path.read_text(encoding="utf-8"), per_value_table(header, rows, times)
+
+
+class TestTableText:
+    """``_write_table`` renders blocks of values in numpy; each value's text
+    must be exactly what ``%.17g`` prints for it."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=hnp.arrays(np.float64, st.tuples(st.integers(0, 9), st.integers(1, 9)),
+                           elements=st.one_of(st.floats(), st.floats(-1e16, 1e16))),
+           with_times=st.booleans())
+    def test_any_table_matches_per_value_formatting(self, tmp_path, rows, with_times):
+        times = rows[:, 0].copy() if with_times and rows.shape[1] > 1 else None
+        if times is not None:
+            rows = rows[:, 1:]
+        got, expected = written_table(tmp_path / "t.csv", rows, times)
+        assert got == expected
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(30).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        # half of them with a binary exponent in 2**-94 .. 2**53, around the
+        # blockwise range [1e-28, 1e16), where every other pattern is rare
+        exponents = np.random.default_rng(31).integers(1023 - 94, 1023 + 54, 100_000)
+        bits[::2] = (bits[::2] & ~np.uint64(0x7FF << 52)) | (exponents.astype(np.uint64) << 52)
+        got, expected = written_table(tmp_path / "t.csv", bits.view(np.float64).reshape(-1, 20))
+        assert got == expected
+
+    def test_edge_values(self, tmp_path):
+        # every power of ten from 1e-29 to 1e17: where log10 and the 17th
+        # digit's rounding may land in the neighbouring decade
+        centres = [0.0, 5e-324] + [float(f"1e{k}") for k in range(-29, 18)]
+        values = [-0.0, 0.1, 1.0 / 3.0, 400.0, math.inf, -math.inf, math.nan]
+        for x in centres:
+            values += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+        values += [-v for v in values]
+        got, expected = written_table(tmp_path / "t.csv", np.array(values)[:, None])
+        assert got == expected
+
+    def test_a_tie_rounds_half_to_even(self, tmp_path):
+        # 1000000000000000.25 is a double: its 17th digit is an exact tie
+        got, _ = written_table(tmp_path / "t.csv", np.array([[1000000000000000.25]]))
+        assert got == "c0\n1000000000000000.2\n"
+
+    def test_a_rounding_that_carries_into_the_next_decade(self, tmp_path):
+        # the double nearest 1e-14 lies below it, within half a unit of the
+        # 17th digit: its 17 digits round up to 1 in the next decade
+        assert fractions.Fraction(1e-14) < fractions.Fraction(1, 10 ** 14)
+        got, expected = written_table(tmp_path / "t.csv", np.array([[1e-14, -1e-14]]))
+        assert got == expected == "c0,c1\n1e-14,-1e-14\n"
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (5000, 1)])
+    @pytest.mark.parametrize("with_times", [False, True])
+    def test_shapes(self, tmp_path, shape, with_times):
+        rows = np.random.default_rng(shape[0]).standard_normal(shape)
+        times = np.arange(shape[0]) * 0.02 if with_times else None
+        got, expected = written_table(tmp_path / "t.csv", rows, times)
+        assert got == expected
+
+    def test_peak_memory_is_one_block(self, tmp_path):
+        # blocks of rows stream to the file: the peak neither holds the table's
+        # text nor grows with its length (20,001 x 33 doubles with times: 5.5 MB)
+        header = ["t"] + [f"c{j}" for j in range(33)]
+        peaks = []
+        for length in (2001, 20001):
+            rows = np.random.default_rng(length).standard_normal((length, 33))
+            times = np.arange(length) * 0.02
+            tracemalloc.start()
+            try:
+                _write_table(tmp_path / "t.csv", header, rows, times)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1_000_000
+        assert peaks[1] <= peaks[0] + 4096
 
 
 class TestVerify:

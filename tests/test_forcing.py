@@ -128,9 +128,15 @@ class TestTail:
         a = f.amplitudes
         for n in range(3):
             outside = np.concatenate([a[:3 - n], a[4 + n:]])
-            assert f.tail_sup_bound(n) == pytest.approx(float(outside @ outside), rel=1e-12)
+            assert f.tail_sup_bound(n) == pytest.approx(float(outside @ outside),
+                                                        rel=1e-12, abs=0.0)
         with pytest.raises(ParameterError):
             f.tail_sup_bound(-1)
+
+    def test_a_small_tail_beside_a_large_head_is_not_cancelled(self):
+        # 1e16 - 1e16 leaves nothing of the tail's 2e-18: the bound must read it
+        f = QuasiPeriodicForcing.finite([1e-9, 1e8, 1e-9], 1.0)
+        assert f.tail_sup_bound(0) == pytest.approx(2e-18, rel=1e-12, abs=0.0)
 
     def test_geometric_sup_bound_matches_series(self):
         f = QuasiPeriodicForcing.geometric(1.0, 0.5, 1.0)
