@@ -42,6 +42,9 @@ _RUN_ARRAYS = 8
 _SIGN_SLACK = 1e-12  # absorbs 1-ulp rounding in the sampled sign checks
 _REGISTRATION_SAMPLES = 10_001  # odd, so that s = 0 is a sample
 _REGISTRATION_RADIUS = 4.0  # registration samples F on [-4, 4]
+#: drive values a run evaluates at a time (stage times x span columns): about
+#: 8 KB of rows, held in one buffer for the run
+_DRIVE_VALUES = 1024
 
 
 def run_bytes(rows: int, sites: int, samples: int = 0) -> int:
@@ -241,26 +244,33 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeri
     neighbour, plus the wrapped one at a periodic edge, the left neighbour
     first), so a stacked system gives the bits of that system alone.  The
     gather reads whichever of ``u`` and ``u.T`` is C-contiguous (``u`` for a
-    row or a C-ordered stack, ``u.T`` for a site-major one), so ``take``
-    copies neither a C- nor an F-ordered state.
+    row or a C-ordered stack, ``u.T`` for a site-major one) into a buffer of
+    its own layout, so ``take`` copies nothing.
 
     Each system's forcing table is read once and kept to the columns between
-    its first and its last nonzero amplitude; the drive is evaluated once
-    over the span from the first to the last of these live columns, as one
-    row added to every row of the state.  A column without forcing inside the
-    span drives ``sin(0*t + pi/2) * -0.0 = -0.0`` at any finite time, and
-    ``x + -0.0`` has the bits of ``x``.  The closure ``rhs(t, u, out=None)``
-    acts on the last axis of a state or a stack of rows, all at the one time
-    ``t``, and refuses a state of the wrong width with
-    :class:`DimensionError`.  It writes into ``out`` (shaped like ``u``, not
-    ``u``) or a fresh array, with the polynomial's scratch arrays (one for a
-    linear or cubic ``F``, up to three above) and the gather it keeps per
-    shape, the scratch arrays in the memory layout of the first ``out`` of
-    that shape.  It keeps the last float time it evaluated the forcing at,
-    and reuses the drive for an equal nonzero float (RK4's two midpoint
-    stages; often the next step's start).  Its ``edges`` attribute lists the
-    columns of the ``zero`` systems' edge sites, which the edge monitor of
-    :func:`integrate` checks.
+    its first and its last nonzero amplitude; the drive is one row over the
+    span from the first to the last of these live columns (the first column
+    when nothing is forced), added to every row of the state.  A column
+    without forcing drives ``sin(0*t + pi/2) * -0.0 = -0.0`` at any finite
+    time, and ``x + -0.0`` has the bits of ``x``.
+
+    ``rhs.bind(u, out)`` resolves once what does not depend on the time (the
+    stencil slices, the gather and its target, the edge scatter, the drive
+    span of ``out``, and the polynomial's scratch arrays kept with the gather
+    per shape and layout of ``u``: one for a linear or cubic ``F``, up to
+    three above) and returns ``evaluate(drive)``, which writes the derivative
+    under the drive row ``drive`` into ``out``.  It refuses a state of the
+    wrong width with :class:`DimensionError`, and an ``out`` that shares
+    memory with ``u`` (the neighbour sum would overwrite ``u`` before ``F``
+    reads it) with :class:`ParameterError`.  ``rhs.drives(steps)`` is
+    ``(per_block, fill)`` for a run: ``fill(times)`` evaluates the drive at
+    a ``(count <= per_block, 3)`` block of stage times into one buffer of
+    about :data:`_DRIVE_VALUES` values kept for the run, and returns a triple
+    of rows per step; every stage gets its own row.  ``rhs(t, u, out=None)``
+    is ``rhs.bind(u, out)`` evaluated under the drive at ``t``, the one time
+    of every row, into ``out`` or a fresh array.  Its ``edges`` attribute
+    lists the columns of the ``zero`` systems' edge sites, which the edge
+    monitor of :func:`integrate` checks.
     """
     nu = _const(params.nu)
     c0, *higher = nonlin.coeffs
@@ -287,10 +297,9 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeri
             live += [start + lo, start + hi]
         start = right + 1
     offset = forcing.time_offset
-    span = slice(live[0], live[-1]) if live else slice(0, 0)
+    # without forcing, one column that drives -0.0
+    span = slice(live[0], live[-1]) if live else slice(0, 1)
     amps, freqs, phases = table[:, span]
-    drive = np.empty_like(amps)
-    drive_t = None  # the float time the drive holds
     # the periodic edges first: the gather holds every first operand, then
     # the periodic edges' second ones
     terms.sort(key=lambda term: term[2] is None)
@@ -298,47 +307,69 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeri
     operands = np.array([a for _, a, _ in terms] + [b for _, _, b in terms if b is not None],
                         dtype=np.intp)
     wrapped = len(operands) - len(cols)
-    # per state shape: the polynomial's scratch and the edge gather, site-first
-    # like u.T.  ufuncs here take ``out`` as the third positional argument:
-    # the keyword costs ~20 ns a call
+    # per shape and layout of u: the polynomial's scratch and the edge gather.
+    # ufuncs here take ``out`` as the third positional argument: the keyword
+    # costs ~20 ns a call
     held: dict[tuple, tuple] = {}
 
-    def rhs(t, u, out=None):
-        nonlocal drive_t
-        if out is None:
-            u = np.asarray(u, dtype=float)
-            out = np.empty_like(u)
+    def drive(times, rows):
+        """``amps * sin(freqs * (times + offset) + phases)`` into ``rows``,
+        one row of the span per time."""
+        np.multiply(freqs, np.add(times, offset)[..., None], rows)
+        np.add(rows, phases, rows)
+        np.sin(rows, rows)
+        return np.multiply(rows, amps, rows)
+
+    def drives(steps):
+        per_block = max(1, min(steps, _DRIVE_VALUES // (3 * amps.size)))
+        block = np.empty((per_block, 3, amps.size))
+        rows = [tuple(step) for step in block]
+
+        def fill(times):
+            drive(times, block[:len(times)])
+            return rows
+
+        return per_block, fill
+
+    def bind(u, out):
         if u.shape[-1] != width:
             raise DimensionError(f"state width {u.shape[-1]} does not match the system "
                                  f"(expected {width})")
-        scratch = held.get(out.shape)
+        if np.may_share_memory(u, out):
+            raise ParameterError("the derivative must not share memory with the state")
+        site_major = not u.flags.c_contiguous  # u.T is C-contiguous in a site-major stack
+        scratch = held.get((u.shape, site_major))
         if scratch is None:
-            gathered = np.empty((len(operands), *out.shape[-2::-1]))
             work = tuple(np.empty_like(out) if k < poly.scratch else None for k in range(3))
-            scratch = held[out.shape] = (work, gathered, gathered[:wrapped],
-                                         gathered[len(cols):], gathered[:len(cols)])
-        work, gathered, firsts, seconds, sums = scratch
-        np.add(u[..., :-2], u[..., 2:], out[..., 1:-1])
-        if u.flags.c_contiguous:  # a row or a C-ordered stack
-            u.take(operands, -1, gathered.T, "clip")
-        else:  # u.T is C-contiguous in a site-major stack
-            u.T.take(operands, 0, gathered, "clip")
-        np.add(firsts, seconds, firsts)
-        out.T[cols] = sums
-        out *= nu
-        poly(u, out, work)
-        if live:
-            # equal nonzero floats are one double; 0.0 and -0.0 are equal
-            # but may give drives that differ in the sign of a zero
-            if not (isinstance(t, float) and t == drive_t and t != 0.0):
-                np.multiply(freqs, t + offset, drive)
-                np.add(drive, phases, drive)
-                np.sin(drive, drive)
-                np.multiply(drive, amps, drive)
-                drive_t = t if isinstance(t, float) else None
-            out[..., span] += drive
-        return out
+            # operand-first; take writes the operands along the axis it reads
+            ops = (np.empty((len(operands), *u.shape[-2::-1])) if site_major
+                   else np.empty((*u.shape[:-1], len(operands))).T)
+            scratch = held[u.shape, site_major] = (work, ops, ops[:wrapped], ops[len(cols):],
+                                                   ops[:len(cols)])
+        work, ops, firsts, seconds, sums = scratch
+        lower, upper, inner = u[..., :-2], u[..., 2:], out[..., 1:-1]
+        take, axis, gathered = (u.T.take, 0, ops) if site_major else (u.take, -1, ops.T)
+        scatter, forced = out.T, out[..., span]
 
+        def evaluate(row):
+            np.add(lower, upper, inner)
+            take(operands, axis, gathered, "clip")
+            np.add(firsts, seconds, firsts)
+            scatter[cols] = sums
+            np.multiply(out, nu, out)
+            poly(u, out, work)
+            np.add(forced, row, forced)
+            return out
+
+        return evaluate
+
+    def rhs(t, u, out=None):
+        if out is None:
+            u = np.asarray(u, dtype=float)
+            out = np.empty_like(u)
+        return bind(u, out)(drive(t, np.empty(amps.size)))
+
+    rhs.bind, rhs.drives = bind, drives
     rhs.edges = np.array(edges, dtype=np.intp)
     return rhs
 
@@ -415,49 +446,79 @@ class Trajectory:
         return np.einsum("...i,...i->...", self.states, self.states)
 
 
-def rk4_step(rhs, t: float, y: np.ndarray, h: float, out: np.ndarray, work) -> np.ndarray:
-    """One classical RK4 step of ``rhs(t, u, out)`` from ``y`` at ``t`` by ``h``
-    (one time and one step for every row), written into ``out``, which holds
-    k1 and then the running sum; ``work`` holds the current k and the stage
+def rk4_step(first, rest, y: np.ndarray, out: np.ndarray, work, drives, consts) -> np.ndarray:
+    """One classical RK4 step from ``y``, written into ``out``, which holds k1
+    and then the running sum; ``work`` holds the current k and the stage
     state.  These three are arrays shaped like ``y``, and no two of the four
-    share memory."""
+    share memory.  ``first`` and ``rest`` are evaluations bound (see
+    :func:`_binding`) from ``y`` into ``out`` and from the stage state into
+    k, ``drives`` what they are evaluated under at the step's start, its
+    midpoint and its end, and ``consts`` the :func:`_step_consts` of the
+    step."""
     k, stage = work
-    half = 0.5 * h
-    mid = t + half
-    rhs(t, y, out)
+    start, mid, end = drives
+    half, h, sixth = consts
+    first(start)
     # each stage is y + 0.5 * h * k: the product first, then y added
     np.multiply(half, out, stage)
     stage += y
-    rhs(mid, stage, k)
+    rest(mid)
     np.multiply(half, k, stage)
     stage += y
     # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in place in that order
     k *= _TWO
     out += k
-    rhs(mid, stage, k)
+    rest(mid)
     np.multiply(h, k, stage)
     stage += y
     k *= _TWO
     out += k
-    rhs(t + h, stage, k)
+    rest(end)
     out += k
-    out *= h / 6.0
+    out *= sixth
     out += y
     return out
 
 
-def _with_out(rhs):
-    """``rhs`` in the ``rhs(t, u, out)`` form the loop calls.  A plain
-    ``rhs(t, u)`` has its result copied into ``out``, so one that returns its
-    own input cannot alias the state."""
-    if "out" in inspect.signature(rhs).parameters:
-        return rhs
+def _step_consts(h: float) -> tuple[np.ndarray, ...]:
+    """``h / 2``, ``h`` and ``h / 6`` as the 0-d arrays :func:`rk4_step` takes."""
+    return _const(0.5 * h), _const(h), _const(h / 6.0)
 
-    def buffered(t, u, out):
-        np.copyto(out, rhs(t, u))
-        return out
 
-    return buffered
+def _binding(rhs):
+    """``(bind, drives)`` of ``rhs``, as :func:`integrate` steps it: a
+    compiled right-hand side's own (see :func:`_compile_rhs`), or for any
+    other callable a ``bind(u, out)`` evaluated at a stage time, whose
+    ``drives`` hands each stage its time.  A plain ``rhs(t, u)`` has its
+    result copied into ``out``, so one that returns its own input cannot
+    alias the state."""
+    if hasattr(rhs, "bind"):
+        return rhs.bind, rhs.drives
+    takes_out = "out" in inspect.signature(rhs).parameters
+
+    def bind(u, out):
+        if takes_out:
+            return lambda t: rhs(t, u, out)
+        return lambda t: np.copyto(out, rhs(t, u))
+
+    def drives(steps):
+        return max(1, min(steps, _DRIVE_VALUES // 3)), np.ndarray.tolist
+
+    return bind, drives
+
+
+def _stage_drives(drives, t0: float, t1: float, h: float, n_steps: int):
+    """``(k, drive)`` per step, ``drive`` the rows ``drives`` fills a block of
+    steps at a time, at the stage times the loop makes: ``t = t0 + k*h``,
+    ``t + 0.5*step`` and ``t + step``, the last step shortened to ``t1``."""
+    per_block, fill = drives(n_steps)
+    for begin in range(0, n_steps, per_block):
+        ks = range(begin, min(begin + per_block, n_steps))
+        start = t0 + np.arange(ks.start, ks.stop) * h
+        steps = np.full(len(ks), h)
+        if ks.stop == n_steps:
+            steps[-1] = t1 - start[-1]
+        yield from zip(ks, fill(np.stack((start, start + 0.5 * steps, start + steps), axis=-1)))
 
 
 def _step_count(span: float, h: float) -> int:
@@ -535,6 +596,10 @@ def integrate(
     ``sample_stride = 0`` keeps ``t1`` only.  A stack steps site-major
     (Fortran order, so each stencil slice is one contiguous block).
 
+    ``rhs`` is bound once per run (:func:`_binding`), each state buffer into
+    the other and the stage state into k, and evaluated under drive rows
+    made a block of steps at a time (a callable not compiled gets the time).
+
     ``boundary_floor`` turns on the edge monitor of the padded reference
     system: :class:`BoundaryContaminationError` once an edge site exceeds it,
     checked at the start and after every step, on the columns ``rhs.edges``
@@ -550,21 +615,26 @@ def integrate(
     edges = getattr(rhs, "edges", np.array([0, -1]))
     if boundary_floor is not None:
         _check_edges(y, t0, boundary_floor, edges)
-    rhs = _with_out(rhs)
+    bind, drives = _binding(rhs)
     kept = _sample_count(n_steps, sample_stride)
     times, states = np.empty(kept), np.empty((kept, *y.shape))
     times[0], states[0] = t0, y
     # the loop's own arrays: RK4 scratch, and two states written in turn, the
-    # second of them the start state's copy
+    # second of them the start state's copy; step k reads buffers[(k + 1) % 2].
+    # Bound once: each state into the other, and the stage state into k
     work = (np.empty_like(y), np.empty_like(y))
     buffers = (np.empty_like(y), y)
+    firsts = (bind(buffers[1], buffers[0]), bind(buffers[0], buffers[1]))
+    rest = bind(work[1], work[0])
+    consts = _step_consts(h)
     # a diverging run overflows before the finiteness check names its step
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        for k, drive in _stage_drives(drives, t0, t1, h, n_steps):
             t = t0 + k * h
             last = k == n_steps - 1
             step = t1 - t if last else h
-            y = rk4_step(rhs, t, y, step, buffers[k % 2], work)
+            y = rk4_step(firsts[k % 2], rest, y, buffers[k % 2], work, drive,
+                         _step_consts(step) if last else consts)
             if not np.isfinite(y).all():
                 bad = "state"
                 if y.ndim == 2:

@@ -19,11 +19,14 @@ from latticedyn import (
     project_forcing,
 )
 from latticedyn.dynamics import (
+    _DRIVE_VALUES,
     MEMORY_CAP,
     WORK_CAP,
     Nonlinearity,
     Trajectory,
+    _binding,
     _compile_rhs,
+    _step_consts,
     auto_step,
     integrate_final,
     plan_run,
@@ -470,6 +473,42 @@ def _batches(rng, dim):
     return [(0.3, rng.standard_normal(dim)), (-1.5, rng.standard_normal((3, dim)))]
 
 
+def _rk4(rhs, t, y, h, out, work):
+    """One :func:`rk4_step` of ``rhs`` from ``y`` at ``t`` by ``h`` into
+    ``out``, bound and driven as ``integrate`` steps it, as a call of no
+    arguments: binding keeps the right-hand side's scratch arrays."""
+    bind, drives = _binding(rhs)
+    k, stage = work
+    first, rest = bind(y, out), bind(stage, k)
+    _, fill = drives(1)
+    drive = fill(np.array([[t, t + 0.5 * h, t + h]]))[0]
+    consts = _step_consts(h)
+    return lambda: rk4_step(first, rest, y, out, work, drive, consts)
+
+
+def _allocating_run(rhs, v0, t0, t1, h):
+    """The states ``integrate`` keeps at stride 1, from step-by-step RK4 of
+    allocating ``rhs(t, u)`` calls in ``rk4_step``'s order of operations."""
+    n_steps = plan_run(np.shape(v0), t0, t1, h)
+    y = np.array(v0, dtype=float)
+    states = [y]
+    for k in range(n_steps):
+        t = t0 + k * h
+        step = t1 - t if k == n_steps - 1 else h
+        half = 0.5 * step
+        k1 = rhs(t, y)
+        k2 = rhs(t + half, y + half * k1)
+        k3 = rhs(t + half, y + half * k2)
+        k4 = rhs(t + step, y + step * k3)
+        y = k1 + 2.0 * k2
+        y += 2.0 * k3
+        y += k4
+        y *= step / 6.0
+        y += states[-1]
+        states.append(y)
+    return np.array(states)
+
+
 def _second_difference(n, periodic):
     """The dense ``A`` of the periodic or the zero-ghost system."""
     mat = laplacian_matrix(n)
@@ -563,7 +602,7 @@ class TestBufferedStepping:
         expected *= h / 6.0
         expected += y
         out, work = np.full_like(y, np.nan), np.full((2, *y.shape), np.nan)
-        assert rk4_step(rhs, t, y, h, out, work) is out
+        assert _rk4(rhs, t, y, h, out, work)() is out
         assert np.array_equal(_bits(out), _bits(expected))
 
     def test_drive_reuse_matches_a_fresh_system(self, rng, make_random_forcing):
@@ -659,10 +698,11 @@ class TestBufferedStepping:
         y = rng.standard_normal((192, 2 * n + 1))
         t, h = -3.0, 0.01
         out, work = np.empty_like(y), np.empty((2, *y.shape))
-        rk4_step(rhs, t, y, h, out, work)  # warm-up: the rhs makes its scratch arrays
+        step = _rk4(rhs, t, y, h, out, work)  # binding: the rhs makes its scratch arrays
+        step()
         tracemalloc.start()
         try:
-            rk4_step(rhs, t, y, h, out, work)
+            step()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -682,10 +722,11 @@ class TestBufferedStepping:
         y = np.asfortranarray(rng.standard_normal((192, 2 * n + 1)))
         t, h = -3.0, 0.01
         out, work = np.empty_like(y), (np.empty_like(y), np.empty_like(y))
-        rk4_step(rhs, t, y, h, out, work)  # warm-up: the rhs makes its scratch arrays
+        step = _rk4(rhs, t, y, h, out, work)  # binding: the rhs makes its scratch arrays
+        step()
         tracemalloc.start()
         try:
-            rk4_step(rhs, t, y, h, out, work)
+            step()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -771,7 +812,7 @@ class TestStackedRhs:
         for t, u in _batches(rng, widths[-1]):
             for order in ("C", "F"):
                 y = np.array(u, order=order)
-                # a float time twice: the second call reuses the drive columns
+                # a float time twice: the second call reads the scratch the first left
                 for _ in range(2):
                     got = stacked(t, y, np.empty_like(y))
                     for rhs, a, b in zip(alone, widths, widths[1:]):
@@ -816,7 +857,7 @@ class TestStackedRhs:
                      order=order)
         stacked = _compile_rhs(params, nl, f, blocks)
         alone = [_compile_rhs(params, nl, f, (block,)) for block in blocks]
-        # the second call at the same float time reuses the drive
+        # the second call at the same float time reads the scratch the first left
         for _ in range(2):
             got = stacked(t, y, np.empty_like(y))
             for rhs, a, b in zip(alone, widths, widths[1:]):
@@ -839,10 +880,11 @@ class TestStackedRhs:
         y = np.array(rng.standard_normal((384, 188)), order=order)
         t, h = -3.0, 0.01
         out, work = np.empty_like(y), (np.empty_like(y), np.empty_like(y))
-        rk4_step(rhs, t, y, h, out, work)  # warm-up: the rhs makes its scratch arrays
+        step = _rk4(rhs, t, y, h, out, work)  # binding: the rhs makes its scratch arrays
+        step()
         tracemalloc.start()
         try:
-            rk4_step(rhs, t, y, h, out, work)
+            step()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -890,7 +932,7 @@ class TestSiteMajorLayout:
             results = []
             for rhs, y in ((rhs_c, np.ascontiguousarray(u)), (rhs_f, np.asfortranarray(u))):
                 out, work = np.empty_like(y), (np.empty_like(y), np.empty_like(y))
-                results.append(rk4_step(rhs, t, y, h, out, work))
+                results.append(_rk4(rhs, t, y, h, out, work)())
             assert np.array_equal(_bits(results[0]), _bits(results[1]))
 
     @pytest.mark.parametrize("t0", [-1.0], ids=["scalar-start"])
@@ -909,7 +951,7 @@ class TestSiteMajorLayout:
         states = (np.empty_like(v0), np.empty_like(v0))
         for k in range(n_steps):
             t = t0 + k * h
-            y = rk4_step(rhs, t, y, h if k < n_steps - 1 else t1 - t, states[k % 2], work)
+            y = _rk4(rhs, t, y, h if k < n_steps - 1 else t1 - t, states[k % 2], work)()
         assert np.array_equal(_bits(got), _bits(y))
         assert not np.array_equal(got, v0)
 
@@ -924,6 +966,103 @@ class TestSiteMajorLayout:
         # a C-ordered batch goes in; every stage the loop hands out is Fortran
         integrate_final(rhs, rng.standard_normal((4, 7)), 0.0, 0.3, 0.1)
         assert len(seen) == 12 and all(seen)
+
+
+class TestBoundLoop:
+    """``integrate`` binds each right-hand side once per run and evaluates
+    the drive a block of steps at a time; it keeps the bits of step-by-step
+    RK4 on allocating calls."""
+
+    def test_one_row_over_several_drive_blocks(self, rng, make_random_forcing):
+        params, n = LatticeParams(nu=0.8, lam=1.2), 8
+        f = project_forcing(make_random_forcing(rng, support=8).shift(0.37), n)
+        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f, n)
+        v0 = rng.standard_normal(2 * n + 1)
+        t0, t1, h = -1.3, 0.77, 0.02
+        traj = integrate(rhs, v0, t0, t1, h)
+        # the forcing is live on every site: 17 columns, three times per step
+        assert traj.steps > 4 * (_DRIVE_VALUES // (3 * 17))
+        assert traj.times[-1] - traj.times[-2] < h
+        assert np.array_equal(_bits(traj.states), _bits(_allocating_run(rhs, v0, t0, t1, h)))
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_a_stack_of_systems(self, rng, order):
+        params = LatticeParams(nu=0.8, lam=1.2)
+        f = QuasiPeriodicForcing.finite(rng.uniform(-1.0, 1.0, 7), rng.uniform(0.2, 3.0, 7),
+                                        rng.uniform(0.0, 2.0 * np.pi, 7)).shift(-0.6)
+        rhs = _compile_rhs(params, make_nonlinearity("cubic", 1.0), f, TestStackedRhs.SYSTEMS)
+        v0 = np.array(rng.standard_normal((3, 26)), order=order)
+        traj = integrate(rhs, v0, -0.5, 0.31, 0.05)
+        assert np.array_equal(_bits(traj.states), _bits(_allocating_run(rhs, v0, -0.5, 0.31, 0.05)))
+
+    def test_plain_and_out_callables(self, rng, make_random_forcing):
+        params, n = LatticeParams(nu=1.0, lam=1.0), 4
+        f = project_forcing(make_random_forcing(rng, support=3).shift(0.2), n)
+        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f, n)
+        seen = []
+
+        def plain(t, u):
+            seen.append(t)
+            return rhs(t, u)
+
+        def with_out(t, u, out):
+            return rhs(t, u, out)
+
+        v0 = rng.standard_normal((2, 2 * n + 1))
+        want = _allocating_run(rhs, v0, -0.4, 0.45, 0.03)
+        for callable_rhs in (plain, with_out):
+            traj = integrate(callable_rhs, v0, -0.4, 0.45, 0.03)
+            assert np.array_equal(_bits(traj.states), _bits(want))
+        # a plain callable is handed each stage time as a float
+        assert len(seen) == 4 * traj.steps and all(type(t) is float for t in seen)
+
+    def test_a_compiled_rhs_is_bound_three_times_per_run(self, rng, make_random_forcing):
+        params, n = LatticeParams(nu=1.0, lam=1.0), 4
+        f = project_forcing(make_random_forcing(rng, support=2), n)
+        rhs = make_finite_rhs(params, make_nonlinearity("linear", 1.0), f, n)
+        bind, bound = rhs.bind, []
+
+        def spy(u, out):
+            bound.append(u.shape)
+            return bind(u, out)
+
+        rhs.bind = spy
+        for t1 in (0.05, 20.0):
+            bound.clear()
+            integrate_final(rhs, rng.standard_normal((3, 2 * n + 1)), 0.0, t1, 0.01)
+            # each state into the other and the stage state into k
+            assert bound == [(3, 2 * n + 1)] * 3
+
+    def test_an_out_sharing_the_state_is_refused(self, rng, make_random_forcing):
+        # the neighbour sum overwrote u before the polynomial read it
+        params, n = LatticeParams(nu=1.0, lam=1.0), 3
+        f = project_forcing(make_random_forcing(rng, support=2), n)
+        rhs = make_finite_rhs(params, make_nonlinearity("cubic", 1.0), f, n)
+        v = rng.standard_normal(2 * n + 1)
+        stack = rng.standard_normal((4, 2 * n + 1))
+        for u, out in ((v, v), (stack, stack[::-1])):
+            with pytest.raises(ParameterError, match="share memory"):
+                rhs(0.3, u, out)
+
+    def test_c_ordered_stack_gathers_without_a_temporary(self, rng):
+        # converge's stack in C order: take writes the edge gather in place.
+        # The strided stencil slices still take up to three getbufsize()
+        # buffers; a temporary gather of 4096 rows x 14 operands is 459 KB
+        f = QuasiPeriodicForcing.finite(0.5 ** np.abs(np.arange(-2, 3)), 1.0,
+                                        rng.uniform(0.0, 2.0 * np.pi, 5))
+        blocks = ((64, "zero"),) + tuple((n, "wrap") for n in (4, 8, 16))
+        rhs = _compile_rhs(LatticeParams(nu=1.0, lam=1.0),
+                           make_nonlinearity("linear", 1.0), f, blocks)
+        y = rng.standard_normal((4096, 188))
+        out = np.empty_like(y)
+        rhs(0.3, y, out)  # warm-up: the rhs makes its scratch arrays
+        tracemalloc.start()
+        try:
+            rhs(0.3, y, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * np.getbufsize() < 4096 * 14 * 8
 
 
 def _cocycle_setup():
