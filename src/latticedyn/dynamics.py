@@ -84,11 +84,11 @@ class Nonlinearity:
     time; see :meth:`verify`.
 
     ``func(s)`` returns a fresh array; ``func(s, out, work)`` writes the same
-    values into ``out``, with ``work`` the three scratch arrays of
-    :func:`_odd_poly` (one used up to the cubic).  It is ``_odd_poly`` of
-    ``coeffs`` unless another evaluator is given, which registration checks
-    against ``coeffs``: the right-hand sides compile the coefficients (folding
-    ``c0`` into the linear terms) and never call ``func``.
+    values into ``out``, with ``work`` three scratch arrays (one used up to
+    the cubic).  It runs the ufunc calls of :func:`_poly_calls` unless
+    another evaluator is given, which registration checks against ``coeffs``:
+    the right-hand sides bind the same calls (``c0`` folded into the linear
+    terms) into each evaluation and never call ``func``.
     """
 
     name: str
@@ -152,42 +152,51 @@ class Nonlinearity:
                                              f"L({_REGISTRATION_RADIUS}) = {bound}")
 
 
-def _odd_poly(coeffs: tuple[float, ...], add: bool = False) -> Callable[..., np.ndarray]:
-    """``c0*s + c1*s**3 + ...`` as ``poly(s, out=None, work=(None,) * 3)``:
-    written into ``out`` or a fresh array, or with ``add`` added to ``out``,
-    which then must be given.  ``work`` holds three scratch arrays shaped like
-    ``s``, ``None`` for one to allocate; only the first ``poly.scratch`` are
-    used, one up to the cubic.
+def _poly_calls(coeffs: tuple[float, ...], s, out, work) -> tuple[tuple, ...]:
+    """``c0*s + c1*s**3 + ...`` added to ``out``, as the ``(ufunc, a, b,
+    into)`` calls to run in order as ``ufunc(a, b, into)``.  The list ``work``
+    holds their scratch arrays, shaped like ``out``, and is extended in place
+    with fresh ones up to the number they take: one up to the cubic, up to
+    three above.
 
     The odd powers are repeated products with ``s*s`` (numpy's power is ~50x
     slower), each term a product with its coefficient; a coefficient of -1
-    subtracts its power.  ``c0*s`` (when added), ``s*s`` and the last power
-    and term share the first scratch array.
+    subtracts its power, which gives the bits of adding -1 times it.
+    ``c0*s``, ``s*s`` and the last power and term share the first scratch
+    array, which no later power needs.
     """
-    # None: subtract the power, which gives the bits of adding -1 times it
-    c0, higher = _const(coeffs[0]), tuple(None if c == -1.0 else _const(c) for c in coeffs[1:])
+    c0, *higher = coeffs
+    need = 1 if len(higher) < 2 else 2 + any(c != -1.0 for c in higher[:-1])
+    work += [np.empty_like(out) for _ in range(need - len(work))]
+    s2, power, term = [*work, None, None][:3]
+    calls = [(np.multiply, _const(c0), s, s2), (np.add, out, s2, out)]
+    if higher:
+        calls.append((np.multiply, s, s, s2))
+    for k, c in enumerate(higher, 1):
+        into, spare = (s2, s2) if k == len(higher) else (power, term)
+        calls.append((np.multiply, power if k > 1 else s, s2, into))
+        if c == -1.0:
+            calls.append((np.subtract, out, into, out))
+        else:
+            calls += [(np.multiply, _const(c), into, spare), (np.add, out, spare, out)]
+    return tuple(calls)
+
+
+def _odd_poly(coeffs: tuple[float, ...]) -> Callable[..., np.ndarray]:
+    """The calls of :func:`_poly_calls` as ``poly(s, out=None, work=(None,) *
+    3)``: ``c0*s + c1*s**3 + ...`` written into ``out`` or a fresh array.
+    ``work`` holds three scratch arrays shaped like ``s``, ``None`` for one to
+    allocate; only those the calls take are used, one up to the cubic."""
 
     def poly(s, out=None, work=(None, None, None)):
-        s2, power, term = work
-        if add:
-            # s2 is free until the powers start
-            out += np.multiply(c0, s, s2)
-        else:
-            out = np.multiply(c0, s, out)
-        if higher:
-            s2 = np.multiply(s, s, s2)
-            for k, c in enumerate(higher, 1):
-                # the last power and its term overwrite s2, which no later
-                # power needs
-                last = k == len(higher)
-                power = np.multiply(power if k > 1 else s, s2, s2 if last else power)
-                if c is None:
-                    out -= power
-                else:
-                    out += np.multiply(c, power, s2 if last else term)
+        out = np.empty(np.shape(s)) if out is None else out
+        # x + -0.0 has the bits of x, so adding F(s) to -0.0 writes F(s)
+        out.fill(-0.0)
+        work = [w for w in work if w is not None]
+        for ufunc, a, b, into in _poly_calls(coeffs, s, out, work):
+            ufunc(a, b, into)
         return out
 
-    poly.scratch = 1 if len(higher) < 2 else 2 + any(c is not None for c in higher[:-1])
     return poly
 
 
@@ -259,22 +268,25 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeri
     span of ``out``, and the polynomial's scratch arrays kept with the gather
     per shape and layout of ``u``: one for a linear or cubic ``F``, up to
     three above) and returns ``evaluate(drive)``, which writes the derivative
-    under the drive row ``drive`` into ``out``.  It refuses a state of the
-    wrong width with :class:`DimensionError`, and an ``out`` that shares
-    memory with ``u`` (the neighbour sum would overwrite ``u`` before ``F``
-    reads it) with :class:`ParameterError`.  ``rhs.drives(steps)`` is
-    ``(per_block, fill)`` for a run: ``fill(times)`` evaluates the drive at
-    a ``(count <= per_block, 3)`` block of stage times into one buffer of
-    about :data:`_DRIVE_VALUES` values kept for the run, and returns a triple
-    of rows per step; every stage gets its own row.  ``rhs(t, u, out=None)``
-    is ``rhs.bind(u, out)`` evaluated under the drive at ``t``, the one time
-    of every row, into ``out`` or a fresh array.  Its ``edges`` attribute
-    lists the columns of the ``zero`` systems' edge sites, which the edge
-    monitor of :func:`integrate` checks.
+    under the drive row ``drive`` into ``out``: the neighbour sum, one fixed
+    run of ufunc calls bound to ``u``, ``out`` and the scratch (``*= nu``,
+    dropped at ``nu = 1`` because ``x * 1.0`` is ``x``, then the
+    :func:`_poly_calls` of the polynomial), and the drive add.  It refuses a
+    state of the wrong width with :class:`DimensionError`, and an ``out``
+    that shares memory with ``u`` (the neighbour sum would overwrite ``u``
+    before ``F`` reads it) with :class:`ParameterError`.
+    ``rhs.drives(steps)`` is ``(per_block, fill)`` for a run: ``fill(times)``
+    evaluates the drive at a ``(count <= per_block, 3)`` block of stage times
+    into one buffer of about :data:`_DRIVE_VALUES` values kept for the run,
+    and returns a triple of rows per step; every stage gets its own row.
+    ``rhs(t, u, out=None)`` is ``rhs.bind(u, out)`` evaluated under the drive
+    at ``t``, the one time of every row, into ``out`` or a fresh array.  Its
+    ``edges`` attribute lists the columns of the ``zero`` systems' edge
+    sites, which the edge monitor of :func:`integrate` checks.
     """
     nu = _const(params.nu)
     c0, *higher = nonlin.coeffs
-    poly = _odd_poly((c0 - params.lam - 2.0 * params.nu, *higher), add=True)
+    coeffs = (c0 - params.lam - 2.0 * params.nu, *higher)
     width = sum(2 * half_width + 1 for half_width, _ in systems)
     # (amps, freqs, phases) per column; a column without forcing drives -0.0
     table = np.array([[-0.0], [0.0], [0.5 * math.pi]]).repeat(width, axis=1)
@@ -340,7 +352,7 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeri
         site_major = not u.flags.c_contiguous  # u.T is C-contiguous in a site-major stack
         scratch = held.get((u.shape, site_major))
         if scratch is None:
-            work = tuple(np.empty_like(out) if k < poly.scratch else None for k in range(3))
+            work = []  # filled by the first binding's _poly_calls
             # operand-first; take writes the operands along the axis it reads
             ops = (np.empty((len(operands), *u.shape[-2::-1])) if site_major
                    else np.empty((*u.shape[:-1], len(operands))).T)
@@ -350,14 +362,17 @@ def _compile_rhs(params: LatticeParams, nonlin: Nonlinearity, forcing: QuasiPeri
         lower, upper, inner = u[..., :-2], u[..., 2:], out[..., 1:-1]
         take, axis, gathered = (u.T.take, 0, ops) if site_major else (u.take, -1, ops.T)
         scatter, forced = out.T, out[..., span]
+        # x * 1.0 is x for every double: a unit coupling scales nothing
+        calls = ((() if params.nu == 1.0 else ((np.multiply, out, nu, out),))
+                 + _poly_calls(coeffs, u, out, work))
 
         def evaluate(row):
             np.add(lower, upper, inner)
             take(operands, axis, gathered, "clip")
             np.add(firsts, seconds, firsts)
             scatter[cols] = sums
-            np.multiply(out, nu, out)
-            poly(u, out, work)
+            for ufunc, a, b, into in calls:
+                ufunc(a, b, into)
             np.add(forced, row, forced)
             return out
 
